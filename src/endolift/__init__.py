@@ -26,7 +26,7 @@ from .errors import (
     WindowExhausted,
 )
 from .witt import WittScalar, nonresidue
-from .series import SeriesContext, TruncSeries, f_series, frobenius_lift, g_series, series_invert
+from .series import SeriesContext, TruncSeries, f_series, g_series, series_invert
 from .windows import (
     CaseDescriptor,
     alpha_beta,
@@ -81,7 +81,6 @@ __all__ = [
     "TruncSeries",
     "f_series",
     "g_series",
-    "frobenius_lift",
     "series_invert",
     "CaseDescriptor",
     "one_variable_context",

@@ -513,6 +513,12 @@ def cmd_lattice(ns) -> int:
 # selfcheck
 
 
+def _require(ok: bool, detail: str) -> None:
+    """A selfcheck condition that, unlike assert, still runs under python -O."""
+    if not ok:
+        raise ConsistencyFailure(detail)
+
+
 def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
     checks: List[Tuple[str, bool, str]] = []
 
@@ -522,8 +528,6 @@ def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
             checks.append((name, True, detail if isinstance(detail, str) else ""))
         except EndoliftError as exc:
             checks.append((name, False, f"{type(exc).__name__}: {exc}"))
-        except AssertionError as exc:
-            checks.append((name, False, str(exc)))
 
     def operator_sanity_all():
         for p in (3, 5):
@@ -540,9 +544,9 @@ def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
         got = []
         for k in range(3):
             found = lab.enumerate_stable_sublattices(module, k)
-            assert len(found) == 1, f"k={k}: {len(found)} lattices"
+            _require(len(found) == 1, f"k={k}: {len(found)} lattices")
             got.append(lab.lie_action_parity(found[0]))
-        assert got == want, f"parities {got}"
+        _require(got == want, f"parities {got}")
         return "unique per k<=2, parities " + ",".join(got)
 
     run("sublattices", sublattice_suite)
@@ -551,7 +555,7 @@ def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
         module = lab.tensor_rank4(3, prec=6)
         found = lab.enumerate_stable_superlattices(module, 1, 1)
         classes = [lab.classify_superlattice(L) for L in found]
-        assert classes == [(0, 0, 1), (0, 1, 0), (1, 0, 0)], classes
+        _require(classes == [(0, 0, 1), (0, 1, 0), (1, 0, 0)], str(classes))
         return "s=1 exhaustive: 3 lattices"
 
     run("superlattices", superlattice_suite)
@@ -568,8 +572,7 @@ def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
 
     def census_suite():
         census = lab.hodge_lift_census(3)
-        assert census["both_stable"] == 1, census
-        assert census["all"] == 3**8, census
+        _require(census["both_stable"] == 1 and census["all"] == 3**8, str(census))
         return "both-stable count 1"
 
     run("hodge-census", census_suite)
@@ -582,7 +585,7 @@ def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
         }
         for (label, p, c0), want in sorted(spots.items()):
             got = inv.total_proper_intersection(label, p, c0)
-            assert got == want, f"{label} p={p} c0={c0}: {got} != {want}"
+            _require(got == want, f"{label} p={p} c0={c0}: {got} != {want}")
         return "spot totals 5/34/12"
 
     run("inventory-totals", inventory_suite)
@@ -590,14 +593,14 @@ def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
     def multiplicity_suite():
         for label in ("unr", "ram"):
             got = lengths.vertical_multiplicity(label, 3, 1)
-            assert got == 2, f"{label}: {got}"
+            _require(got == 2, f"{label}: {got}")
         return "length 2 at c0=1, both cases"
 
     run("multiplicity", multiplicity_suite)
 
     def annihilator_suite():
         case = win.CaseDescriptor.from_label("unr", 3)
-        assert lengths.annihilator_check(case, 1)
+        _require(lengths.annihilator_check(case, 1), "a membership fails at (unr, 3, 1)")
         return "membership table at (unr, 3, 1)"
 
     run("annihilator", annihilator_suite)
@@ -607,10 +610,13 @@ def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
             case = win.CaseDescriptor.from_label(label, 3)
             ctx = win.one_variable_context(3)
             vert = win.solve_vertical_recursion(case, ctx)
-            assert vert.pair == win.closed_form_vertical_pair(case, ctx).normalized()
+            _require(
+                vert.pair == win.closed_form_vertical_pair(case, ctx).normalized(),
+                f"{label}: recursion fixed point differs from the closed form",
+            )
             sol = win.solve_thickened_recursion(case, 2)
             report = win.structure_check(sol, raise_on_failure=False)
-            assert report.ok, [c.name for c in report.clauses if not c.ok]
+            _require(report.ok, str([c.name for c in report.clauses if not c.ok]))
         return "closed form + structure at k=2, both cases"
 
     run("recursion", recursion_suite)
@@ -619,9 +625,9 @@ def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
         case = win.CaseDescriptor.from_label("unr", 3)
         prec = 6
         a, b, c, d = case.with_gamma(2, 1).param_scalars(prec)
-        assert not win.integrality_predicate(a, b, c, d), "unit coefficient is integral?"
+        _require(not win.integrality_predicate(a, b, c, d), "unit coefficient is integral?")
         a, b, c, d = case.with_gamma(2, 3).param_scalars(prec)
-        assert win.integrality_predicate(a, b, c, d), "divisible coefficient not integral?"
+        _require(win.integrality_predicate(a, b, c, d), "divisible coefficient not integral?")
         return "unit vs divisible generator coefficient"
 
     run("integrality", integrality_suite)

@@ -15,15 +15,19 @@ from .errors import ConsistencyFailure, NotAnOrder
 CaseLike = Union[str, object]
 
 
+# every accepted spelling of a case label; windows.CaseDescriptor.from_label
+# parses labels through _case_label too, so both routes accept the same set
+_CASE_ALIASES = {"unr": "unr", "unramified": "unr", "inert": "unr", "ram": "ram", "ramified": "ram"}
+
+
 def _case_label(case: CaseLike) -> str:
     ram = getattr(case, "ramified", None)
     if ram is not None:
         return "ram" if ram else "unr"
-    if case in ("unr", "unramified"):
-        return "unr"
-    if case in ("ram", "ramified"):
-        return "ram"
-    raise ValueError(f"unknown case {case!r}")
+    label = _CASE_ALIASES.get(case) if isinstance(case, str) else None
+    if label is None:
+        raise ValueError(f"unknown case {case!r}")
+    return label
 
 
 def _case_p(case: CaseLike, p: Optional[int]) -> int:

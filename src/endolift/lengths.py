@@ -14,6 +14,15 @@ Two independent length oracles live here:
   corner valuation k - j, the opposite side is cleared below x2^(2*p^j), one
   chunk of length is collected, and the roles swap.
 
+Every window-dependent number here (the lengths from both oracles and the
+annihilator membership table) goes through one driver, `_stabilize`: it
+measures at the default x1-window radius and at successive doublings, and a
+value counts only once two consecutive radii agree.  A radius whose
+measurement runs out of window or reads as a structure violation gives no
+answer.  Past the ceiling max(p^(2k+2), 8*base) the driver raises
+WindowExhausted; no unconfirmed value is ever returned.  A pinned
+chain_radius skips the driver and measures that one window.
+
 `quotient_length` drives the window engine at defaults and runs the first
 oracle; `vertical_multiplicity` additionally insists the result matches the
 closed form and is the value the inventory quotes.
@@ -22,7 +31,7 @@ closed form and is the value the inventory quotes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .errors import (
     ConsistencyFailure,
@@ -61,6 +70,7 @@ __all__ = [
 ]
 
 Pair = Tuple[int, int]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -434,7 +444,8 @@ def chain_snf(rows: List[List[ChainScalar]], ctx: ChainContext) -> List[int]:
                 continue
             tq = t.divide_p_power(e)
             work[i] = [unit * a - tq * b for a, b in zip(work[i], work[0])]
-            assert work[i][0].is_zero()
+            if not work[i][0].is_zero():
+                raise ConsistencyFailure(f"chain_snf: row {i} survived clearing against the pivot")
         # same for the pivot row; other rows just pick up a unit factor
         row0 = work[0]
         for j in range(1, len(row0)):
@@ -446,7 +457,8 @@ def chain_snf(rows: List[List[ChainScalar]], ctx: ChainContext) -> List[int]:
             tq = t.divide_p_power(e)
             for i in range(len(work)):
                 work[i][j] = unit * work[i][j] - tq * work[i][0]
-            assert row0[j].is_zero()
+            if not row0[j].is_zero():
+                raise ConsistencyFailure(f"chain_snf: column {j} survived clearing against the pivot")
         exps.append(min(e, M))
         work = [row[1:] for row in work[1:]]
     return sorted(exps)
@@ -471,6 +483,35 @@ def chain_default_radius(p: int, k: int) -> int:
     products room to breathe before recentering pulls them back.
     """
     return 2 * p ** (k + 1)
+
+
+def _stabilize(measure: Callable[[int], T], base: int, p: int, k: int) -> Tuple[int, T]:
+    """Measure at x1-window radii base, 2*base, ... until two in a row agree.
+
+    The window truncation is a model artifact, so a measured value counts
+    only once the next doubled radius confirms it; the confirming radius is
+    returned with the value.  WindowExhausted and StructureViolation mean no
+    answer at that radius, which never agrees with anything.  Once a radius
+    beyond max(p^(2k+2), 8*base) has been tried without agreement, raises
+    WindowExhausted chained from the last failure caught.
+    """
+    ceiling = max(p ** (2 * k + 2), 8 * base)
+    prev: Optional[T] = None
+    last_error: Optional[Exception] = None
+    radius = base
+    while True:
+        try:
+            cur: Optional[T] = measure(radius)
+        except (WindowExhausted, StructureViolation) as exc:
+            cur, last_error = None, exc
+        if cur is not None and cur == prev:
+            return radius, cur
+        if radius > ceiling:
+            raise WindowExhausted(
+                f"chain-ring measurement failed to stabilize below radius {radius}"
+            ) from last_error
+        prev = cur
+        radius *= 2
 
 
 @dataclass(frozen=True)
@@ -507,11 +548,12 @@ def quotient_length_details(
 ) -> LengthReport:
     """Resolve the depth-k corner pair and measure the quotient module.
 
-    The window truncation is a model artifact, so the measurement is
-    repeated at doubled radii until two consecutive answers agree; the
-    stabilized answer is reported together with the radius that produced
-    it.  Passing chain_radius pins a single window instead (no
-    stabilization loop) for probing.
+    The window truncation is a model artifact, so the measurement goes
+    through `_stabilize`: it is repeated at doubled radii until two
+    consecutive answers agree, and the confirmed answer is reported together
+    with the radius that confirmed it (WindowExhausted past the ceiling).
+    Passing chain_radius pins a single window instead (no stabilization
+    loop) for probing.
     """
     p = case.p
     ctx = recursion_context(p, k, precision_scale=precision_scale)
@@ -520,22 +562,10 @@ def quotient_length_details(
         total, exps = _measure_at_radius(sol, p, k, chain_radius)
         return LengthReport(case, k, total, exps, chain_radius, False)
     base = chain_default_radius(p, k)
-    ceiling = max(p ** (2 * k + 2), 8 * base)
-    prev: Optional[Tuple[int, Tuple[int, ...]]] = None
-    radius = base
-    while True:
-        try:
-            cur = _measure_at_radius(sol, p, k, radius)
-        except WindowExhausted:
-            cur = None
-        if cur is not None and cur == prev:
-            return LengthReport(case, k, cur[0], cur[1], radius, radius > 2 * base)
-        if radius > ceiling:
-            raise WindowExhausted(
-                f"chain-ring measurement failed to stabilize below radius {radius}"
-            )
-        prev = cur
-        radius *= 2
+    radius, (total, exps) = _stabilize(
+        lambda r: _measure_at_radius(sol, p, k, r), base, p, k
+    )
+    return LengthReport(case, k, total, exps, radius, radius > 2 * base)
 
 
 def quotient_length(case: CaseDescriptor, k: int, **kwargs) -> int:
@@ -582,34 +612,21 @@ def length_by_elimination(
     measured, and the cleared side is shifted down and becomes the carrier.
     After k steps the remaining corner must be an outright unit.
 
-    Without an explicit chain_radius the measurement stabilizes over doubled
-    windows the same way quotient_length_details does; small windows can
+    Without an explicit chain_radius the measurement goes through the same
+    confirm-or-raise driver as quotient_length_details; small windows can
     distort valuations enough to read as structure violations, so those also
-    trigger a wider retry.
+    trigger a wider retry, and WindowExhausted is raised if no two radii
+    agree below the ceiling.
     """
     p = case.p
     ctx = recursion_context(p, k)
     sol = solve_thickened_recursion(case, k, ctx)
-    if chain_radius is None:
-        base = chain_default_radius(p, k)
-        ceiling = max(p ** (2 * k + 2), 8 * base)
-        prev: Optional[int] = None
-        radius = base
-        while True:
-            try:
-                cur: Optional[int] = _peel_at_radius(case, sol, k, radius)
-            except (WindowExhausted, StructureViolation):
-                cur = None
-            if cur is not None and cur == prev:
-                return cur
-            if radius > ceiling:
-                if cur is not None:
-                    return cur
-                # surface the real failure from the widest window
-                return _peel_at_radius(case, sol, k, radius)
-            prev = cur
-            radius *= 2
-    return _peel_at_radius(case, sol, k, chain_radius)
+    if chain_radius is not None:
+        return _peel_at_radius(case, sol, k, chain_radius)
+    _, total = _stabilize(
+        lambda r: _peel_at_radius(case, sol, k, r), chain_default_radius(p, k), p, k
+    )
+    return total
 
 
 def _peel_at_radius(
@@ -684,16 +701,12 @@ def _peel_at_radius(
 
 
 def _membership(
-    base_cols_pres: ChainPresentation,
-    zeta_col: List[ChainScalar],
+    pres: ChainPresentation, base_len: int, zeta_col: List[ChainScalar]
 ) -> bool:
-    """zeta lies in the column span iff adjoining it leaves the length alone."""
-    base_len, _ = presentation_length(base_cols_pres)
-    aug = ChainPresentation(
-        base_cols_pres.ctx, base_cols_pres.m, base_cols_pres.columns + [zeta_col]
-    )
-    aug_len, _ = presentation_length(aug)
-    return aug_len == base_len
+    """zeta lies in the column span iff adjoining it keeps the length at
+    base_len, the length of pres itself."""
+    aug = ChainPresentation(pres.ctx, pres.m, pres.columns + [zeta_col])
+    return presentation_length(aug)[0] == base_len
 
 
 def _monomial_column(ctx: ChainContext, m: int, x2_exp: int, p_exp: int) -> List[ChainScalar]:
@@ -717,10 +730,12 @@ def annihilator_report(
     lie in the maximal-ideal multiple of the ideal.  For k = 1 the bare x2
     must stay outside the ideal.
 
-    Memberships are decided through length comparisons, so the same window
-    stabilization as in quotient_length_details applies: without an explicit
-    chain_radius the whole table is recomputed at doubled radii until it
-    repeats.
+    Memberships are decided through length comparisons, so without an
+    explicit chain_radius the whole table goes through the same
+    confirm-or-raise window driver as the lengths: it is recomputed at
+    doubled radii until it repeats, starting from the radius at which the
+    plain length of the official model stabilizes, and raises
+    WindowExhausted if no two radii agree below the ceiling.
     """
     p = case.p
 
@@ -730,60 +745,39 @@ def annihilator_report(
     sol1 = solve_thickened_recursion(case, k, ctx1)
 
     def table_at(radius: int) -> Dict[str, bool]:
-        out: Dict[str, bool] = {}
-        # official model
-        cap0 = p**k
-        chain0 = ChainContext(p, 2 * k + 1, -radius, radius)
-        a0 = _corner_slices(sol0.alpha, cap0, chain0)
-        b0 = _corner_slices(sol0.beta, cap0, chain0)
-        pres0 = ChainPresentation.from_corner_series(chain0, cap0, a0, b0)
-        balanced = sum(2 * p**i for i in range(k))
-        out["balanced_x2_power_in_ideal"] = _membership(
-            pres0, _monomial_column(chain0, cap0, balanced, 0)
-        )
-        out["p_to_2k_in_ideal"] = _membership(
-            pres0, _monomial_column(chain0, cap0, 0, 2 * k)
-        )
-        if k == 1:
-            out["bare_x2_outside_ideal"] = not _membership(
-                pres0, _monomial_column(chain0, cap0, 1, 0)
+        def model(sol, cap: int, modulus: int, maximal_multiple: bool):
+            chain = ChainContext(p, modulus, -radius, radius)
+            pres = ChainPresentation.from_corner_series(
+                chain, cap, _corner_slices(sol.alpha, cap, chain),
+                _corner_slices(sol.beta, cap, chain), maximal_multiple=maximal_multiple,
             )
+            base_len, _ = presentation_length(pres)
+            return lambda x2_exp, p_exp: _membership(
+                pres, base_len, _monomial_column(chain, cap, x2_exp, p_exp)
+            )
+
+        official = model(sol0, p**k, 2 * k + 1, False)
+        balanced = sum(2 * p**i for i in range(k))
+        out = {
+            "balanced_x2_power_in_ideal": official(balanced, 0),
+            "p_to_2k_in_ideal": official(0, 2 * k),
+        }
+        if k == 1:
+            out["bare_x2_outside_ideal"] = not official(1, 0)
         # enlarged model: one more x2 slice, one more digit
-        cap1 = p**k + 1
-        chain1 = ChainContext(p, 2 * k + 2, -radius, radius)
-        a1 = _corner_slices(sol1.alpha, cap1, chain1)
-        b1 = _corner_slices(sol1.beta, cap1, chain1)
-        pres1 = ChainPresentation.from_corner_series(
-            chain1, cap1, a1, b1, maximal_multiple=True
-        )
-        out["p_to_2k_plus_1_in_max_multiple"] = _membership(
-            pres1, _monomial_column(chain1, cap1, 0, 2 * k + 1)
-        )
-        out["x2_to_p_k_in_max_multiple"] = _membership(
-            pres1, _monomial_column(chain1, cap1, p**k, 0)
-        )
+        enlarged = model(sol1, p**k + 1, 2 * k + 2, True)
+        out["p_to_2k_plus_1_in_max_multiple"] = enlarged(0, 2 * k + 1)
+        out["x2_to_p_k_in_max_multiple"] = enlarged(p**k, 0)
         return out
 
     if chain_radius is not None:
         return table_at(chain_radius)
-    # anchor at the window where the plain length measurement has already
-    # stabilized; smaller windows can agree with each other while both are
-    # still distorted
-    base = quotient_length_details(case, k).chain_radius
-    ceiling = max(p ** (2 * k + 2), 8 * base)
-    prev: Optional[Dict[str, bool]] = None
-    radius = base
-    while True:
-        try:
-            cur: Optional[Dict[str, bool]] = table_at(radius)
-        except WindowExhausted:
-            cur = None
-        if cur is not None and cur == prev:
-            return cur
-        if radius > ceiling:
-            return table_at(radius)
-        prev = cur
-        radius *= 2
+    # anchor where the plain length measurement has already stabilized;
+    # smaller windows can agree with each other while both are still distorted
+    anchor, _ = _stabilize(
+        lambda r: _measure_at_radius(sol0, p, k, r), chain_default_radius(p, k), p, k
+    )
+    return _stabilize(table_at, anchor, p, k)[1]
 
 
 def annihilator_check(case: CaseDescriptor, k: int, **kwargs) -> bool:

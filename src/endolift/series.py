@@ -34,7 +34,6 @@ from .witt import (
 __all__ = [
     "SeriesContext",
     "TruncSeries",
-    "frobenius_lift",
     "f_series",
     "g_series",
     "series_invert",
@@ -422,11 +421,6 @@ class TruncSeries:
 
     def reduce_mod_p(self) -> "TruncSeries":
         return self.with_context(self.ctx.weakened(prec=1))
-
-
-def frobenius_lift(series: TruncSeries) -> TruncSeries:
-    """Functional form of TruncSeries.frobenius."""
-    return series.frobenius()
 
 
 def _f_bound(ctx: SeriesContext, var: str) -> int:

@@ -26,6 +26,7 @@ from .errors import (
     PrecisionExhausted,
     StructureViolation,
 )
+from .inventory import _case_label
 from .series import SeriesContext, TruncSeries, f_series, g_series
 from .witt import WittScalar
 
@@ -176,11 +177,7 @@ class CaseDescriptor:
 
     @classmethod
     def from_label(cls, label: str, p: int) -> "CaseDescriptor":
-        if label in ("unr", "unramified", "inert"):
-            return cls.unramified(p)
-        if label in ("ram", "ramified"):
-            return cls.ramified_case(p)
-        raise ValueError(f"unknown case label {label!r}")
+        return cls.ramified_case(p) if _case_label(label) == "ram" else cls.unramified(p)
 
     @property
     def label(self) -> str:

@@ -1,9 +1,14 @@
 """End-to-end tests for the command-line harness (in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import endolift
 from endolift.cli import SCHEMA_VERSION, main
 from endolift.errors import ConsistencyFailure, WindowExhausted
 
@@ -38,6 +43,21 @@ class TestSelfcheck:
         rc, out = _run(capsys, ["selfcheck"])
         assert rc == 0
         assert (outdir / "selfcheck.json").read_text(encoding="utf-8") == out
+
+    def test_failing_check_fails_under_optimize(self):
+        # python -O strips assert statements; the battery must not rely on them
+        code = (
+            "from endolift import cli, lengths\n"
+            "lengths.annihilator_check = lambda *args, **kwargs: False\n"
+            "print(dict((n, ok) for n, ok, _ in cli._selfcheck_battery())['annihilator'])\n"
+        )
+        src = str(Path(endolift.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestInventory:

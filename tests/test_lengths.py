@@ -5,7 +5,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from endolift.errors import ConsistencyFailure, InexactDivision, NotAUnit
+from endolift import lengths
+from endolift.errors import (
+    ConsistencyFailure,
+    InexactDivision,
+    NotAUnit,
+    StructureViolation,
+    WindowExhausted,
+)
 from endolift.lengths import (
     ChainContext,
     ChainPresentation,
@@ -15,6 +22,7 @@ from endolift.lengths import (
     chain_default_radius,
     chain_snf,
     length_by_elimination,
+    _stabilize,
     presentation_length,
     quotient_length,
     quotient_length_details,
@@ -214,11 +222,69 @@ class TestQuotientLength:
         assert doubled.length == base.length
         assert doubled.exponents == base.exponents
 
-    def test_pinned_radius_skips_stabilization(self):
+    def test_pinned_radius_skips_stabilization(self, monkeypatch):
+        def no_driver(*args):
+            raise AssertionError("the stabilization driver ran")
+
+        monkeypatch.setattr(lengths, "_stabilize", no_driver)
         case = CaseDescriptor.from_label("unr", 3)
         report = quotient_length_details(case, 1, chain_radius=36)
         assert report.chain_radius == 36
         assert not report.retried
+        assert length_by_elimination(case, 1, chain_radius=36) == 2
+        assert all(annihilator_report(case, 1, chain_radius=72).values())
+
+
+class TestStabilize:
+    # at p = 3, k = 1 from base 18 the ceiling is max(3^4, 8*18) = 144, so
+    # the radii tried are 18, 36, 72, 144 and finally 288
+
+    def test_returns_first_radius_confirming_its_predecessor(self):
+        answers = {18: 1, 36: 2, 72: 3, 144: 3, 288: 3}
+        tried = []
+
+        def measure(radius):
+            tried.append(radius)
+            return answers[radius]
+
+        assert _stabilize(measure, 18, 3, 1) == (144, 3)
+        assert tried == [18, 36, 72, 144]
+
+    @pytest.mark.parametrize("exc", [WindowExhausted, StructureViolation])
+    def test_failure_at_a_radius_never_counts_as_agreement(self, exc):
+        def measure(radius):
+            if radius == 36:
+                raise exc("distorted window")
+            return 4
+
+        # 4 at 18, nothing at 36, 4 at 72: only 144 confirms 72
+        assert _stabilize(measure, 18, 3, 1) == (144, 4)
+
+    def test_raises_past_the_ceiling_chained_from_last_failure(self):
+        tried = []
+
+        def measure(radius):
+            tried.append(radius)
+            raise StructureViolation(f"radius {radius}")
+
+        with pytest.raises(WindowExhausted) as info:
+            _stabilize(measure, 18, 3, 1)
+        assert tried == [18, 36, 72, 144, 288]
+        assert str(info.value.__cause__) == "radius 288"
+
+    def test_elimination_raises_when_radii_keep_disagreeing(self, monkeypatch):
+        monkeypatch.setattr(
+            lengths, "_peel_at_radius", lambda case, sol, k, radius: radius.bit_length() % 2
+        )
+        with pytest.raises(WindowExhausted):
+            length_by_elimination(CaseDescriptor.from_label("unr", 3), 1)
+
+    def test_annihilator_raises_when_radii_keep_disagreeing(self, monkeypatch):
+        monkeypatch.setattr(
+            lengths, "_membership", lambda pres, base_len, col: pres.ctx.hi.bit_length() % 2 == 0
+        )
+        with pytest.raises(WindowExhausted):
+            annihilator_report(CaseDescriptor.from_label("unr", 3), 1)
 
 
 class TestVerticalMultiplicity:

@@ -27,7 +27,7 @@ from endolift.windows import (
     universal_display,
 )
 from endolift.witt import WittScalar
-from endolift.inventory import conductor
+from endolift.inventory import conductor, total_proper_intersection
 
 CASES = ["unr", "ram"]
 
@@ -51,6 +51,21 @@ class TestCaseDescriptor:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             CaseDescriptor.from_label("split", 3)
+
+    @pytest.mark.parametrize(
+        "label, canonical",
+        [("unr", "unr"), ("unramified", "unr"), ("inert", "unr"), ("ram", "ram"), ("ramified", "ram")],
+    )
+    def test_both_label_routes_accept_the_same_aliases(self, label, canonical):
+        assert CaseDescriptor.from_label(label, 3).label == canonical
+        assert total_proper_intersection(label, 3, 1) == total_proper_intersection(canonical, 3, 1)
+
+    @pytest.mark.parametrize("label", ["split", "", "UNR", "inertial", None])
+    def test_both_label_routes_reject_the_same_labels(self, label):
+        with pytest.raises(ValueError):
+            CaseDescriptor.from_label(label, 3)
+        with pytest.raises(ValueError):
+            total_proper_intersection(label, 3, 1)
 
     def test_trace_is_param_sum(self):
         for lab in CASES:
