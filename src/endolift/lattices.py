@@ -734,8 +734,8 @@ def hodge_lift_census(p: int) -> Dict[str, int]:
     row and the one on g2 only the second (each image has a single nonzero
     f-coordinate, over the matching generator), so those booleans are
     precomputed per row; the uniformizer check couples the rows and runs
-    inside the pair loop.  `hodge_lift_census_naive` recomputes everything
-    without the factoring, for cross-checks at small p.
+    inside the pair loop.  `tests/test_lattices.py` recomputes everything
+    without the factoring, as the oracle at small p.
     """
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
@@ -769,34 +769,6 @@ def hodge_lift_census(p: int) -> Dict[str, int]:
                 field, c, _apply_dual_uniformizer(field, g1)
             )
             order_ok = o1 and order_ok_second[r2]
-            if order_ok:
-                counts["order_stable"] += 1
-            if unif_ok:
-                counts["uniformizer_stable"] += 1
-            if order_ok and unif_ok:
-                counts["both_stable"] += 1
-    return counts
-
-
-def hodge_lift_census_naive(p: int) -> Dict[str, int]:
-    """Same census with no factoring at all: every graph, every operator,
-    full membership checks.  Quadratically slower; for cross-checks."""
-    field = _ResidueField(p)
-    elems = field.elements()
-    rows = [(x, y) for x in elems for y in elems]
-    counts = {"all": 0, "order_stable": 0, "uniformizer_stable": 0, "both_stable": 0}
-    for r1 in rows:
-        for r2 in rows:
-            c = (r1, r2)
-            g1, g2 = _graph_generators(field, c)
-            counts["all"] += 1
-            order_ok = all(
-                _graph_contains(field, c, _apply_dual_order(field, g)) for g in (g1, g2)
-            )
-            unif_ok = all(
-                _graph_contains(field, c, _apply_dual_uniformizer(field, g))
-                for g in (g1, g2)
-            )
             if order_ok:
                 counts["order_stable"] += 1
             if unif_ok:

@@ -3,7 +3,10 @@
 The chain ring C is a window-truncated Laurent model in the deformation
 variable x1 over the quadratic Witt scalars modulo p^M; the modules of
 interest are presented over the x2-power generator basis of C[[x2]]/x2^cap by
-the shifted columns of the two corner series.
+the shifted columns of the two corner series.  Elimination fills the short
+corner slices in to dense Laurent polynomials, so chain-ring products go
+through one kernel with two branches: a reduce-once loop for short operands
+and Kronecker-packed big-integer products for dense ones.
 
 Two independent length oracles live here:
 
@@ -30,24 +33,24 @@ closed form and is the value the inventory quotes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from array import array
+from dataclasses import dataclass, field
+from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .errors import (
     ConsistencyFailure,
     InexactDivision,
-    NotAUnit,
     StructureViolation,
     WindowExhausted,
 )
 from .inventory import vertical_multiplicity_closed_form
-from .series import SeriesContext, TruncSeries
+from .series import TruncSeries
 from .windows import CaseDescriptor, recursion_context, solve_thickened_recursion
 from .witt import (
     nonresidue,
     pair_add,
-    pair_inv,
-    pair_mul,
     pair_neg,
     pair_scale,
     pair_sub,
@@ -81,29 +84,134 @@ class ChainContext:
     modulus: int
     lo: int
     hi: int
+    # derived once here: every chain-ring operation reads them
+    mod: int = field(init=False, repr=False, compare=False)  # p^modulus
+    r: int = field(init=False, repr=False, compare=False)  # w^2
 
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError("chain modulus must be positive")
         if self.lo > 0 or self.hi < 0:
             raise ValueError("chain window must contain 0")
+        object.__setattr__(self, "mod", self.p**self.modulus)
+        object.__setattr__(self, "r", nonresidue(self.p))
 
-    @property
-    def mod(self) -> int:
-        return self.p**self.modulus
 
-    @property
-    def r(self) -> int:
-        return nonresidue(self.p)
+# ---------------------------------------------------------------------------
+# the product kernel: {x1 exponent -> (a, b)} dicts over Z[w]/p^M, w^2 = r,
+# with product exponents outside [lo, hi] dropped
+
+# operand-size product (term pairs) from which Kronecker packing beats the loop
+PACK_MIN_TERM_PRODUCTS = 512
+
+# packing and unpacking both in native order keeps slot k at bytes
+# [k*width, (k+1)*width) of to_bytes on either byte order
+_NATIVE = sys.byteorder
+# array typecode for each slot width the packed product can use, in bytes,
+# narrowest first
+_SLOT_CODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
+def _mul_short(left: Dict[int, Pair], right: Dict[int, Pair], r: int, mod: int, lo: int, hi: int) -> Dict[int, Pair]:
+    """Term-by-term product; both parts accumulate unreduced, reduced once."""
+    if len(left) > len(right):
+        left, right = right, left
+    acc_a: Dict[int, int] = {}
+    acc_b: Dict[int, int] = {}
+    for e1, (a1, b1) in left.items():
+        rb1 = r * b1
+        for e2, (a2, b2) in right.items():
+            e = e1 + e2
+            if e < lo or e > hi:
+                continue
+            if e in acc_a:
+                acc_a[e] += a1 * a2 + rb1 * b2
+                acc_b[e] += a1 * b2 + b1 * a2
+            else:
+                acc_a[e] = a1 * a2 + rb1 * b2
+                acc_b[e] = a1 * b2 + b1 * a2
+    out = {}
+    for e, a in acc_a.items():
+        a %= mod
+        b = acc_b[e] % mod
+        if a or b:
+            out[e] = (a, b)
+    return out
+
+
+def _dense(coeffs: Dict[int, Pair], e0: int, g: int, n: int) -> Tuple[List[int], List[int]]:
+    """a- and b-coefficient lists at exponents e0, e0 + g, ..., e0 + (n-1)g."""
+    a_part = [0] * n
+    b_part = [0] * n
+    for e, (a, b) in coeffs.items():
+        i = (e - e0) // g
+        a_part[i] = a
+        b_part[i] = b
+    return a_part, b_part
+
+
+def _mul_packed(left: Dict[int, Pair], right: Dict[int, Pair], r: int, mod: int, lo: int, hi: int) -> Dict[int, Pair]:
+    """Kronecker substitution: the same product from three big-int products.
+
+    Both supports are divided by the common stride g of their exponent
+    offsets and each coefficient list is packed into one integer with a
+    whole-byte slot per exponent.  With (a + b w)(c + d w) = (ac + r bd) +
+    (ad + bc) w, the products A*C, B*D and (A+B)(C+D) - A*C - B*D carry every
+    ac, bd and ad + bc sum in its own slot, so CPython's Karatsuba does the
+    work.  A slot holds at most min(n1, n2) terms of at most 2(mod-1)^2 (the
+    subtraction is exact, so the cross sums are the bound); slots wider than
+    8 bytes take the loop instead.
+    """
+    l0, r0 = min(left), min(right)
+    g = gcd(*(e - l0 for e in left), *(e - r0 for e in right)) or 1
+    n1 = (max(left) - l0) // g + 1
+    n2 = (max(right) - r0) // g + 1
+    need = ((2 * min(n1, n2) * (mod - 1) ** 2).bit_length() + 7) // 8
+    width = next((w for w in _SLOT_CODES if w >= need), None)
+    if width is None:
+        return _mul_short(left, right, r, mod, lo, hi)
+    code = _SLOT_CODES[width]
+
+    def pack(xs: List[int]) -> int:
+        return int.from_bytes(array(code, xs).tobytes(), _NATIVE)
+
+    la, lb = map(pack, _dense(left, l0, g, n1))
+    ra, rb = map(pack, _dense(right, r0, g, n2))
+    aa = la * ra
+    bb = lb * rb
+    cross = (la + lb) * (ra + rb) - aa - bb
+    # keep only the slots whose exponent e0 + g*k lies in [lo, hi]
+    e0 = l0 + r0
+    first = max(0, -((e0 - lo) // g))
+    last = min(n1 + n2 - 2, (hi - e0) // g)
+    if first > last:
+        return {}
+    size = (n1 + n2 - 1) * width
+
+    def unpack(x: int) -> array:
+        slots = array(code)
+        slots.frombytes(x.to_bytes(size, _NATIVE)[first * width:(last + 1) * width])
+        return slots
+
+    out = {}
+    e = e0 + first * g
+    for sa, sb, sc in zip(unpack(aa), unpack(bb), unpack(cross)):
+        a = (sa + r * sb) % mod
+        b = sc % mod
+        if a or b:
+            out[e] = (a, b)
+        e += g
+    return out
 
 
 class ChainScalar:
     """An element of the chain ring: {x1 exponent -> coefficient pair}."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "coeffs", "_pivot_key")
 
     def __init__(self, ctx: ChainContext, coeffs: Optional[Dict[int, Pair]] = None, *, _clean: bool = False):
         self.ctx = ctx
+        self._pivot_key: Optional[Tuple[int, Optional[int]]] = None
         if coeffs is None:
             self.coeffs = {}
         elif _clean:
@@ -122,10 +230,6 @@ class ChainScalar:
     @classmethod
     def zero(cls, ctx: ChainContext) -> "ChainScalar":
         return cls(ctx, {}, _clean=True)
-
-    @classmethod
-    def one(cls, ctx: ChainContext) -> "ChainScalar":
-        return cls(ctx, {0: (1, 0)})
 
     @classmethod
     def monomial(cls, ctx: ChainContext, e: int, pair: Pair = (1, 0)) -> "ChainScalar":
@@ -147,19 +251,31 @@ class ChainScalar:
         return not self.coeffs
 
     def p_valuation(self) -> int:
-        ctx = self.ctx
-        if not self.coeffs:
-            return ctx.modulus
-        return min(pair_val(v, ctx.p, ctx.modulus) for v in self.coeffs.values())
+        # the least coordinate valuation is that of the coordinates' gcd
+        p = self.ctx.p
+        g = 0
+        for a, b in self.coeffs.values():
+            g = gcd(g, a, b)
+            if g % p:
+                return 0
+        return pair_val((g, 0), p, self.ctx.modulus)
 
     def leading_degree(self, at_val: int) -> Optional[int]:
         """Least exponent whose coefficient has exactly the given valuation."""
         ctx = self.ctx
-        best = None
-        for e, v in self.coeffs.items():
-            if pair_val(v, ctx.p, ctx.modulus) == at_val and (best is None or e < best):
-                best = e
-        return best
+        if not 0 <= at_val < ctx.modulus:  # stored coefficients are nonzero
+            return None
+        low, high = ctx.p**at_val, ctx.p ** (at_val + 1)
+        return min((e for e, (a, b) in self.coeffs.items()
+                    if not (a % low or b % low) and (a % high or b % high)), default=None)
+
+    def pivot_key(self) -> Tuple[int, Optional[int]]:
+        """(p_valuation, leading_degree at it), computed once per scalar."""
+        key = self._pivot_key
+        if key is None:
+            v = self.p_valuation()
+            key = self._pivot_key = (v, self.leading_degree(v))
+        return key
 
     def __eq__(self, other):
         if not isinstance(other, ChainScalar):
@@ -179,11 +295,13 @@ class ChainScalar:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "ChainScalar"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mixed chain contexts")
 
     def __add__(self, other: "ChainScalar") -> "ChainScalar":
         self._check(other)
+        if not other.coeffs:
+            return self
         mod = self.ctx.mod
         out = dict(self.coeffs)
         for e, v in other.coeffs.items():
@@ -199,6 +317,8 @@ class ChainScalar:
 
     def __sub__(self, other: "ChainScalar") -> "ChainScalar":
         self._check(other)
+        if not other.coeffs:
+            return self
         mod = self.ctx.mod
         out = dict(self.coeffs)
         for e, v in other.coeffs.items():
@@ -219,31 +339,11 @@ class ChainScalar:
     def __mul__(self, other: "ChainScalar") -> "ChainScalar":
         self._check(other)
         ctx = self.ctx
-        mod, r, lo, hi = ctx.mod, ctx.r, ctx.lo, ctx.hi
         left, right = self.coeffs, other.coeffs
-        if len(left) > len(right):
-            left, right = right, left
-        acc: Dict[int, Pair] = {}
-        for e1, v1 in left.items():
-            for e2, v2 in right.items():
-                e = e1 + e2
-                if e < lo or e > hi:
-                    continue
-                w = pair_mul(v1, v2, r, mod)
-                if e in acc:
-                    acc[e] = pair_add(acc[e], w, mod)
-                else:
-                    acc[e] = w
-        return ChainScalar(ctx, {e: v for e, v in acc.items() if v != (0, 0)}, _clean=True)
-
-    def scale(self, pair: Pair) -> "ChainScalar":
-        ctx = self.ctx
-        out = {}
-        for e, v in self.coeffs.items():
-            s = pair_mul(v, pair, ctx.r, ctx.mod)
-            if s != (0, 0):
-                out[e] = s
-        return ChainScalar(ctx, out, _clean=True)
+        if not left or not right:
+            return ChainScalar(ctx, {}, _clean=True)
+        mul = _mul_packed if len(left) * len(right) >= PACK_MIN_TERM_PRODUCTS else _mul_short
+        return ChainScalar(ctx, mul(left, right, ctx.r, ctx.mod, ctx.lo, ctx.hi), _clean=True)
 
     def scale_int(self, n: int) -> "ChainScalar":
         ctx = self.ctx
@@ -280,32 +380,6 @@ class ChainScalar:
                 raise InexactDivision(f"coefficient at x1^{e} not divisible by p^{k}")
             out[e] = (a // q, b // q)
         return ChainScalar(self.ctx, out, _clean=True)
-
-    def invert(self) -> "ChainScalar":
-        """Newton inversion off the least unit-bearing exponent."""
-        ctx = self.ctx
-        p = ctx.p
-        lead = None
-        for e in sorted(self.coeffs):
-            v = self.coeffs[e]
-            if v[0] % p or v[1] % p:
-                lead = (e, v)
-                break
-        if lead is None:
-            raise NotAUnit("chain scalar is zero mod p")
-        d, c = lead
-        if not (ctx.lo <= -d <= ctx.hi):
-            raise WindowExhausted(f"seed x1^{-d} outside the chain window")
-        t = ChainScalar.monomial(ctx, -d, pair_inv(c, p, ctx.r, ctx.mod))
-        one = ChainScalar.one(ctx)
-        span = ctx.hi - ctx.lo
-        max_iter = max(4, (span * (ctx.modulus + 1) + ctx.modulus).bit_length() + 2)
-        for _ in range(max_iter):
-            err = one - self * t
-            if err.is_zero():
-                return t
-            t = t + t * err
-        raise WindowExhausted("chain inversion did not stabilize; widen the window")
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +493,9 @@ def chain_snf(rows: List[List[ChainScalar]], ctx: ChainContext) -> List[int]:
         best = None
         for i, row in enumerate(work):
             for j, entry in enumerate(row):
-                if entry.is_zero():
+                if not entry.coeffs:
                     continue
-                v = entry.p_valuation()
-                ld = entry.leading_degree(v)
-                key = (v, ld, i, j)
+                key = (*entry.pivot_key(), i, j)
                 if best is None or key < best[0]:
                     best = (key, i, j)
         if best is None:

@@ -20,7 +20,6 @@ from endolift.lattices import (
     enumerate_stable_superlattices,
     hermite_form,
     hodge_lift_census,
-    hodge_lift_census_naive,
     lie_action_parity,
     operator_sanity,
     ramified_rank2,
@@ -28,6 +27,11 @@ from endolift.lattices import (
     subspace_count,
     superlattice_family,
     tensor_rank4,
+    _ResidueField,
+    _apply_dual_order,
+    _apply_dual_uniformizer,
+    _graph_contains,
+    _graph_generators,
 )
 from endolift.witt import WittScalar
 
@@ -235,6 +239,35 @@ class TestDescent:
             descend_superlattice(0, 0, 2, 3)
         with pytest.raises(ValueError):
             descend_superlattice(-1, 0, 0, 3)
+
+
+def hodge_lift_census_naive(p):
+    """Same census with no factoring at all: every graph, every operator,
+    full membership checks.  Quadratically slower; the oracle for
+    hodge_lift_census."""
+    field = _ResidueField(p)
+    elems = field.elements()
+    rows = [(x, y) for x in elems for y in elems]
+    counts = {"all": 0, "order_stable": 0, "uniformizer_stable": 0, "both_stable": 0}
+    for r1 in rows:
+        for r2 in rows:
+            c = (r1, r2)
+            g1, g2 = _graph_generators(field, c)
+            counts["all"] += 1
+            order_ok = all(
+                _graph_contains(field, c, _apply_dual_order(field, g)) for g in (g1, g2)
+            )
+            unif_ok = all(
+                _graph_contains(field, c, _apply_dual_uniformizer(field, g))
+                for g in (g1, g2)
+            )
+            if order_ok:
+                counts["order_stable"] += 1
+            if unif_ok:
+                counts["uniformizer_stable"] += 1
+            if order_ok and unif_ok:
+                counts["both_stable"] += 1
+    return counts
 
 
 class TestHodgeLiftCensus:

@@ -3,13 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from endolift import lengths
 from endolift.errors import (
     ConsistencyFailure,
     InexactDivision,
-    NotAUnit,
     StructureViolation,
     WindowExhausted,
 )
@@ -29,6 +28,7 @@ from endolift.lengths import (
     vertical_multiplicity,
 )
 from endolift.windows import CaseDescriptor
+from endolift.witt import pair_add, pair_mul, pair_val
 
 CTX = ChainContext(3, 4, -12, 12)
 
@@ -59,22 +59,6 @@ class TestChainScalar:
         x = ChainScalar(CTX, {0: (2, 1), 2: (5, 0)})
         assert x.shift(3) == x * _mono(3)
 
-    def test_invert_units(self):
-        u = ChainScalar(CTX, {0: (2, 1), 1: (3, 0), 2: (0, 9)})
-        v = u.invert()
-        assert u * v == ChainScalar.one(CTX)
-
-    def test_invert_with_shifted_leading_unit(self):
-        u = ChainScalar(CTX, {2: (1, 1), 3: (3, 3)})
-        v = u.invert()
-        assert u * v == ChainScalar.one(CTX)
-
-    def test_invert_rejects_non_units(self):
-        with pytest.raises(NotAUnit):
-            ChainScalar(CTX, {0: (3, 9)}).invert()
-        with pytest.raises(NotAUnit):
-            ChainScalar.zero(CTX).invert()
-
     def test_divide_p_power(self):
         x = ChainScalar(CTX, {1: (9, 18)})
         assert x.divide_p_power(2) == ChainScalar(CTX, {1: (1, 2)})
@@ -87,6 +71,98 @@ class TestChainScalar:
         assert x.leading_degree(1) == 1
         assert x.leading_degree(2) == -2
         assert x.leading_degree(0) is None
+
+    @given(st.dictionaries(
+        st.integers(-12, 12),
+        st.tuples(st.integers(0, 4), st.integers(0, 80), st.integers(0, 80)),
+        max_size=8,
+    ))
+    def test_valuation_and_leading_degree_match_the_pairwise_reference(self, terms):
+        x = ChainScalar(CTX, {e: (3**i * a, 3**i * b) for e, (i, a, b) in terms.items()})
+        vals = {e: pair_val(v, 3, CTX.modulus) for e, v in x.coeffs.items()}
+        v = min(vals.values(), default=CTX.modulus)
+        assert x.p_valuation() == v
+        for at in range(-1, CTX.modulus + 2):
+            want = min((e for e, w in vals.items() if w == at), default=None)
+            assert x.leading_degree(at) == want
+        assert x.pivot_key() == (v, x.leading_degree(v))
+
+
+def _naive_chain_mul(left, right, r, mod, lo, hi):
+    """Reference product: one pair_mul and one pair_add per term pair."""
+    if len(left) > len(right):
+        left, right = right, left
+    acc = {}
+    for e1, v1 in left.items():
+        for e2, v2 in right.items():
+            e = e1 + e2
+            if e < lo or e > hi:
+                continue
+            w = pair_mul(v1, v2, r, mod)
+            acc[e] = pair_add(acc[e], w, mod) if e in acc else w
+    return {e: v for e, v in acc.items() if v != (0, 0)}
+
+
+@st.composite
+def _chain_operand(draw, ctx, stride):
+    """Coefficients of a chain scalar: empty, one term, or a support on a
+    stride-progression (full or thinned, sometimes with both window edges);
+    coefficients are often mod - 1, the worst case for the packed slots."""
+    coeff = st.one_of(st.integers(0, ctx.mod - 1), st.just(ctx.mod - 1))
+    shape = draw(st.sampled_from(["empty", "single", "strided"]))
+    if shape == "empty":
+        exps = []
+    elif shape == "single":
+        exps = [draw(st.integers(ctx.lo, ctx.hi))]
+    else:
+        start = draw(st.integers(ctx.lo, ctx.hi))
+        full = draw(st.booleans())
+        exps = [start + stride * i for i in range(draw(st.integers(2, 60)))
+                if full or draw(st.booleans())]
+        if draw(st.booleans()):
+            exps += [ctx.lo, ctx.hi]
+    return ChainScalar(ctx, {e: (draw(coeff), draw(coeff)) for e in exps}).coeffs
+
+
+class TestProductKernel:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_both_branches_match_the_naive_product(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        stride = data.draw(st.sampled_from([1, 2, 3, 24]))
+        lo = -data.draw(st.integers(0, 30 * stride))
+        hi = data.draw(st.integers(0, 30 * stride))
+        ctx = ChainContext(p, data.draw(st.integers(1, 7)), lo, hi)
+        left = data.draw(_chain_operand(ctx, stride))
+        right = data.draw(_chain_operand(ctx, stride))
+        args = (ctx.r, ctx.mod, ctx.lo, ctx.hi)
+        want = _naive_chain_mul(left, right, *args)
+        assert lengths._mul_short(left, right, *args) == want
+        if left and right:
+            assert lengths._mul_packed(left, right, *args) == want
+        assert (ChainScalar(ctx, left) * ChainScalar(ctx, right)).coeffs == want
+
+    def test_slots_wider_than_eight_bytes_still_match(self):
+        ctx = ChainContext(3, 30, -40, 40)
+        top = (ctx.mod - 1, ctx.mod - 1)
+        x = {e: top for e in range(-40, 41, 2)}
+        y = {e: top for e in range(-20, 21)}
+        args = (ctx.r, ctx.mod, ctx.lo, ctx.hi)
+        assert lengths._mul_packed(x, y, *args) == _naive_chain_mul(x, y, *args)
+
+    def test_branch_follows_the_operand_sizes(self, monkeypatch):
+        used = []
+        for name in ("_mul_short", "_mul_packed"):
+            def spy(*args, _name=name):
+                used.append(_name)
+                return _naive_chain_mul(*args)
+            monkeypatch.setattr(lengths, name, spy)
+        short = ChainScalar(CTX, {0: (1, 1), 3: (2, 0)})
+        dense = ChainScalar(CTX, {e: (e % 7, 1) for e in range(-12, 13)})
+        assert (short * ChainScalar.zero(CTX)).is_zero() and used == []
+        short * dense
+        dense * dense
+        assert used == ["_mul_short", "_mul_packed"]
 
 
 class TestChainSNF:

@@ -1,6 +1,7 @@
 """Repository-wide rules checked on the source text."""
 
 import ast
+import sys
 from pathlib import Path
 
 import endolift
@@ -15,3 +16,21 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src: {found}"
+
+
+def test_package_imports_only_the_standard_library():
+    # the package has no runtime dependencies; a third-party import (numpy
+    # alone takes longer to import than the whole package) would add one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not found, f"non-stdlib imports in src: {found}"
