@@ -65,27 +65,12 @@ def mat_from_rows(rows) -> Mat:
     return tuple(tuple(row) for row in rows)
 
 
-def mat_zero(ctx: SeriesContext, n: int) -> Mat:
-    z = TruncSeries.zero(ctx)
-    return tuple(tuple(z for _ in range(n)) for _ in range(n))
-
-
-def mat_identity(ctx: SeriesContext, n: int) -> Mat:
-    one = TruncSeries.one(ctx)
-    z = TruncSeries.zero(ctx)
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
-
-
 def mat_add(A: Mat, B: Mat) -> Mat:
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def mat_sub(A: Mat, B: Mat) -> Mat:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_neg(A: Mat) -> Mat:
-    return tuple(tuple(-a for a in row) for row in A)
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
@@ -227,10 +212,6 @@ class DisplayingMatrix:
             self.ctx, {k: v for k, v in e.coeffs.items() if k == (0, 0)}
         ))
         return DisplayingMatrix(self.ctx, out)
-
-    def identify_variables(self) -> "DisplayingMatrix":
-        """Substitute the second variable by the first (x2 -> x1)."""
-        return DisplayingMatrix(self.ctx, mat_map(self.entries, lambda e: e.substitute_x2_equals_x1()))
 
 
 def universal_display(p: int, nvars: int, ctx: Optional[SeriesContext] = None) -> DisplayingMatrix:

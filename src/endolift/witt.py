@@ -58,18 +58,10 @@ def pair_sub(x, y, mod):
     return ((x[0] - y[0]) % mod, (x[1] - y[1]) % mod)
 
 
-def pair_neg(x, mod):
-    return ((-x[0]) % mod, (-x[1]) % mod)
-
-
 def pair_mul(x, y, r, mod):
     a, b = x
     c, d = y
     return ((a * c + b * d * r) % mod, (a * d + b * c) % mod)
-
-
-def pair_scale(x, n, mod):
-    return ((x[0] * n) % mod, (x[1] * n) % mod)
 
 
 def pair_sigma(x, mod):
@@ -101,14 +93,6 @@ def pair_inv(x, p, r, mod):
     # nonresidue, so a^2 = r b^2 mod p forces a = b = 0 mod p
     ninv = pow(n, -1, mod)
     return ((a * ninv) % mod, (-b * ninv) % mod)
-
-
-def pair_div_exact(x, q, mod):
-    """Divide both coordinates by the integer q, insisting on exactness."""
-    a, b = x
-    if a % q or b % q:
-        raise InexactDivision(f"{x} is not divisible by {q}")
-    return (a // q, b // q)
 
 
 class WittScalar:
@@ -277,8 +261,10 @@ class WittScalar:
         The result is reported at the same declared precision; callers doing
         genuine p-division own the bookkeeping of which digits they trust.
         """
-        a, b = pair_div_exact((self.a, self.b), q, self.modulus)
-        return WittScalar(self.p, self.prec, a, b)
+        a, b = self.a, self.b
+        if a % q or b % q:
+            raise InexactDivision(f"{(a, b)} is not divisible by {q}")
+        return WittScalar(self.p, self.prec, a // q, b // q)
 
     def reduce_precision(self, new_prec: int) -> "WittScalar":
         if new_prec > self.prec:

@@ -1,6 +1,5 @@
 """Shared pytest configuration: hypothesis profile and slow-test marker."""
 
-import pytest
 from hypothesis import HealthCheck, settings
 
 # Exact arithmetic over wide windows is deliberately unhurried; a wall-clock

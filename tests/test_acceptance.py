@@ -9,8 +9,6 @@ declared windows); there are no tolerances anywhere.
 import json
 import random
 
-import pytest
-
 from endolift.cli import main as cli_main
 from endolift.inventory import (
     component_inventory,

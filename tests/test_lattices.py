@@ -7,11 +7,9 @@ from endolift.errors import (
     ConsistencyFailure,
     PrecisionTooLow,
     ShapeViolation,
-    StabilityFailure,
 )
 from endolift.lattices import (
     DescentReport,
-    LatticeHNF,
     SemilinearModule,
     classify_superlattice,
     count_hodge_lifts,

@@ -1,13 +1,10 @@
 """Tests for chain-ring arithmetic, SNF measurement, and quotient lengths."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from endolift import lengths
 from endolift.errors import (
-    ConsistencyFailure,
     InexactDivision,
     StructureViolation,
     WindowExhausted,
@@ -27,7 +24,7 @@ from endolift.lengths import (
     quotient_length_details,
     vertical_multiplicity,
 )
-from endolift.windows import CaseDescriptor
+from endolift.windows import CaseDescriptor, recursion_context, solve_thickened_recursion
 from endolift.witt import pair_add, pair_mul, pair_val
 
 CTX = ChainContext(3, 4, -12, 12)
@@ -54,6 +51,14 @@ class TestChainScalar:
         x = ChainScalar(CTX, {0: (2, 1), 2: (5, 0)})
         y = ChainScalar(CTX, {-1: (1, 1), 1: (7, 3)})
         assert x * y == y * x
+
+    def test_product_with_zero_returns_the_zero_operand(self):
+        x = ChainScalar(CTX, {0: (2, 1), 2: (5, 0)})
+        zero = ChainScalar.zero(CTX)
+        assert x * zero is zero
+        assert zero * x is zero
+        with pytest.raises(ValueError):
+            x * ChainScalar.zero(ChainContext(3, 4, -6, 6))
 
     def test_shift_is_monomial_multiplication(self):
         x = ChainScalar(CTX, {0: (2, 1), 2: (5, 0)})
@@ -395,6 +400,29 @@ class TestAnnihilator:
     @pytest.mark.parametrize("lab", ["unr", "ram"])
     def test_check_at_depth_one(self, lab):
         assert annihilator_check(CaseDescriptor.from_label(lab, 3), 1)
+
+    @pytest.mark.parametrize("lab", ["unr", "ram"])
+    @pytest.mark.parametrize("p, k", [(3, 1), (3, 2), (5, 1), (5, 2)])
+    def test_enlarged_solve_restricts_to_the_official_one(self, lab, p, k):
+        # annihilator_report solves only the tower with one more x2 slice and
+        # reads the official model (cap p^k) off its lower slices
+        case = CaseDescriptor.from_label(lab, p)
+        official = recursion_context(p, k)
+        enlarged = solve_thickened_recursion(case, k, official.weakened(cap2=p**k + 1))
+        sol = solve_thickened_recursion(case, k, official)
+        assert enlarged.alpha.with_context(official) == sol.alpha
+        assert enlarged.beta.with_context(official) == sol.beta
+
+    def test_report_solves_the_tower_once(self, monkeypatch):
+        calls = []
+
+        def counting(case, k, ctx=None):
+            calls.append(ctx)
+            return solve_thickened_recursion(case, k, ctx)
+
+        monkeypatch.setattr(lengths, "solve_thickened_recursion", counting)
+        assert all(annihilator_report(CaseDescriptor.from_label("unr", 3), 1).values())
+        assert [ctx.cap2 for ctx in calls] == [4]
 
     def test_depth_two_table_has_no_strictness_row(self):
         table = annihilator_report(CaseDescriptor.from_label("unr", 3), 2)

@@ -3,13 +3,20 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from endolift.errors import InexactDivision
 from endolift.series import (
     SeriesContext,
     TruncSeries,
     f_series,
     g_series,
     series_invert,
+    terms_add,
+    terms_divide,
+    terms_neg,
+    terms_scale,
+    terms_valuation,
 )
+from endolift.witt import pair_add, pair_sub, pair_val
 
 # A context with lo1 = 0 is an honest quotient ring (by x1^(hi1+1) and
 # x2^cap2 plus p^prec), so the full set of ring laws must hold there.
@@ -184,6 +191,71 @@ def test_p_valuation_and_min_degree():
     assert s.p_valuation() == 1
     assert s.min_x2_degree() == 1
     assert TruncSeries.zero(ctx).min_x2_degree() is None
+
+
+# -- the shared termwise layer ----------------------------------------------
+
+# the x1 exponents of lengths.ChainScalar and the (m1, m2) keys of TruncSeries
+_TERM_KEYS = [st.integers(-6, 6), st.tuples(st.integers(-6, 6), st.integers(0, 3))]
+
+
+@st.composite
+def _term_dicts(draw):
+    """(p, prec, x, y): reduced nonzero pairs on one key type; y often repeats
+    or negates some of x's entries, so sums and differences cancel there."""
+    p = draw(st.sampled_from([3, 5]))
+    prec = draw(st.integers(1, 4))
+    mod = p**prec
+    keys = draw(st.sampled_from(_TERM_KEYS))
+    # p-power multiples make valuations above 0 and zero divisions common
+    pair = st.builds(
+        lambda e, a, b: (p**e * a % mod, p**e * b % mod),
+        st.integers(0, prec - 1), st.integers(0, mod - 1), st.integers(0, mod - 1),
+    ).filter(lambda v: v != (0, 0))
+    x = draw(st.dictionaries(keys, pair, max_size=8))
+    y = draw(st.dictionaries(keys, pair, max_size=8))
+    for key in draw(st.lists(st.sampled_from(sorted(x)), max_size=4)) if x else ():
+        y[key] = draw(st.sampled_from([x[key], pair_sub((0, 0), x[key], mod)]))
+    return p, prec, x, y
+
+
+def _pairwise(x, y, mod, op):
+    """Reference: one pair_add/pair_sub per entry of y, zeros dropped last."""
+    out = dict(x)
+    for key, v in y.items():
+        out[key] = op(out.get(key, (0, 0)), v, mod)
+    return {key: v for key, v in out.items() if v != (0, 0)}
+
+
+@given(_term_dicts(), st.integers(-5, 5))
+def test_terms_layer_matches_the_pairwise_reference(data, n):
+    p, prec, x, y = data
+    mod = p**prec
+    assert terms_add(x, y, mod) == _pairwise(x, y, mod, pair_add)
+    assert terms_add(x, y, mod, -1) == _pairwise(x, y, mod, pair_sub)
+    assert terms_neg(x, mod) == _pairwise({}, x, mod, pair_sub)
+    multiple = {}
+    for _ in range(abs(n)):
+        multiple = _pairwise(multiple, x, mod, pair_add if n > 0 else pair_sub)
+    assert terms_scale(x, n, mod) == multiple
+    want = min((pair_val(v, p, prec) for v in x.values()), default=prec)
+    assert terms_valuation(x, p, prec) == want
+    for e in range(prec):
+        q = p**e
+        assert terms_divide({k: (a * q, b * q) for k, (a, b) in x.items()}, q) == x
+        if want >= e:
+            assert terms_divide(x, q) == {k: (a // q, b // q) for k, (a, b) in x.items()}
+        else:
+            with pytest.raises(InexactDivision):
+                terms_divide(x, q)
+
+
+def test_terms_layer_drops_cancelled_entries_and_refuses_inexact_division():
+    assert terms_add({0: (1, 2), 1: (4, 0)}, {0: (8, 7)}, 9) == {1: (4, 0)}
+    assert terms_add({(0, 1): (3, 3)}, {(0, 1): (3, 3)}, 9, -1) == {}
+    assert terms_scale({(2, 0): (3, 6)}, 3, 9) == {}
+    with pytest.raises(InexactDivision):
+        terms_divide({(0, 1): (3, 1)}, 3)
 
 
 # -- the two closed-form series --------------------------------------------

@@ -1,9 +1,9 @@
 """Tests for case descriptors, displays, and the lifting recursions."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from endolift.series import SeriesContext, TruncSeries
+from endolift.series import TruncSeries
 from endolift.windows import (
     CaseDescriptor,
     alpha_beta,
@@ -15,7 +15,6 @@ from endolift.windows import (
     mat_eq,
     mat_from_rows,
     mat_map,
-    mat_mul,
     mat_scale,
     one_variable_context,
     recursion_context,
