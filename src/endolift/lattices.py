@@ -1,4 +1,4 @@
-"""Brute-force stable-lattice enumeration in the standard semilinear modules.
+"""Constraint-first stable-lattice enumeration in the standard semilinear modules.
 
 The rank-2 module is free on (e0, f0) with F and V both sending e0 -> f0,
 f0 -> p*e0 (F twisted by sigma, V by its inverse); the rank-4 module is its
@@ -11,10 +11,11 @@ upper-triangular row basis with p-power pivots, entries above a pivot
 reduced modulo it, together with a scale m meaning the lattice is p^-m
 times the row span.  Enumeration is exhaustive where the search space is a
 finite grid (rank-2 sublattices, rank-4 superlattices one step outside the
-standard lattice); the deeper superlattice windows enumerate the
-eigenline-diagonal family, which is closed: the four residue characters of
-the order action are pairwise distinct, so a stable lattice splits into
-eigenlines and is diagonal.  Anything stable found outside the expected
+standard lattice), visiting only the candidates that the linear conditions
+of the diagonal actions allow, each then fully checked; the deeper
+superlattice windows enumerate the eigenline-diagonal family, which is
+closed: the four residue characters of the order action are pairwise
+distinct, so a stable lattice splits into eigenlines and is diagonal.  Anything stable found outside the expected
 classification raises ShapeViolation rather than being silently absorbed.
 """
 
@@ -324,9 +325,15 @@ def _stable_under_all(module: SemilinearModule, lat: LatticeHNF) -> bool:
 
 
 def enumerate_stable_sublattices(module: SemilinearModule, k: int) -> List[LatticeHNF]:
-    """All sublattices of index p^k stable under F, V, and the actions,
-    by exhausting the finite Hermite grid (p^a, w; 0, p^b) with a + b = k
-    and w running over residues modulo p^b."""
+    """All sublattices of index p^k stable under F, V, and the actions, on
+    the Hermite grid (p^a, w; 0, p^b) with a + b = k and w modulo p^b.
+
+    diag(m0, m1) sends the first row to m0 times itself plus (0, (m1 - m0) w)
+    and the second to a multiple of itself, so it keeps the lattice exactly
+    when p^max(0, b - v(m1 - m0)) divides w.  Only those w are visited, for
+    the largest exponent over the diagonal actions, and each candidate is
+    then checked under every operator.
+    """
     if module.rank != 2:
         raise ValueError("rank-2 module required")
     if k < 0:
@@ -337,13 +344,19 @@ def enumerate_stable_sublattices(module: SemilinearModule, k: int) -> List[Latti
             f"index p^{k} needs at least {k + 2} digits, module has {module.prec}"
         )
     zero = WittScalar.zero(p, module.prec)
+    gaps = [
+        (mat[1][1] - mat[0][0]).valuation()
+        for mat in module.actions.values()
+        if mat[0][1].is_zero() and mat[1][0].is_zero()
+    ]
     found = []
     for a in range(k + 1):
         b = k - a
         pa = module.scalar(p) ** a
         pb = module.scalar(p) ** b
-        for w0 in range(p**b):
-            for w1 in range(p**b):
+        step = p ** max([0] + [b - v for v in gaps])
+        for w0 in range(0, p**b, step):
+            for w1 in range(0, p**b, step):
                 w = WittScalar(p, module.prec, w0, w1)
                 lat = LatticeHNF(module, ((pa, w), (zero, pb)), 0)
                 if _stable_under_all(module, lat):
@@ -413,6 +426,11 @@ def _pair_is_zero(x) -> bool:
     return x[0] == 0 and x[1] == 0
 
 
+# signs of the two omega actions on the residue lines (e1, e2, f1, f2); the
+# four columns of sign pairs, the residue characters, are pairwise distinct
+_RESIDUE_OMEGA_SIGNS = {"omega-order": (1, 1, -1, -1), "omega-scalar": (1, -1, 1, -1)}
+
+
 def _residue_apply(field: _ResidueField, op: str, vec):
     """One induced operator on the one-step quotient, coordinates over
     (e1, e2, f1, f2) residue lines.
@@ -425,11 +443,8 @@ def _residue_apply(field: _ResidueField, op: str, vec):
     if op in ("F", "V"):
         tv = [field.twist(c) for c in vec]
         return [(0, 0), (0, 0), tv[1], tv[0]]
-    if op == "omega-order":
-        signs = (1, 1, -1, -1)
-    elif op == "omega-scalar":
-        signs = (1, -1, 1, -1)
-    else:
+    signs = _RESIDUE_OMEGA_SIGNS.get(op)
+    if signs is None:
         raise ValueError(op)
     out = []
     for c, s in zip(vec, signs):
@@ -458,11 +473,19 @@ def _subspace_stable(field: _ResidueField, rref, pivot_cols) -> bool:
 
 
 def _enumerate_subspaces(field: _ResidueField, dim: int):
-    """All reduced row bases of subspaces of the given dimension in the
-    rank-4 residue space, one basis per subspace, by pivot pattern."""
+    """Reduced row bases, one per subspace and by pivot pattern, of the
+    subspaces of the given dimension that the two omega actions keep.
+
+    A diagonal action moves a reduced row into the span exactly when it
+    scales the row by its pivot's eigenvalue, that is when every free entry
+    whose column eigenvalue differs from the pivot's (by the unit 2*omega)
+    is zero; so free entries run over the field only in columns with the
+    pivot's residue character.
+    """
     q_elems = field.elements()
     one = (1, 0)
     zero = (0, 0)
+    character = list(zip(*_RESIDUE_OMEGA_SIGNS.values()))
     for pivots in combinations(range(4), dim):
         free_positions = [
             (i, col)
@@ -470,7 +493,11 @@ def _enumerate_subspaces(field: _ResidueField, dim: int):
             for col in range(4)
             if col > pc and col not in pivots
         ]
-        for assignment in product(q_elems, repeat=len(free_positions)):
+        choices = [
+            q_elems if character[col] == character[pivots[i]] else [zero]
+            for i, col in free_positions
+        ]
+        for assignment in product(*choices):
             rows = []
             for pc in pivots:
                 row = [zero, zero, zero, zero]
@@ -482,9 +509,9 @@ def _enumerate_subspaces(field: _ResidueField, dim: int):
 
 
 def subspace_count(p: int, dim: int) -> int:
-    """Number of candidate subspaces the enumerator visits (the Gaussian
-    binomial over the quadratic residue field); a completeness
-    cross-check for the exhaustive window."""
+    """Number of subspaces of the given dimension in the rank-4 residue
+    space: the Gaussian binomial over the quadratic residue field, which an
+    exhaustive walk of the reduced row bases must reach."""
     q = p * p
     num = den = 1
     for i in range(dim):
@@ -541,9 +568,9 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
     coindex p^(2s).
 
     The m = 1 window is searched exhaustively: every residue subspace of
-    dimension 2s in the one-step quotient, checked under the induced
-    operators.  Deeper windows walk the diagonal family, which is closed
-    (module docstring).  Every survivor must classify as some
+    dimension 2s in the one-step quotient that the omega actions keep,
+    checked under all the induced operators.  Deeper windows walk the
+    diagonal family, which is closed (module docstring).  Every survivor must classify as some
     (a, b, delta) with a + b + delta = s; anything else raises
     ShapeViolation.
     """
@@ -733,8 +760,10 @@ def hodge_lift_census(p: int) -> Dict[str, int]:
     "both_stable".  The order check on g1 involves only the first matrix
     row and the one on g2 only the second (each image has a single nonzero
     f-coordinate, over the matching generator), so those booleans are
-    precomputed per row; the uniformizer check couples the rows and runs
-    inside the pair loop.  `tests/test_lattices.py` recomputes everything
+    precomputed per row and "order_stable" is the product of the two
+    per-row counts.  The uniformizer check on g2 also involves only the
+    second row; the one on g1 couples the rows, so it runs only for the
+    second rows that pass.  `tests/test_lattices.py` recomputes everything
     without the factoring, as the oracle at small p.
     """
     if not is_odd_prime(p):
@@ -758,24 +787,17 @@ def hodge_lift_census(p: int) -> Dict[str, int]:
             field, c_second, _apply_dual_uniformizer(field, g2)
         )
 
-    counts = {"all": 0, "order_stable": 0, "uniformizer_stable": 0, "both_stable": 0}
-    for r1 in rows:
-        o1 = order_ok_first[r1]
-        for r2 in rows:
-            counts["all"] += 1
+    unif_stable = both_stable = 0
+    for r2 in (r for r in rows if unif_ok_second[r]):
+        for r1 in rows:
             c = (r1, r2)
             g1, _ = _graph_generators(field, c)
-            unif_ok = unif_ok_second[r2] and _graph_contains(
-                field, c, _apply_dual_uniformizer(field, g1)
-            )
-            order_ok = o1 and order_ok_second[r2]
-            if order_ok:
-                counts["order_stable"] += 1
-            if unif_ok:
-                counts["uniformizer_stable"] += 1
-            if order_ok and unif_ok:
-                counts["both_stable"] += 1
-    return counts
+            if _graph_contains(field, c, _apply_dual_uniformizer(field, g1)):
+                unif_stable += 1
+                both_stable += order_ok_first[r1] and order_ok_second[r2]
+    order_stable = sum(order_ok_first.values()) * sum(order_ok_second.values())
+    return dict(all=len(rows) ** 2, order_stable=order_stable,
+                uniformizer_stable=unif_stable, both_stable=both_stable)
 
 
 def count_hodge_lifts(p: int) -> int:

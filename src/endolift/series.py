@@ -397,21 +397,6 @@ class TruncSeries:
             _clean=True,
         )
 
-    def substitute_x2_equals_x1(self) -> "TruncSeries":
-        """Identify the two variables (merged exponent lands on x1)."""
-        ctx = self.ctx
-        mod = ctx.mod
-        acc: Dict[Key, Pair] = {}
-        for (m1, m2), v in self.coeffs.items():
-            key = (m1 + m2, 0)
-            if not ctx.in_window(*key):
-                continue
-            if key in acc:
-                acc[key] = pair_add(acc[key], v, mod)
-            else:
-                acc[key] = v
-        return TruncSeries(ctx, {k: v for k, v in acc.items() if v != (0, 0)}, _clean=True)
-
     def x2_slice(self, j: int) -> "TruncSeries":
         """The coefficient of x2^j, returned as an x2-free series."""
         return TruncSeries(

@@ -1,8 +1,11 @@
 """Tests for semilinear modules, stable lattices, and the lift census."""
 
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
+from endolift import lattices
 from endolift.errors import (
     ConsistencyFailure,
     PrecisionTooLow,
@@ -10,6 +13,7 @@ from endolift.errors import (
 )
 from endolift.lattices import (
     DescentReport,
+    LatticeHNF,
     SemilinearModule,
     classify_superlattice,
     count_hodge_lifts,
@@ -144,6 +148,13 @@ class TestStableSublattices:
         assert lat.is_diagonal()
         assert lat.index_exponent() == k
 
+    def test_unique_per_index_at_five_up_to_six(self):
+        module = standard_rank2(5)
+        for k in range(7):
+            found = enumerate_stable_sublattices(module, k)
+            assert len(found) == 1
+            assert found[0].pivot_exponents() == ((k + 1) // 2, k // 2)
+
     def test_parity_alternates(self):
         module = standard_rank2(3)
         parities = [
@@ -182,6 +193,11 @@ class TestSuperlattices:
     def test_subspace_counts(self):
         assert subspace_count(3, 1) == 820
         assert subspace_count(3, 2) == 7462
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_exhaustive_walk_reaches_every_subspace(self, dim):
+        field = _ResidueField(3)
+        assert sum(1 for _ in _exhaustive_subspaces(field, dim)) == subspace_count(3, dim)
 
     def test_exhaustive_one_step_window(self):
         module = tensor_rank4(3)
@@ -239,6 +255,130 @@ class TestDescent:
             descend_superlattice(-1, 0, 0, 3)
 
 
+# ---------------------------------------------------------------------------
+# exhaustive oracles for the constraint-first searches
+
+
+def _exhaustive_sublattices(module, k):
+    """Every point of the Hermite grid (p^a, w; 0, p^b), w over all residues
+    modulo p^b, through the full stability check."""
+    p = module.p
+    zero = WittScalar.zero(p, module.prec)
+    found = []
+    for a in range(k + 1):
+        b = k - a
+        pa = module.scalar(p) ** a
+        pb = module.scalar(p) ** b
+        for w0 in range(p**b):
+            for w1 in range(p**b):
+                w = WittScalar(p, module.prec, w0, w1)
+                lat = LatticeHNF(module, ((pa, w), (zero, pb)), 0)
+                if lattices._stable_under_all(module, lat):
+                    found.append(lat)
+    found.sort(key=LatticeHNF.sort_key)
+    return found
+
+
+def _exhaustive_subspaces(field, dim):
+    """Every reduced row basis of a subspace of the given dimension in the
+    rank-4 residue space, free entries over the whole field."""
+    q_elems = field.elements()
+    for pivots in combinations(range(4), dim):
+        free_positions = [
+            (i, col)
+            for i, pc in enumerate(pivots)
+            for col in range(4)
+            if col > pc and col not in pivots
+        ]
+        for assignment in product(q_elems, repeat=len(free_positions)):
+            rows = []
+            for pc in pivots:
+                row = [(0, 0)] * 4
+                row[pc] = (1, 0)
+                rows.append(row)
+            for (i, col), val in zip(free_positions, assignment):
+                rows[i][col] = val
+            yield rows, list(pivots)
+
+
+def _gap_module(p, first, second):
+    """A synthetic rank-2 module whose F and V are the bare sigma-twist and
+    whose one action is diag(first, second).  Its stable lattices are the
+    (p^a, w; 0, p^b) with w in the prime subring and p^b dividing
+    (second - first) w: more than w = 0 once the gap has positive
+    valuation, so the enumerator's coset step is exercised."""
+    base = standard_rank2(p)
+    one, zero = base.scalar(1), base.scalar(0)
+    identity = ((one, zero), (zero, one))
+    action = ((first, zero), (zero, second))
+    return SemilinearModule(p, base.prec, 2, identity, identity, {"gap": action}, "rank2-gap")
+
+
+RANK2_MODULES = {
+    "normalized": standard_rank2,
+    "anti-normalized": lambda p: standard_rank2(p, action="anti-normalized"),
+    "ramified": ramified_rank2,
+}
+
+
+class TestConstraintFirstSearch:
+    @pytest.mark.parametrize("p, kmax", [(3, 4), (5, 2)])
+    @pytest.mark.parametrize("label", sorted(RANK2_MODULES))
+    def test_sublattices_match_the_full_grid(self, label, p, kmax):
+        module = RANK2_MODULES[label](p)
+        for k in range(kmax + 1):
+            assert enumerate_stable_sublattices(module, k) == _exhaustive_sublattices(module, k)
+
+    @pytest.mark.parametrize("gap", ["1,1+p", "w,w+p^2"])
+    def test_gap_of_positive_valuation_keeps_a_coset(self, gap):
+        p = 3
+        one = WittScalar.one(p, 8)
+        w = WittScalar.omega(p, 8)
+        first, second = (one, one + p) if gap == "1,1+p" else (w, w + p * p)
+        module = _gap_module(p, first, second)
+        for k in range(5):
+            found = enumerate_stable_sublattices(module, k)
+            assert found == _exhaustive_sublattices(module, k)
+            assert any(not lat.is_diagonal() for lat in found) == (k > 0)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_one_step_window_matches_the_full_walk(self, s, monkeypatch):
+        module = tensor_rank4(3)
+        found = enumerate_stable_superlattices(module, s, 1)
+        monkeypatch.setattr(lattices, "_enumerate_subspaces", _exhaustive_subspaces)
+        assert found == enumerate_stable_superlattices(module, s, 1)
+
+
+class TestSearchWork:
+    """Guards on the number of candidates each search visits, not on time."""
+
+    def test_sublattice_candidates_per_index(self, monkeypatch):
+        built = []
+        init = LatticeHNF.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LatticeHNF, "__init__", counting_init)
+        k = 4
+        assert len(enumerate_stable_sublattices(standard_rank2(5), k)) == 1
+        assert len(built) <= k + 1
+
+    def test_one_step_window_checks_only_coordinate_planes(self, monkeypatch):
+        calls = []
+        check = lattices._subspace_stable
+
+        def counting_check(*args):
+            calls.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(lattices, "_subspace_stable", counting_check)
+        found = enumerate_stable_superlattices(tensor_rank4(5), 1, 1)
+        assert [classify_superlattice(lat) for lat in found] == superlattice_family(1, 1)
+        assert len(calls) == 6  # C(4, 2): the omega actions force every free entry to 0
+
+
 def hodge_lift_census_naive(p):
     """Same census with no factoring at all: every graph, every operator,
     full membership checks.  Quadratically slower; the oracle for
@@ -275,6 +415,15 @@ class TestHodgeLiftCensus:
             "all": 3**8,
             "order_stable": 1,
             "uniformizer_stable": 3**4,
+            "both_stable": 1,
+        }
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_census_at_larger_primes(self, p):
+        assert hodge_lift_census(p) == {
+            "all": p**8,
+            "order_stable": 1,
+            "uniformizer_stable": p**4,
             "both_stable": 1,
         }
 

@@ -136,15 +136,6 @@ def test_substitutions_are_ring_maps(stu):
     assert prod.substitute_x1_zero().coeffs == (s.substitute_x1_zero() * t.substitute_x1_zero()).coeffs
 
 
-def test_substitute_x2_equals_x1_merges_exponents():
-    ctx = QUOTIENT_CTX[0]
-    s = TruncSeries(ctx, {(1, 2): (2, 0), (3, 0): (1, 0), (0, 3): (5, 1)})
-    merged = s.substitute_x2_equals_x1()
-    # x1*x2^2 and x1^3 merge at exponent 3; x2^3 lands there too
-    total = (2 + 1 + 5, 0 + 0 + 1)
-    assert merged.coeffs == {(3, 0): total}
-
-
 @given(any_pairs())
 def test_x2_slices_reassemble(sts):
     s, _ = sts

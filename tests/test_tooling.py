@@ -1,8 +1,12 @@
 """Repository-wide rules checked on the source text."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import endolift
 
@@ -57,3 +61,19 @@ def test_no_unused_imports():
     for path in sorted(SRC.glob("*.py")) + sorted(Path(__file__).resolve().parent.glob("*.py")):
         found += _unused_imports(path)
     assert not found, f"unused imports: {found}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep_inventory.py", "--primes", "3", "--max-c0", "1"],
+    ["recursion_depth_probe.py", "--primes", "3", "--radius-powers", "1", "--prec", "2"],
+], ids=["sweep_inventory", "recursion_depth_probe"])
+def test_scripts_run(argv):
+    # the scripts import the package by name; a deletion in src must not break them
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, str(scripts / argv[0]), *argv[1:]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
