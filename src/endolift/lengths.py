@@ -16,11 +16,18 @@ packing both exponents into one key outgrows memory (see `series`).
 Two independent length oracles live here:
 
 * `chain_snf` — an elementary-divisor style elimination with a global
-  minimal-valuation pivot rule, returning one exponent per generator;
+  minimal-valuation pivot rule, returning one exponent per generator; query
+  columns passed along ride through the same elimination as passive
+  columns, which decides their membership in the column span without a
+  second elimination (the echelon-form membership test, as in Cohen, GTM
+  138, §2.4);
 * `length_by_elimination` — a peeling loop that mirrors the way the quotient
   decomposes into annulus chunks: at step j the carrying side has exact
   corner valuation k - j, the opposite side is cleared below x2^(2*p^j), one
   chunk of length is collected, and the roles swap.
+
+`annihilator_report` reads its membership table off one such elimination
+per presentation model.
 
 Every window-dependent number here (the lengths from both oracles and the
 annihilator membership table) goes through one driver, `_stabilize`: it
@@ -42,7 +49,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import ConsistencyFailure, StructureViolation, WindowExhausted
 from .inventory import vertical_multiplicity_closed_form
@@ -54,7 +61,7 @@ from .series import (
     terms_scale,
     terms_valuation,
 )
-from .windows import CaseDescriptor, recursion_context, solve_thickened_recursion
+from .windows import CaseDescriptor, ThickenedSolution, recursion_context, solve_thickened_recursion
 from .witt import nonresidue
 
 __all__ = [
@@ -409,24 +416,25 @@ class ChainPresentation:
 # the elimination oracle
 
 
-def _recenter(work: List[List[ChainScalar]]) -> None:
-    """Divide rows and columns by the largest x1-power dividing them.
+def _recenter(work: List[List[ChainScalar]], n: int) -> None:
+    """Divide rows and the first n columns by the largest x1-power dividing them.
 
     Multiplying a row or a column by x1^-s is a unit operation on the
     presented module; pulling every strictly positive common support back to
     zero stops the supports from drifting upward under repeated unit scaling
-    and out of the finite window.  Shifting down is always loss-free here
-    because supports never go negative.
+    and out of the finite window.  Only the first n (active) columns set the
+    shifts, and shifting them down is always loss-free because their
+    supports never go negative.  Passive columns past them move with their
+    rows, into the negative half of the window, and are never shifted on
+    their own.
     """
     for i, row in enumerate(work):
-        lows = [e.min_exponent() for e in row if not e.is_zero()]
+        lows = [e.min_exponent() for e in row[:n] if not e.is_zero()]
         if lows:
             s = min(lows)
             if s > 0:
                 work[i] = [e.shift(-s) for e in row]
-    if not work or not work[0]:
-        return
-    for j in range(len(work[0])):
+    for j in range(n):
         lows = [row[j].min_exponent() for row in work if not row[j].is_zero()]
         if lows:
             s = min(lows)
@@ -435,25 +443,40 @@ def _recenter(work: List[List[ChainScalar]]) -> None:
                     row[j] = row[j].shift(-s)
 
 
-def chain_snf(rows: List[List[ChainScalar]], ctx: ChainContext) -> List[int]:
+def chain_snf(
+    rows: List[List[ChainScalar]],
+    ctx: ChainContext,
+    queries: Optional[Sequence[Sequence[ChainScalar]]] = None,
+) -> Union[List[int], Tuple[List[int], List[bool]]]:
     """Elementary-divisor exponents of a matrix over the chain ring.
 
     Pivot rule: globally minimal coefficient valuation; ties broken by the
     least x1-leading-degree of the valuation-carrying part, then by position.
     One exponent per row comes back (rows that die into nothing count the
     full modulus), sorted ascending.
+
+    queries, if given, are columns (one entry per row) whose membership in
+    the column span is decided in the same elimination; the call then
+    returns (exponents, inside) with one bool per query.  They ride along as
+    passive columns: the row operations and row shifts act on them, and each
+    pivot clears them like the active columns, but they are never pivots
+    and never shifted on their own.  A query leaves the span when its entry
+    in the pivot row has valuation below the pivot's e (every span element
+    has valuation at least e there, e being the global minimum), or when it
+    is nonzero in a row that no pivot is left for.
     """
     M = ctx.modulus
-    work = [list(r) for r in rows]
+    n = len(rows[0]) if rows else 0  # active columns; passive ones follow
+    qs = list(queries or ())
+    work = [list(r) + [q[i] for q in qs] for i, r in enumerate(rows)]
+    inside = [True] * len(qs)
+    zero = ChainScalar.zero(ctx)
     exps: List[int] = []
     while work:
-        if not work[0]:
-            exps.extend([M] * len(work))
-            break
-        _recenter(work)
+        _recenter(work, n)
         best = None
         for i, row in enumerate(work):
-            for j, entry in enumerate(row):
+            for j, entry in enumerate(row[:n]):
                 if not entry.coeffs:
                     continue
                 key = (*entry.pivot_key(), i, j)
@@ -461,6 +484,10 @@ def chain_snf(rows: List[List[ChainScalar]], ctx: ChainContext) -> List[int]:
                     best = (key, i, j)
         if best is None:
             exps.extend([M] * len(work))
+            for row in work:
+                for q, entry in enumerate(row[n:]):
+                    if not entry.is_zero():
+                        inside[q] = False
             break
         (e, _, _, _), pi, pj = best
         work[0], work[pi] = work[pi], work[0]
@@ -487,14 +514,22 @@ def chain_snf(rows: List[List[ChainScalar]], ctx: ChainContext) -> List[int]:
                 # keep the column untouched: scaling by u is only needed
                 # when something is actually cleared against the pivot
                 continue
+            if j >= n and t.p_valuation() < e:
+                # a decided query: outside the span, and its column drops out
+                inside[j - n] = False
+                for row in work:
+                    row[j] = zero
+                continue
             tq = t.divide_p_power(e)
             for i in range(len(work)):
                 work[i][j] = unit * work[i][j] - tq * work[i][0]
             if not row0[j].is_zero():
                 raise ConsistencyFailure(f"chain_snf: column {j} survived clearing against the pivot")
         exps.append(min(e, M))
+        n -= 1
         work = [row[1:] for row in work[1:]]
-    return sorted(exps)
+    exps.sort()
+    return exps if queries is None else (exps, inside)
 
 
 def presentation_length(pres: ChainPresentation) -> Tuple[int, List[int]]:
@@ -605,8 +640,6 @@ def quotient_length(case: CaseDescriptor, k: int, **kwargs) -> int:
     return quotient_length_details(case, k, **kwargs).length
 
 
-
-
 def vertical_multiplicity(case: str, p: int, c0: int, **kwargs) -> int:
     """Length of the special-fiber quotient on the vertical piece.
 
@@ -663,7 +696,7 @@ def length_by_elimination(
 
 
 def _peel_at_radius(
-    case: CaseDescriptor, sol: "ThickenedSolution", k: int, radius: int
+    case: CaseDescriptor, sol: ThickenedSolution, k: int, radius: int
 ) -> int:
     p = case.p
     modulus = 2 * k + 1
@@ -733,15 +766,6 @@ def _peel_at_radius(
 # annihilator memberships
 
 
-def _membership(
-    pres: ChainPresentation, base_len: int, zeta_col: List[ChainScalar]
-) -> bool:
-    """zeta lies in the column span iff adjoining it keeps the length at
-    base_len, the length of pres itself."""
-    aug = ChainPresentation(pres.ctx, pres.m, pres.columns + [zeta_col])
-    return presentation_length(aug)[0] == base_len
-
-
 def _monomial_column(ctx: ChainContext, m: int, x2_exp: int, p_exp: int) -> List[ChainScalar]:
     col = [ChainScalar.zero(ctx) for _ in range(m)]
     if 0 <= x2_exp < m:
@@ -763,12 +787,15 @@ def annihilator_report(
     lie in the maximal-ideal multiple of the ideal.  For k = 1 the bare x2
     must stay outside the ideal.
 
-    Memberships are decided through length comparisons, so without an
-    explicit chain_radius the whole table goes through the same
-    confirm-or-raise window driver as the lengths: it is recomputed at
-    doubled radii until it repeats, starting from the radius at which the
-    plain length of the official model stabilizes, and raises
-    WindowExhausted if no two radii agree below the ceiling.
+    Each model is eliminated once, with its monomials as passive query
+    columns of `chain_snf`.  Without an explicit chain_radius the whole
+    table goes through the same confirm-or-raise window driver as the
+    lengths: it is recomputed at doubled radii until it repeats, starting
+    from the radius at which the plain length of the official model
+    stabilizes, and raises WindowExhausted if no two radii agree below the
+    ceiling.  A pinned chain_radius below that anchor is a probe of the
+    truncated model, not a table of the module: there the passive decision
+    and a comparison of lengths can differ.
     """
     p = case.p
     # one tower solve serves both models: the official one (cap p^k) reads
@@ -778,29 +805,31 @@ def annihilator_report(
     alpha, beta = sol.alpha, sol.beta
 
     def table_at(radius: int) -> Dict[str, bool]:
-        def model(cap: int, modulus: int, maximal_multiple: bool):
+        def model(cap: int, modulus: int, maximal_multiple: bool, queries: List[Pair]) -> List[bool]:
+            """Memberships of the monomials x2^i * p^j, one (i, j) per query."""
             chain = ChainContext(p, modulus, -radius, radius)
             pres = ChainPresentation.from_corner_series(
                 chain, cap, _corner_slices(alpha, cap, chain),
                 _corner_slices(beta, cap, chain), maximal_multiple=maximal_multiple,
             )
-            base_len, _ = presentation_length(pres)
-            return lambda x2_exp, p_exp: _membership(
-                pres, base_len, _monomial_column(chain, cap, x2_exp, p_exp)
-            )
+            cols = [_monomial_column(chain, cap, x2_exp, p_exp) for x2_exp, p_exp in queries]
+            return chain_snf(pres.rows(), chain, queries=cols)[1]
 
-        official = model(p**k, 2 * k + 1, False)
         balanced = sum(2 * p**i for i in range(k))
+        queries = [(balanced, 0), (0, 2 * k)]
+        if k == 1:
+            queries.append((1, 0))
+        official = model(p**k, 2 * k + 1, False, queries)
         out = {
-            "balanced_x2_power_in_ideal": official(balanced, 0),
-            "p_to_2k_in_ideal": official(0, 2 * k),
+            "balanced_x2_power_in_ideal": official[0],
+            "p_to_2k_in_ideal": official[1],
         }
         if k == 1:
-            out["bare_x2_outside_ideal"] = not official(1, 0)
+            out["bare_x2_outside_ideal"] = not official[2]
         # enlarged model: one more x2 slice, one more digit
-        enlarged = model(p**k + 1, 2 * k + 2, True)
-        out["p_to_2k_plus_1_in_max_multiple"] = enlarged(0, 2 * k + 1)
-        out["x2_to_p_k_in_max_multiple"] = enlarged(p**k, 0)
+        enlarged = model(p**k + 1, 2 * k + 2, True, [(0, 2 * k + 1), (p**k, 0)])
+        out["p_to_2k_plus_1_in_max_multiple"] = enlarged[0]
+        out["x2_to_p_k_in_max_multiple"] = enlarged[1]
         return out
 
     if chain_radius is not None:

@@ -246,6 +246,58 @@ class TestChainSNF:
         scaled = [[unit * e for e in rows[0]], list(rows[1])]
         assert chain_snf(scaled, CTX) == base
 
+    def test_query_below_the_pivot_valuation_is_outside(self):
+        # every span element has valuation >= 1 in the pivot row; equal
+        # valuation is inside, at any x1-shift
+        queries = [[_mono(0, 1)], [_mono(0, 3)], [_mono(2, 9, 3)]]
+        assert chain_snf([[_mono(0, 3)]], CTX, queries=queries) == ([1], [False, True, True])
+
+    def test_query_in_a_row_without_pivot_is_outside(self):
+        zero = ChainScalar.zero(CTX)
+        rows = [[_mono(0, 3)], [zero]]
+        queries = [[zero, _mono(0, 9)], [_mono(1, 3), zero], [zero, zero]]
+        assert chain_snf(rows, CTX, queries=queries) == ([1, CTX.modulus], [False, True, True])
+        # no active column at all, and an all-zero one
+        assert chain_snf([[]], CTX, queries=[[_mono(0, 27)], [zero]]) == ([CTX.modulus], [False, True])
+        assert chain_snf([[zero]], CTX, queries=[[_mono(0, 27)]]) == ([CTX.modulus], [False])
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_passive_queries_match_the_length_comparison(self, data):
+        # supports of at most 2 terms in [-2, 2] on a +-48 window: the fill-in
+        # of a 3x3 elimination stays far inside it, so no product truncates
+        ctx = ChainContext(3, 3, -48, 48)
+        small = st.one_of(st.none(), st.tuples(
+            st.integers(0, 2),
+            st.dictionaries(st.integers(-2, 2), st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                            min_size=1, max_size=2),
+        ))
+
+        def scalar(drawn):
+            if drawn is None:
+                return ChainScalar.zero(ctx)
+            v, terms = drawn
+            return ChainScalar(ctx, {e: (3**v * a, 3**v * b) for e, (a, b) in terms.items()})
+
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 3))
+        columns = [[scalar(data.draw(small)) for _ in range(m)] for _ in range(n)]
+        queries = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            # a combination of the columns, sometimes perturbed: both answers occur
+            coeffs = [scalar(data.draw(small)) for _ in range(n)]
+            q = [sum((c * col[i] for c, col in zip(coeffs, columns)), ChainScalar.zero(ctx))
+                 for i in range(m)]
+            if data.draw(st.booleans()):
+                i = data.draw(st.integers(0, m - 1))
+                q[i] = q[i] + scalar(data.draw(small))
+            queries.append(q)
+        pres = ChainPresentation(ctx, m, columns)
+        base_len, exps = presentation_length(pres)
+        got_exps, inside = chain_snf(pres.rows(), ctx, queries=queries)
+        assert got_exps == exps
+        assert inside == [_membership(pres, base_len, q) for q in queries]
+
 
 class TestPresentation:
     def test_column_counts(self):
@@ -361,9 +413,13 @@ class TestStabilize:
             length_by_elimination(CaseDescriptor.from_label("unr", 3), 1)
 
     def test_annihilator_raises_when_radii_keep_disagreeing(self, monkeypatch):
-        monkeypatch.setattr(
-            lengths, "_membership", lambda pres, base_len, col: pres.ctx.hi.bit_length() % 2 == 0
-        )
+        def flipping(rows, ctx, queries=None):
+            exps = chain_snf(rows, ctx)
+            if queries is None:
+                return exps
+            return exps, [ctx.hi.bit_length() % 2 == 0] * len(queries)
+
+        monkeypatch.setattr(lengths, "chain_snf", flipping)
         with pytest.raises(WindowExhausted):
             annihilator_report(CaseDescriptor.from_label("unr", 3), 1)
 
@@ -428,3 +484,47 @@ class TestAnnihilator:
         table = annihilator_report(CaseDescriptor.from_label("unr", 3), 2)
         assert "bare_x2_outside_ideal" not in table
         assert all(table.values())
+
+    def test_report_runs_one_elimination_per_model(self, monkeypatch):
+        calls = []
+
+        def counting(rows, ctx, queries=None):
+            calls.append(queries is not None)
+            return chain_snf(rows, ctx, queries)
+
+        monkeypatch.setattr(lengths, "chain_snf", counting)
+        assert all(annihilator_report(CaseDescriptor.from_label("unr", 3), 1).values())
+        # the plain length at radii 18 and 36 anchors the table; the official
+        # and the enlarged model at 36 and at 72 then confirm it
+        assert calls == [False, False, True, True, True, True]
+
+    # (ram, 5, 2) and (unr, 3, 3) are left out: the length comparison takes
+    # 10-13 s there, and criterion 2 still checks their tables
+    @pytest.mark.parametrize("lab, p, k", [
+        ("unr", 3, 1), ("ram", 3, 1), ("unr", 5, 1), ("ram", 5, 1),
+        ("unr", 3, 2), ("ram", 3, 2), ("unr", 5, 2),
+    ])
+    def test_passive_tables_match_the_length_comparison(self, monkeypatch, lab, p, k):
+        case = CaseDescriptor.from_label(lab, p)
+        anchor = quotient_length_details(case, k).chain_radius
+        radii = (anchor, 2 * anchor)
+        passive = [annihilator_report(case, k, chain_radius=r) for r in radii]
+        monkeypatch.setattr(lengths, "chain_snf", _snf_by_length_comparison)
+        assert [annihilator_report(case, k, chain_radius=r) for r in radii] == passive
+
+
+def _membership(pres, base_len, zeta_col):
+    """zeta lies in the column span iff adjoining it keeps the length at
+    base_len, the length of pres itself: the slow reference for the passive
+    query columns of chain_snf, one more full elimination per query."""
+    aug = ChainPresentation(pres.ctx, pres.m, pres.columns + [zeta_col])
+    return presentation_length(aug)[0] == base_len
+
+
+def _snf_by_length_comparison(rows, ctx, queries=None):
+    """chain_snf with every query decided by _membership instead."""
+    exps = chain_snf(rows, ctx)
+    if queries is None:
+        return exps
+    pres = ChainPresentation(ctx, len(rows), [list(col) for col in zip(*rows)])
+    return exps, [_membership(pres, sum(exps), list(q)) for q in queries]
