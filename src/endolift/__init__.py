@@ -29,7 +29,6 @@ from .witt import WittScalar, nonresidue
 from .series import SeriesContext, TruncSeries, f_series, g_series, series_invert
 from .windows import (
     CaseDescriptor,
-    alpha_beta,
     check_phi_commutation,
     closed_form_vertical_pair,
     integrality_predicate,
@@ -90,7 +89,6 @@ __all__ = [
     "closed_form_vertical_pair",
     "check_phi_commutation",
     "structure_check",
-    "alpha_beta",
     "integrality_predicate",
     "quotient_length",
     "quotient_length_details",

@@ -74,20 +74,6 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
-def _parse_config_file(path: str) -> Dict[str, str]:
-    values: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 def _resolve(ns, key: str, file_cfg: Dict[str, str], default):
     """Command line beats config file beats hard default."""
     cli_val = getattr(ns, key, None)
@@ -108,21 +94,50 @@ def _resolve(ns, key: str, file_cfg: Dict[str, str], default):
     return default
 
 
-def _add_common(sub):
-    sub.add_argument("--case", choices=["unr", "ram", "both"], default=None)
-    sub.add_argument("--p", default=None, help="prime or list: 3 | 3,5 | 3..7")
-    sub.add_argument("--c0", default=None, help="conductor or list/range")
-    sub.add_argument("--k", type=int, default=None, help="tower depth")
-    sub.add_argument("--format", choices=["json", "tsv"], default=None)
-    sub.add_argument(
-        "--precision-scale",
-        dest="precision_scale",
-        type=int,
-        default=None,
-        help="multiply declared p-adic precision (>= 1)",
-    )
-    sub.add_argument("--dump", action="store_const", const=True, default=None)
+# every flag, by dest; each command takes only the ones it reads, and its
+# config file may set exactly those
+_FLAGS = {
+    "case": dict(choices=["unr", "ram", "both"]),
+    "p": dict(help="prime or list: 3 | 3,5 | 3..7"),
+    "c0": dict(help="conductor or list/range"),
+    "k": dict(type=int, help="tower depth"),
+    "format": dict(choices=["json", "tsv"]),
+    "precision_scale": dict(type=int, help="multiply declared p-adic precision (>= 1)"),
+    "dump": dict(action="store_const", const=True),
+    "sublattices": dict(type=int, metavar="K"),
+    "superlattices": dict(type=int, metavar="S"),
+    "appendix": dict(action="store_const", const=True),
+}
+
+
+def _add_flags(sub, *names: str) -> None:
+    names += ("format",)
+    for name in names:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **_FLAGS[name])
     sub.add_argument("--config", default=None, help="key = value file mirroring flags")
+    sub.set_defaults(config_keys=frozenset(names))
+
+
+def _file_config(ns) -> Dict[str, str]:
+    """The `key = value` settings of the --config file, if any.  A key that
+    is not one of the command's flags is a usage error, not a silently
+    dropped setting."""
+    values: Dict[str, str] = {}
+    if not ns.config:
+        return values
+    with open(ns.config, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{ns.config}:{lineno}: expected key = value")
+            key, value = line.split("=", 1)
+            key = key.strip().replace("-", "_")
+            if key not in ns.config_keys:
+                raise ValueError(f"{ns.config}:{lineno}: {ns.command} takes no key {key!r}")
+            values[key] = value.strip()
+    return values
 
 
 def _case_labels(choice: str) -> List[str]:
@@ -175,7 +190,7 @@ def _exit_code(verdicts: List[Dict]) -> int:
 
 
 def cmd_inventory(ns) -> int:
-    file_cfg = _parse_config_file(ns.config) if ns.config else {}
+    file_cfg = _file_config(ns)
     cases = _case_labels(_resolve(ns, "case", file_cfg, "both"))
     ps = _parse_int_list(_resolve(ns, "p", file_cfg, "3"))
     c0s = _parse_int_list(_resolve(ns, "c0", file_cfg, "1"))
@@ -253,7 +268,7 @@ def cmd_inventory(ns) -> int:
 
 
 def cmd_recursion(ns) -> int:
-    file_cfg = _parse_config_file(ns.config) if ns.config else {}
+    file_cfg = _file_config(ns)
     cases = _case_labels(_resolve(ns, "case", file_cfg, "both"))
     ps = _parse_int_list(_resolve(ns, "p", file_cfg, "3"))
     k = _resolve(ns, "k", file_cfg, 2)
@@ -356,7 +371,7 @@ def cmd_recursion(ns) -> int:
 
 
 def cmd_multiplicity(ns) -> int:
-    file_cfg = _parse_config_file(ns.config) if ns.config else {}
+    file_cfg = _file_config(ns)
     cases = _case_labels(_resolve(ns, "case", file_cfg, "both"))
     ps = _parse_int_list(_resolve(ns, "p", file_cfg, "3"))
     c0s = _parse_int_list(_resolve(ns, "c0", file_cfg, "1..2"))
@@ -405,7 +420,7 @@ def cmd_multiplicity(ns) -> int:
 
 
 def cmd_lattice(ns) -> int:
-    file_cfg = _parse_config_file(ns.config) if ns.config else {}
+    file_cfg = _file_config(ns)
     ps = _parse_int_list(_resolve(ns, "p", file_cfg, "3"))
     fmt = _resolve(ns, "format", file_cfg, "json")
     subl = _resolve(ns, "sublattices", file_cfg, -1)
@@ -636,7 +651,7 @@ def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
 
 
 def cmd_selfcheck(ns) -> int:
-    file_cfg = _parse_config_file(ns.config) if ns.config else {}
+    file_cfg = _file_config(ns)
     fmt = _resolve(ns, "format", file_cfg, "json")
     config = {"format": fmt}
     checks = _selfcheck_battery()
@@ -664,26 +679,23 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("inventory", help="component tables and totals")
-    _add_common(sub)
+    _add_flags(sub, "case", "p", "c0")
     sub.set_defaults(fn=cmd_inventory)
 
     sub = subs.add_parser("recursion", help="tower solutions and structure checks")
-    _add_common(sub)
+    _add_flags(sub, "case", "p", "k", "precision_scale", "dump")
     sub.set_defaults(fn=cmd_recursion)
 
     sub = subs.add_parser("multiplicity", help="measured vs closed-form lengths")
-    _add_common(sub)
+    _add_flags(sub, "case", "p", "c0", "precision_scale")
     sub.set_defaults(fn=cmd_multiplicity)
 
     sub = subs.add_parser("lattice", help="stable-lattice suites")
-    _add_common(sub)
-    sub.add_argument("--sublattices", type=int, default=None, metavar="K")
-    sub.add_argument("--superlattices", type=int, default=None, metavar="S")
-    sub.add_argument("--appendix", action="store_const", const=True, default=None)
+    _add_flags(sub, "p", "sublattices", "superlattices", "appendix")
     sub.set_defaults(fn=cmd_lattice)
 
     sub = subs.add_parser("selfcheck", help="fast cross-check battery")
-    _add_common(sub)
+    _add_flags(sub)
     sub.set_defaults(fn=cmd_selfcheck)
 
     return parser

@@ -15,8 +15,14 @@ standard lattice), visiting only the candidates that the linear conditions
 of the diagonal actions allow, each then fully checked; the deeper
 superlattice windows enumerate the eigenline-diagonal family, which is
 closed: the four residue characters of the order action are pairwise
-distinct, so a stable lattice splits into eigenlines and is diagonal.  Anything stable found outside the expected
-classification raises ShapeViolation rather than being silently absorbed.
+distinct, so a stable lattice splits into eigenlines and is diagonal.
+Anything stable found outside the expected classification raises
+ShapeViolation rather than being silently absorbed.
+
+The filtration-lift census counts the lifts of the Hodge filtration to the
+dual numbers that the order and the ramified uniformizer keep.  Stability of
+a lift is one linear condition on its 2x2 matrix, so each count is read off
+the rank of that system over the residue field (see the census section).
 """
 
 from itertools import combinations, product
@@ -389,8 +395,8 @@ def lie_action_parity(lattice: LatticeHNF) -> str:
 
 
 # ---------------------------------------------------------------------------
-# residue-field layer (used by the one-step superlattice window and the
-# dual-number census)
+# residue-field layer: one rank routine serves the one-step superlattice
+# window and the filtration-lift census
 
 
 class _ResidueField:
@@ -422,10 +428,6 @@ class _ResidueField:
         return [(a, b) for a in range(self.p) for b in range(self.p)]
 
 
-def _pair_is_zero(x) -> bool:
-    return x[0] == 0 and x[1] == 0
-
-
 # signs of the two omega actions on the residue lines (e1, e2, f1, f2); the
 # four columns of sign pairs, the residue characters, are pairwise distinct
 _RESIDUE_OMEGA_SIGNS = {"omega-order": (1, 1, -1, -1), "omega-scalar": (1, -1, 1, -1)}
@@ -439,42 +441,46 @@ def _residue_apply(field: _ResidueField, op: str, vec):
     f2 -> 0, twisted by the p-power map -- because dividing by p turns the
     f -> p*e legs into integral vectors.  The omega actions stay diagonal.
     """
-    p = field.p
     if op in ("F", "V"):
         tv = [field.twist(c) for c in vec]
         return [(0, 0), (0, 0), tv[1], tv[0]]
     signs = _RESIDUE_OMEGA_SIGNS.get(op)
     if signs is None:
         raise ValueError(op)
-    out = []
-    for c, s in zip(vec, signs):
-        coeff = (0, 1) if s == 1 else (0, (p - 1) % p)
-        out.append(field.mul(coeff, c))
-    return out
+    return [field.mul((0, s % field.p), c) for c, s in zip(vec, signs)]
 
 
-def _in_span(field: _ResidueField, rref, pivot_cols, vec):
-    v = list(vec)
-    for row, col in zip(rref, pivot_cols):
-        c = v[col]
-        if _pair_is_zero(c):
-            continue
-        for j in range(4):
-            v[j] = field.sub(v[j], field.mul(c, row[j]))
-    return all(_pair_is_zero(c) for c in v)
+def _rank(field: _ResidueField, vectors) -> int:
+    """Rank over the residue field of equal-length coordinate vectors: each
+    is reduced against the echelon rows kept so far (1 at their own pivot
+    column, 0 at earlier ones), and a nonzero remainder becomes a new row."""
+    echelon: Dict[int, list] = {}
+    for vec in vectors:
+        v = list(vec)
+        for col, row in echelon.items():
+            c = v[col]
+            if c != (0, 0):
+                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+        lead = next((j for j, x in enumerate(v) if x != (0, 0)), None)
+        if lead is not None:
+            inv = field.inv(v[lead])
+            echelon[lead] = [field.mul(inv, x) for x in v]
+    return len(echelon)
 
 
-def _subspace_stable(field: _ResidueField, rref, pivot_cols) -> bool:
-    for op in ("F", "V", "omega-order", "omega-scalar"):
-        for row in rref:
-            if not _in_span(field, rref, pivot_cols, _residue_apply(field, op, row)):
-                return False
-    return True
+def _subspace_stable(field: _ResidueField, rows) -> bool:
+    """Whether F, V and both omega actions keep the span of the basis rows:
+    adding the images of the basis must not raise the rank.  F and V are
+    semilinear, so the images of a basis still span the image."""
+    return all(
+        _rank(field, rows + [_residue_apply(field, op, row) for row in rows]) == len(rows)
+        for op in ("F", "V", "omega-order", "omega-scalar")
+    )
 
 
 def _enumerate_subspaces(field: _ResidueField, dim: int):
-    """Reduced row bases, one per subspace and by pivot pattern, of the
-    subspaces of the given dimension that the two omega actions keep.
+    """Reduced row bases, one per subspace, of the subspaces of the given
+    dimension that the two omega actions keep.
 
     A diagonal action moves a reduced row into the span exactly when it
     scales the row by its pivot's eigenvalue, that is when every free entry
@@ -505,7 +511,7 @@ def _enumerate_subspaces(field: _ResidueField, dim: int):
                 rows.append(row)
             for (i, col), val in zip(free_positions, assignment):
                 rows[i][col] = val
-            yield rows, list(pivots)
+            yield rows
 
 
 def subspace_count(p: int, dim: int) -> int:
@@ -591,8 +597,8 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
         field = _ResidueField(module.p)
         p = module.p
         pm = module.scalar(p)
-        for rows, pivot_cols in _enumerate_subspaces(field, 2 * s):
-            if not _subspace_stable(field, rows, pivot_cols):
+        for rows in _enumerate_subspaces(field, 2 * s):
+            if not _subspace_stable(field, rows):
                 continue
             gens = [
                 tuple(pm if i == j else WittScalar.zero(p, module.prec) for j in range(4))
@@ -635,11 +641,6 @@ class DescentReport:
         self.e_star = e_star
         self.f_star = f_star
         self.span = span
-
-    def frame_shift(self) -> int:
-        """F raises e* to p^delta f*; the complementary leg carries the
-        p^(1-delta)."""
-        return self.delta
 
 
 def descend_superlattice(
@@ -690,114 +691,66 @@ def descend_superlattice(
 
 
 # ---------------------------------------------------------------------------
-# the dual-number filtration-lift census
+# the filtration-lift census
 #
-# Scalars are pairs (main, eps) over the quadratic residue field with
-# eps^2 = 0.  The rank-4 dual-number fiber carries the order acting
-# diagonally (omega, omega, -omega, -omega) and the ramified uniformizer
-# acting through its 2x2 companion blocks; both companion coefficients
-# have positive valuation (the Eisenstein shape), so their residues vanish
-# and the induced map is e1 -> e2, e2 -> 0, f1 -> f2, f2 -> 0.  Lifts of
-# the (f1, f2)-plane are exactly the graphs
+# Lifts of the (f1, f2)-plane of the rank-4 residue fiber to the dual numbers
+# (eps^2 = 0) are exactly the graphs
 #
-#     g1 = f1 + eps*(c11 e1 + c12 e2),   g2 = f2 + eps*(c21 e1 + c22 e2)
+#     g_j = f_j + eps*(c_j1 e1 + c_j2 e2),   j = 1, 2,
 #
-# with c a 2x2 matrix over the residue field; membership in a graph means
-# clearing the f-coordinates against the generators and finding an
-# identically zero remainder.
+# of the 2x2 matrices c over the residue field.  The order acts by the
+# omega-order signs; both companion coefficients of the ramified uniformizer
+# have positive valuation (the Eisenstein shape), so it induces the
+# nilpotent e1 -> e2, f1 -> f2.  Each operator T keeps the e-plane and the
+# f-plane; with its blocks T_E and T_F in row convention (row i holds the
+# image of basis vector i), T g_j = sum_k T_F[j][k] f_k + eps*(c T_E)[j].
+# Clearing the f-coordinates against the g_k leaves eps*(c T_E - T_F c)[j],
+# so the graph is stable exactly when c T_E = T_F c: one linear system in
+# the four entries of c, and each count is q^(4 - rank) with q = p^2.  By
+# Grothendieck-Messing an endomorphism lifts exactly when it keeps the
+# lifted filtration.  `tests/test_lattices.py` keeps the graph-membership
+# walk as the oracle.
 
 
-def _dual_mul(field: _ResidueField, x, y):
-    main = field.mul(x[0], y[0])
-    cross1 = field.mul(x[0], y[1])
-    cross2 = field.mul(x[1], y[0])
-    return (main, ((cross1[0] + cross2[0]) % field.p, (cross1[1] + cross2[1]) % field.p))
-
-
-def _dual_sub(field: _ResidueField, x, y):
-    return (field.sub(x[0], y[0]), field.sub(x[1], y[1]))
-
-
-_DZERO = ((0, 0), (0, 0))
-
-
-def _graph_generators(field: _ResidueField, c):
+def _census_blocks(field: _ResidueField):
+    """(T_E, T_F) of the order and of the uniformizer, in row convention."""
     zero = (0, 0)
-    one = (1, 0)
-    g1 = ((zero, c[0][0]), (zero, c[0][1]), (one, zero), (zero, zero))
-    g2 = ((zero, c[1][0]), (zero, c[1][1]), (zero, zero), (one, zero))
-    return g1, g2
+    signs = _RESIDUE_OMEGA_SIGNS["omega-order"]
+    e_block, f_block = (
+        tuple(tuple((0, s % field.p) if i == j else zero for j in range(2)) for i, s in enumerate(plane))
+        for plane in (signs[:2], signs[2:])
+    )
+    nilpotent = ((zero, (1, 0)), (zero, zero))
+    return {"order": (e_block, f_block), "uniformizer": (nilpotent, nilpotent)}
 
 
-def _graph_contains(field: _ResidueField, c, vec):
-    g1, g2 = _graph_generators(field, c)
-    v = list(vec)
-    for gen, slot in ((g1, 2), (g2, 3)):
-        coeff = v[slot]
-        if coeff == _DZERO:
-            continue
-        for j in range(4):
-            v[j] = _dual_sub(field, v[j], _dual_mul(field, coeff, gen[j]))
-    return all(entry == _DZERO for entry in v)
-
-
-def _apply_dual_order(field: _ResidueField, vec):
-    p = field.p
-    w = ((0, 1), (0, 0))
-    neg_w = ((0, p - 1), (0, 0))
-    signs = (w, w, neg_w, neg_w)
-    return [_dual_mul(field, s, c) for s, c in zip(signs, vec)]
-
-
-def _apply_dual_uniformizer(field: _ResidueField, vec):
-    return [_DZERO, vec[0], _DZERO, vec[2]]
+def _commutation_rows(field: _ResidueField, blocks):
+    """The four equations (c T_E - T_F c)[j][k] = 0 as coefficient rows over
+    the unknowns (c11, c12, c21, c22)."""
+    te, tf = blocks
+    zero = (0, 0)
+    return [
+        [field.sub(te[b][k] if a == j else zero, tf[j][a] if b == k else zero)
+         for a in range(2) for b in range(2)]
+        for j in range(2) for k in range(2)
+    ]
 
 
 def hodge_lift_census(p: int) -> Dict[str, int]:
     """Counts of filtration-lift graphs under each stability constraint.
 
-    Keys: "all" (every graph), "order_stable", "uniformizer_stable",
-    "both_stable".  The order check on g1 involves only the first matrix
-    row and the one on g2 only the second (each image has a single nonzero
-    f-coordinate, over the matching generator), so those booleans are
-    precomputed per row and "order_stable" is the product of the two
-    per-row counts.  The uniformizer check on g2 also involves only the
-    second row; the one on g1 couples the rows, so it runs only for the
-    second rows that pass.  `tests/test_lattices.py` recomputes everything
-    without the factoring, as the oracle at small p.
+    Keys: "all" (every graph, the empty system), "order_stable",
+    "uniformizer_stable", "both_stable"; each is q^(4 - rank) of the
+    commutation equations of the operators involved (section comment).
     """
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     field = _ResidueField(p)
-    elems = field.elements()
-    rows = [(x, y) for x in elems for y in elems]
-    zero_row = ((0, 0), (0, 0))
-
-    order_ok_first: Dict[tuple, bool] = {}
-    order_ok_second: Dict[tuple, bool] = {}
-    unif_ok_second: Dict[tuple, bool] = {}
-    for row in rows:
-        c_first = (row, zero_row)
-        g1, _ = _graph_generators(field, c_first)
-        order_ok_first[row] = _graph_contains(field, c_first, _apply_dual_order(field, g1))
-        c_second = (zero_row, row)
-        _, g2 = _graph_generators(field, c_second)
-        order_ok_second[row] = _graph_contains(field, c_second, _apply_dual_order(field, g2))
-        unif_ok_second[row] = _graph_contains(
-            field, c_second, _apply_dual_uniformizer(field, g2)
-        )
-
-    unif_stable = both_stable = 0
-    for r2 in (r for r in rows if unif_ok_second[r]):
-        for r1 in rows:
-            c = (r1, r2)
-            g1, _ = _graph_generators(field, c)
-            if _graph_contains(field, c, _apply_dual_uniformizer(field, g1)):
-                unif_stable += 1
-                both_stable += order_ok_first[r1] and order_ok_second[r2]
-    order_stable = sum(order_ok_first.values()) * sum(order_ok_second.values())
-    return dict(all=len(rows) ** 2, order_stable=order_stable,
-                uniformizer_stable=unif_stable, both_stable=both_stable)
+    blocks = _census_blocks(field)
+    order = _commutation_rows(field, blocks["order"])
+    unif = _commutation_rows(field, blocks["uniformizer"])
+    systems = dict(all=[], order_stable=order, uniformizer_stable=unif, both_stable=order + unif)
+    return {key: p ** (2 * (4 - _rank(field, rows))) for key, rows in systems.items()}
 
 
 def count_hodge_lifts(p: int) -> int:

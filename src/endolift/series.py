@@ -405,9 +405,6 @@ class TruncSeries:
             _clean=True,
         )
 
-    def shift_x2(self, d: int) -> "TruncSeries":
-        return self.mul_monomial(0, d)
-
     def with_context(self, new_ctx: SeriesContext) -> "TruncSeries":
         """Reduce into a weaker context (smaller precision and/or box)."""
         if new_ctx.p != self.ctx.p:

@@ -46,7 +46,6 @@ __all__ = [
     "check_phi_commutation",
     "solve_vertical_recursion",
     "solve_thickened_recursion",
-    "alpha_beta",
     "structure_check",
     "structure_epsilon_degree",
     "one_variable_context",
@@ -615,12 +614,6 @@ def solve_thickened_recursion(
     inc_z_r = tuple(None if m is None else mat_with_context(m, ctx) for m in inc_z)
     alpha, beta = pairs[k].upper_right()
     return ThickenedSolution(case, k, ctx, pairs, inc_y_r, inc_z_r, alpha, beta)
-
-
-def alpha_beta(case: CaseDescriptor, k: int, ctx: Optional[SeriesContext] = None):
-    """The two corner series of the stored level-k pair (plus the solution)."""
-    sol = solve_thickened_recursion(case, k, ctx)
-    return sol.alpha, sol.beta, sol
 
 
 # ---------------------------------------------------------------------------

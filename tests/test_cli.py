@@ -222,3 +222,28 @@ class TestArgumentErrors:
     def test_bad_int_list_is_usage_error(self, outdir, capsys):
         rc = main(["multiplicity", "--p", "three"])
         assert rc == 2
+
+    # every flag a command used to accept and then ignore
+    @pytest.mark.parametrize("command, flag", [
+        ("inventory", "--k=1"), ("inventory", "--precision-scale=2"), ("inventory", "--dump"),
+        ("recursion", "--c0=1"),
+        ("multiplicity", "--k=1"), ("multiplicity", "--dump"),
+        ("lattice", "--case=unr"), ("lattice", "--c0=1"), ("lattice", "--k=1"),
+        ("lattice", "--precision-scale=2"), ("lattice", "--dump"),
+        ("selfcheck", "--case=unr"), ("selfcheck", "--p=7"), ("selfcheck", "--c0=1"), ("selfcheck", "--k=1"),
+        ("selfcheck", "--precision-scale=2"), ("selfcheck", "--dump"),
+    ])
+    def test_unread_flag_is_usage_error(self, outdir, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 2
+
+    def test_unread_config_key_is_usage_error(self, outdir, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("prime = 5\n", encoding="utf-8")
+        assert main(["multiplicity", "--config", str(cfg)]) == 2
+        assert "prime" in capsys.readouterr().err
+        # a shared key that this command does not read is refused too
+        cfg.write_text("c0 = 1\n", encoding="utf-8")
+        assert main(["lattice", "--config", str(cfg)]) == 2
+        assert not (outdir / "lattice.json").exists()

@@ -494,9 +494,10 @@ class TestAnnihilator:
 
         monkeypatch.setattr(lengths, "chain_snf", counting)
         assert all(annihilator_report(CaseDescriptor.from_label("unr", 3), 1).values())
-        # the plain length at radii 18 and 36 anchors the table; the official
-        # and the enlarged model at 36 and at 72 then confirm it
-        assert calls == [False, False, True, True, True, True]
+        # the official model's exponents at radii 18 and 36 anchor the table;
+        # the enlarged model at 36 and both models at 72 then confirm it, and
+        # the table at 36 reuses the official elimination of the anchor loop
+        assert calls == [True] * 5
 
     # (ram, 5, 2) and (unr, 3, 3) are left out: the length comparison takes
     # 10-13 s there, and criterion 2 still checks their tables

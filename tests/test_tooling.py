@@ -1,6 +1,7 @@
 """Repository-wide rules checked on the source text."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -77,3 +78,31 @@ def test_scripts_run(argv):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def _benchmark_probe_targets():
+    """(module, target) of every probe in perfbench/tracer.py, read from its
+    source text without importing it."""
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"), filename=str(tracer))
+    return [
+        (node.args[1].value, node.args[2].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Probe"
+        and all(isinstance(arg, ast.Constant) for arg in node.args[1:3])
+    ]
+
+
+def test_benchmark_probes_resolve_in_the_package():
+    # the benchmark wraps these by name; a rename or deletion in src would
+    # otherwise only show as a failed benchmark run
+    targets = _benchmark_probe_targets()
+    assert len(targets) > 30
+    missing = []
+    for module, target in targets:
+        owner = importlib.import_module(f"endolift.{module}")
+        for attr in target.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{module}.{target}")
+    assert not missing, f"benchmark probes with no target: {missing}"

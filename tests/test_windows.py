@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from endolift.series import TruncSeries
 from endolift.windows import (
     CaseDescriptor,
-    alpha_beta,
     check_phi_commutation,
     closed_form_vertical_pair,
     gamma_matrix,
@@ -221,9 +220,9 @@ class TestThickenedTower:
             sol.increment("y", 0)
 
     def test_alpha_beta_are_corner_series(self):
-        a, b, sol = alpha_beta(CaseDescriptor.from_label("unr", 3), 1)
-        assert a.coeffs == sol.pairs[1].Y[0][1].coeffs
-        assert b.coeffs == sol.pairs[1].Z[0][1].coeffs
+        sol = solve_thickened_recursion(CaseDescriptor.from_label("unr", 3), 1)
+        assert sol.alpha.coeffs == sol.pairs[1].Y[0][1].coeffs
+        assert sol.beta.coeffs == sol.pairs[1].Z[0][1].coeffs
 
     def test_known_leading_corner_coefficient(self):
         # at depth 1 the plain corner's x2-linear coefficient is -2p*w
