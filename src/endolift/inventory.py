@@ -356,38 +356,6 @@ def special_fiber_length(case: CaseLike, p: Optional[int] = None, c0: int = 0) -
     return 2 * _exact_div(p ** (c0 + 1) - 1, p - 1)
 
 
-def auxiliary_formulas(
-    case: CaseLike,
-    p: Optional[int] = None,
-    c0: Optional[int] = None,
-    k: Optional[int] = None,
-) -> Dict[str, object]:
-    """Degrees of the quasi-canonical layers and the fiber-length identity.
-
-    With c0 supplied the record carries all level degrees up to c0, their
-    sum, and the special-fiber length (the two must agree: the fiber is
-    exactly the union of the layers, with nothing left over).
-    """
-    label = _case_label(case)
-    p = _case_p(case, p)
-    out: Dict[str, object] = {"case": label, "p": p}
-    if k is not None:
-        out["k"] = k
-        out["degree"] = level_degree(label, k, p)
-    if c0 is not None:
-        degrees = [level_degree(label, j, p) for j in range(c0 + 1)]
-        fiber = special_fiber_length(label, p, c0)
-        if sum(degrees) != fiber:
-            raise ConsistencyFailure(
-                f"degree sum {sum(degrees)} != fiber length {fiber} "
-                f"at ({label}, p={p}, c0={c0})"
-            )
-        out["c0"] = c0
-        out["degrees"] = degrees
-        out["fiber_length"] = fiber
-    return out
-
-
 # ---------------------------------------------------------------------------
 # order descriptions
 
@@ -416,6 +384,9 @@ class QuadraticOrderDesc:
 
     @classmethod
     def from_gamma(cls, tr: int, nm: int, case: CaseLike, p: Optional[int] = None) -> "QuadraticOrderDesc":
+        """The order Z_p[gamma] generated by the endomorphism gamma that is
+        to be deformed, given by its trace and norm; its c0 is the paper's
+        conductor of gamma, which indexes the component inventory."""
         label = _case_label(case)
         p = _case_p(case, p)
         return cls(label, p, conductor(tr, nm, label, p), (tr, nm))

@@ -465,6 +465,15 @@ def chain_snf(
     in the pivot row has valuation below the pivot's e (every span element
     has valuation at least e there, e being the global minimum), or when it
     is nonzero in a row that no pivot is left for.
+
+    A pivot step builds only the entries it keeps.  With pivot = p^e*u, a
+    row with t in the pivot column becomes u*row - (t/p^e)*pivot_row, whose
+    pivot-column entry u*t - (t/p^e)*pivot is exactly zero: divide_p_power
+    divides exactly (or raises InexactDivision), so both products are p^e
+    times the same integer sums in the same window.  That entry, and the
+    pivot row that the column pass would clear before it is dropped, are
+    never built; below the pivot row the column pass is the unit scaling
+    of every column it clears.
     """
     M = ctx.modulus
     n = len(rows[0]) if rows else 0  # active columns; passive ones follow
@@ -494,21 +503,23 @@ def chain_snf(
         work[0], work[pi] = work[pi], work[0]
         for row in work:
             row[0], row[pj] = row[pj], row[0]
-        pivot = work[0][0]
-        unit = pivot.divide_p_power(e)
-        # fraction-free clearing: row_i <- u*row_i - (t/p^e)*row_0 is an exact
-        # zero at the pivot column in the truncated model (only single
-        # products appear), and scaling by the unit u never moves valuations
+        row0 = work[0]
+        unit = row0[0].divide_p_power(e)
+        # fraction-free clearing: row_i <- u*row_i - (t/p^e)*row_0, and scaling
+        # by the unit u never moves valuations.  The pivot-column entry
+        # u*t - (t/p^e)*pivot is not built: divide_p_power divides exactly
+        # (or raises InexactDivision), so t = p^e*tq and pivot = p^e*u as
+        # integer coefficients, both products are p^e times the same integer
+        # sums over the same window, and their difference is exactly zero
         for i in range(1, len(work)):
             t = work[i][0]
             if t.is_zero():
                 continue
             tq = t.divide_p_power(e)
-            work[i] = [unit * a - tq * b for a, b in zip(work[i], work[0])]
-            if not work[i][0].is_zero():
-                raise ConsistencyFailure(f"chain_snf: row {i} survived clearing against the pivot")
-        # same for the pivot row; other rows just pick up a unit factor
-        row0 = work[0]
+            work[i] = [zero] + [unit * a - tq * b for a, b in zip(work[i][1:], row0[1:])]
+        # the column pass clears the pivot row, which is dropped below, so its
+        # entries are never built; below it column 0 is now zero, so the
+        # column operation u*col_j - (t/p^e)*col_0 is the unit scaling alone
         for j in range(1, len(row0)):
             t = row0[j]
             if t.is_zero():
@@ -521,11 +532,11 @@ def chain_snf(
                 for row in work:
                     row[j] = zero
                 continue
-            tq = t.divide_p_power(e)
-            for i in range(len(work)):
-                work[i][j] = unit * work[i][j] - tq * work[i][0]
-            if not row0[j].is_zero():
-                raise ConsistencyFailure(f"chain_snf: column {j} survived clearing against the pivot")
+            # active entries have valuation >= e (e is the global minimum),
+            # and so has a query that passed the test above: t/p^e exists,
+            # and the pivot-row entry u*t - (t/p^e)*pivot it clears is zero
+            for i in range(1, len(work)):
+                work[i][j] = unit * work[i][j]
         exps.append(min(e, M))
         n -= 1
         work = [row[1:] for row in work[1:]]

@@ -374,15 +374,6 @@ class TruncSeries:
                 out[(n1, n2)] = pair_sigma(v, mod)
         return TruncSeries(ctx, out, _clean=True)
 
-    def sigma_coefficients(self) -> "TruncSeries":
-        """Coefficient twist alone, exponents untouched."""
-        mod = self.ctx.mod
-        return TruncSeries(
-            self.ctx,
-            {k: pair_sigma(v, mod) for k, v in self.coeffs.items()},
-            _clean=True,
-        )
-
     def substitute_x2_zero(self) -> "TruncSeries":
         return TruncSeries(
             self.ctx,

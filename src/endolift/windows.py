@@ -206,7 +206,9 @@ class DisplayingMatrix:
         return len(self.entries)
 
     def specialize_zero(self) -> "DisplayingMatrix":
-        """Set every deformation variable to zero."""
+        """Set every deformation variable to zero: the display of the closed
+        point of the deformation space, i.e. of the supersingular group
+        being deformed."""
         out = mat_map(self.entries, lambda e: TruncSeries(
             self.ctx, {k: v for k, v in e.coeffs.items() if k == (0, 0)}
         ))

@@ -243,11 +243,6 @@ class WittScalar:
         """min over coordinates of the p-valuation, capped at the precision."""
         return pair_val((self.a, self.b), self.p, self.prec)
 
-    def is_unit(self) -> bool:
-        if self.prec == 0:
-            raise PrecisionExhausted("no digits left to decide unitness")
-        return self.a % self.p != 0 or self.b % self.p != 0
-
     def inverse(self) -> "WittScalar":
         if self.prec == 0:
             raise PrecisionExhausted("no digits left to invert")
@@ -265,8 +260,3 @@ class WittScalar:
         if a % q or b % q:
             raise InexactDivision(f"{(a, b)} is not divisible by {q}")
         return WittScalar(self.p, self.prec, a // q, b // q)
-
-    def reduce_precision(self, new_prec: int) -> "WittScalar":
-        if new_prec > self.prec:
-            raise ValueError(f"cannot raise precision {self.prec} -> {new_prec}")
-        return WittScalar(self.p, new_prec, self.a, self.b)

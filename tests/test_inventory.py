@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from endolift.errors import ConsistencyFailure, NotAnOrder
 from endolift.inventory import (
     QuadraticOrderDesc,
-    auxiliary_formulas,
     component_inventory,
     conductor,
     displayed_corollary_report,
@@ -226,10 +225,10 @@ class TestDegrees:
         assert sum(degrees) == special_fiber_length(lab, p, c0)
 
     def test_auxiliary_record(self):
-        rec = auxiliary_formulas("unr", 3, c0=2, k=1)
-        assert rec["degree"] == level_degree("unr", 1, 3)
-        assert rec["degrees"] == [1, 4, 12]
-        assert rec["fiber_length"] == sum(rec["degrees"])
+        # the layer degrees up to c0 = 2 and the fiber they fill exactly
+        degrees = [level_degree("unr", k, 3) for k in range(3)]
+        assert degrees == [1, 4, 12]
+        assert special_fiber_length("unr", 3, 2) == sum(degrees)
 
 
 class TestQuadraticOrderDesc:

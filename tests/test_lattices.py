@@ -30,6 +30,7 @@ from endolift.lattices import (
     superlattice_family,
     tensor_rank4,
     _ResidueField,
+    _residue_apply,
 )
 from endolift.witt import WittScalar
 
@@ -194,6 +195,15 @@ class TestSuperlattices:
     def test_exhaustive_walk_reaches_every_subspace(self, dim):
         field = _ResidueField(3)
         assert sum(1 for _ in _exhaustive_subspaces(field, dim)) == subspace_count(3, dim)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @given(data=st.data())
+    def test_f_and_v_induce_one_residue_operator(self, p, data):
+        # why _subspace_stable runs the F rank test alone
+        field = _ResidueField(p)
+        coord = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+        vec = data.draw(st.lists(coord, min_size=4, max_size=4))
+        assert _residue_apply(field, "F", vec) == _residue_apply(field, "V", vec)
 
     def test_exhaustive_one_step_window(self):
         module = tensor_rank4(3)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from endolift import lengths
 from endolift.errors import (
+    ConsistencyFailure,
     InexactDivision,
     StructureViolation,
     WindowExhausted,
@@ -28,6 +29,18 @@ from endolift.windows import CaseDescriptor, recursion_context, solve_thickened_
 from endolift.witt import pair_add, pair_mul, pair_val
 
 CTX = ChainContext(3, 4, -12, 12)
+
+PINNED_WINDOWS = {
+    ("unr", 3, 1): (2, (0, 1, 1), 36, False),
+    ("ram", 3, 1): (2, (0, 1, 1), 36, False),
+    ("unr", 5, 1): (2, (0, 0, 0, 1, 1), 100, False),
+    ("ram", 5, 1): (2, (0, 0, 0, 1, 1), 100, False),
+    ("unr", 3, 2): (10, (0,) * 3 + (1,) * 4 + (3,) * 2, 108, False),
+    ("ram", 3, 2): (10, (0,) * 3 + (1,) * 4 + (3,) * 2, 432, True),
+    ("unr", 5, 2): (14, (0,) * 15 + (1,) * 8 + (3,) * 2, 500, False),
+    ("ram", 5, 2): (14, (0,) * 15 + (1,) * 8 + (3,) * 2, 1000, True),
+    ("unr", 3, 3): (36, (0,) * 7 + (1,) * 14 + (3,) * 4 + (5,) * 2, 324, False),
+}
 
 
 def _mono(e, a=1, b=0, ctx=CTX):
@@ -170,6 +183,117 @@ class TestProductKernel:
         assert used == ["_mul_short", "_mul_packed"]
 
 
+@st.composite
+def _small_presentations(draw):
+    """A presentation of at most 3x3 with 1-3 query columns, each a
+    combination of the columns, sometimes perturbed so that both answers
+    occur.  Supports of at most 2 terms in [-2, 2] on a +-48 window: the
+    fill-in of a 3x3 elimination stays far inside it, so no product
+    truncates."""
+    ctx = ChainContext(3, 3, -48, 48)
+    small = st.one_of(st.none(), st.tuples(
+        st.integers(0, 2),
+        st.dictionaries(st.integers(-2, 2), st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                        min_size=1, max_size=2),
+    ))
+
+    def scalar(drawn):
+        if drawn is None:
+            return ChainScalar.zero(ctx)
+        v, terms = drawn
+        return ChainScalar(ctx, {e: (3**v * a, 3**v * b) for e, (a, b) in terms.items()})
+
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    columns = [[scalar(draw(small)) for _ in range(m)] for _ in range(n)]
+    queries = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = [scalar(draw(small)) for _ in range(n)]
+        q = [sum((c * col[i] for c, col in zip(coeffs, columns)), ChainScalar.zero(ctx))
+             for i in range(m)]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, m - 1))
+            q[i] = q[i] + scalar(draw(small))
+        queries.append(q)
+    return ChainPresentation(ctx, m, columns), queries
+
+
+def _corner_presentation(lab, p, k, radius):
+    """The depth-k corner presentation at one x1 window, with the official
+    annihilator monomials and the bare x2 as query columns."""
+    sol = solve_thickened_recursion(CaseDescriptor.from_label(lab, p), k, recursion_context(p, k))
+    ctx = ChainContext(p, 2 * k + 1, -radius, radius)
+    cap = p**k
+    pres = ChainPresentation.from_corner_series(
+        ctx, cap, lengths._corner_slices(sol.alpha, cap, ctx), lengths._corner_slices(sol.beta, cap, ctx)
+    )
+    balanced = sum(2 * p**i for i in range(k))
+    queries = [lengths._monomial_column(ctx, cap, i, j) for i, j in ((balanced, 0), (0, 2 * k), (1, 0))]
+    return pres, queries
+
+
+def _chain_snf_reference(rows, ctx, queries=None):
+    """chain_snf with every entry of a pivot step built: the pivot-column
+    entry of each cleared row and the pivot-row entry of each cleared
+    column are computed as u*t - (t/p^e)*pivot and checked to be zero.  The
+    slow reference for the elimination."""
+    M = ctx.modulus
+    n = len(rows[0]) if rows else 0
+    qs = list(queries or ())
+    work = [list(r) + [q[i] for q in qs] for i, r in enumerate(rows)]
+    inside = [True] * len(qs)
+    zero = ChainScalar.zero(ctx)
+    exps = []
+    while work:
+        lengths._recenter(work, n)
+        best = None
+        for i, row in enumerate(work):
+            for j, entry in enumerate(row[:n]):
+                if entry.coeffs:
+                    key = (*entry.pivot_key(), i, j)
+                    if best is None or key < best[0]:
+                        best = (key, i, j)
+        if best is None:
+            exps.extend([M] * len(work))
+            for row in work:
+                for q, entry in enumerate(row[n:]):
+                    if not entry.is_zero():
+                        inside[q] = False
+            break
+        (e, _, _, _), pi, pj = best
+        work[0], work[pi] = work[pi], work[0]
+        for row in work:
+            row[0], row[pj] = row[pj], row[0]
+        unit = work[0][0].divide_p_power(e)
+        for i in range(1, len(work)):
+            t = work[i][0]
+            if not t.is_zero():
+                tq = t.divide_p_power(e)
+                work[i] = [unit * a - tq * b for a, b in zip(work[i], work[0])]
+                if not work[i][0].is_zero():
+                    raise ConsistencyFailure(f"row {i} survived clearing against the pivot")
+        row0 = work[0]
+        for j in range(1, len(row0)):
+            t = row0[j]
+            if t.is_zero():
+                continue
+            if j >= n and t.p_valuation() < e:
+                inside[j - n] = False
+                for row in work:
+                    row[j] = zero
+                continue
+            tq = t.divide_p_power(e)
+            for i in range(len(work)):
+                work[i][j] = unit * work[i][j] - tq * work[i][0]
+            if not row0[j].is_zero():
+                raise ConsistencyFailure(f"column {j} survived clearing against the pivot")
+        exps.append(min(e, M))
+        n -= 1
+        work = [row[1:] for row in work[1:]]
+    exps.sort()
+    return exps if queries is None else (exps, inside)
+
+
 class TestChainSNF:
     def test_unit_entry(self):
         assert chain_snf([[_mono(0)]], CTX) == [0]
@@ -262,41 +386,47 @@ class TestChainSNF:
         assert chain_snf([[zero]], CTX, queries=[[_mono(0, 27)]]) == ([CTX.modulus], [False])
 
     @settings(max_examples=200)
-    @given(st.data())
-    def test_passive_queries_match_the_length_comparison(self, data):
-        # supports of at most 2 terms in [-2, 2] on a +-48 window: the fill-in
-        # of a 3x3 elimination stays far inside it, so no product truncates
-        ctx = ChainContext(3, 3, -48, 48)
-        small = st.one_of(st.none(), st.tuples(
-            st.integers(0, 2),
-            st.dictionaries(st.integers(-2, 2), st.tuples(st.integers(0, 8), st.integers(0, 8)),
-                            min_size=1, max_size=2),
-        ))
-
-        def scalar(drawn):
-            if drawn is None:
-                return ChainScalar.zero(ctx)
-            v, terms = drawn
-            return ChainScalar(ctx, {e: (3**v * a, 3**v * b) for e, (a, b) in terms.items()})
-
-        m = data.draw(st.integers(1, 3))
-        n = data.draw(st.integers(1, 3))
-        columns = [[scalar(data.draw(small)) for _ in range(m)] for _ in range(n)]
-        queries = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            # a combination of the columns, sometimes perturbed: both answers occur
-            coeffs = [scalar(data.draw(small)) for _ in range(n)]
-            q = [sum((c * col[i] for c, col in zip(coeffs, columns)), ChainScalar.zero(ctx))
-                 for i in range(m)]
-            if data.draw(st.booleans()):
-                i = data.draw(st.integers(0, m - 1))
-                q[i] = q[i] + scalar(data.draw(small))
-            queries.append(q)
-        pres = ChainPresentation(ctx, m, columns)
+    @given(_small_presentations())
+    def test_passive_queries_match_the_length_comparison(self, drawn):
+        pres, queries = drawn
         base_len, exps = presentation_length(pres)
-        got_exps, inside = chain_snf(pres.rows(), ctx, queries=queries)
+        got_exps, inside = chain_snf(pres.rows(), pres.ctx, queries=queries)
         assert got_exps == exps
         assert inside == [_membership(pres, base_len, q) for q in queries]
+
+    @settings(max_examples=200)
+    @given(_small_presentations())
+    def test_elimination_matches_the_reference(self, drawn):
+        pres, queries = drawn
+        assert chain_snf(pres.rows(), pres.ctx) == _chain_snf_reference(pres.rows(), pres.ctx)
+        assert chain_snf(pres.rows(), pres.ctx, queries) == _chain_snf_reference(pres.rows(), pres.ctx, queries)
+
+    @pytest.mark.parametrize("lab, p, k, radius", [
+        ("unr", 3, 1, 36), ("ram", 3, 1, 36), ("unr", 3, 2, 108), ("ram", 3, 2, 432),
+    ])
+    def test_corner_eliminations_match_the_reference(self, lab, p, k, radius):
+        pres, queries = _corner_presentation(lab, p, k, radius)
+        got = chain_snf(pres.rows(), pres.ctx, queries)
+        assert got == _chain_snf_reference(pres.rows(), pres.ctx, queries)
+        assert sum(got[0]) == (2 if k == 1 else 10)
+
+    def test_pivot_step_builds_no_identity_products(self, monkeypatch):
+        # the products u*t and (t/p^e)*pivot of the pivot column and of the
+        # pivot row cancel exactly and are never built: 164 products of two
+        # nonzero operands here, where building them (the reference) takes 282
+        pres, _ = _corner_presentation("unr", 3, 2, 108)
+        rows = pres.rows()
+        product = ChainScalar.__mul__
+        dense = []
+
+        def counting(self, other):
+            if self.coeffs and other.coeffs:
+                dense.append(1)
+            return product(self, other)
+
+        monkeypatch.setattr(ChainScalar, "__mul__", counting)
+        assert chain_snf(rows, pres.ctx) == [0, 0, 0, 1, 1, 1, 1, 3, 3]
+        assert len(dense) == 164
 
 
 class TestPresentation:
@@ -347,6 +477,15 @@ class TestQuotientLength:
     def test_elimination_oracle_agrees(self, lab, k):
         case = CaseDescriptor.from_label(lab, 3)
         assert length_by_elimination(case, k) == quotient_length(case, k)
+
+    # (length, exponents, chain_radius, retried) as the window driver
+    # confirms them: a change of pivot path that moves a confirming radius
+    # fails here, and not only in the benchmark's report digest
+    @pytest.mark.parametrize("lab, p, k", list(PINNED_WINDOWS))
+    def test_stabilized_windows_are_pinned(self, lab, p, k):
+        report = quotient_length_details(CaseDescriptor.from_label(lab, p), k)
+        got = (report.length, report.exponents, report.chain_radius, report.retried)
+        assert got == PINNED_WINDOWS[lab, p, k]
 
     def test_precision_scale_is_invisible(self):
         case = CaseDescriptor.from_label("unr", 3)
