@@ -481,19 +481,14 @@ def cmd_lattice(ns) -> int:
                         continue
                     module = lab.tensor_rank4(p, prec=2 * (s + m) + 2)
                     found = lab.enumerate_stable_superlattices(module, s, m)
-                    family = [
-                        abd
-                        for abd in lab.superlattice_family(s, m)
-                    ]
+                    classes = [lab.classify_superlattice(lat) for lat in found]
                     verdicts.append(
                         {
                             "check": f"superlattice-family-count p={p} s={s} m={m}",
-                            "pass": [lab.classify_superlattice(L) for L in found]
-                            == family,
+                            "pass": classes == lab.superlattice_family(s, m),
                         }
                     )
-                    for lat in found:
-                        a, b, delta = lab.classify_superlattice(lat)
+                    for a, b, delta in classes:
                         rows.append(
                             {
                                 "kind": "superlattice",

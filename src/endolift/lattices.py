@@ -98,10 +98,13 @@ class SemilinearModule:
         return self.apply(self.V, vector, twist=1)
 
     def operator_list(self) -> List[Tuple[str, Matrix, int]]:
-        """All operators, cheap-to-fail linear actions first."""
+        """All operators, cheap-to-fail linear actions first.  V is listed
+        only when its matrix differs from F's: both act with the twist sigma,
+        so one matrix is one operator (every module built here has V = F)."""
         ops = [(name, mat, 0) for name, mat in sorted(self.actions.items())]
         ops.append(("F", self.F, 1))
-        ops.append(("V", self.V, 1))
+        if self.V != self.F:
+            ops.append(("V", self.V, 1))
         return ops
 
 

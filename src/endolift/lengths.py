@@ -381,7 +381,6 @@ class ChainPresentation:
         m: int,
         alpha_slices: Sequence[ChainScalar],
         beta_slices: Sequence[ChainScalar],
-        extra_columns: Sequence[Sequence[ChainScalar]] = (),
         *,
         maximal_multiple: bool = False,
     ) -> "ChainPresentation":
@@ -402,8 +401,6 @@ class ChainPresentation:
             for t in range(1, m):
                 cols.append(_shift_column(alpha_slices, t, m))
                 cols.append(_shift_column(beta_slices, t, m))
-        for extra in extra_columns:
-            cols.append(list(extra))
         return cls(ctx, m, cols)
 
     def rows(self) -> List[List[ChainScalar]]:

@@ -8,8 +8,10 @@ The moving parts:
   as exact integer pairs so they materialize at any precision;
 * universal displays in one and two variables, their specializations, and the
   leading minor ideal read off from them;
-* the one-variable fixed-point solve, its closed form, and the two-variable
-  tower with its scaled denominators, increments, and structure report.
+* one lifting step, M(x) * sigma(X) * adj M(x) with M(x) = [[x, p], [1, 0]],
+  shared by the one-variable fixed-point solve and the two-variable tower;
+* the closed form of the one-variable solve, and the tower, which stores its
+  scaled pairs only and derives increments from them for the structure report.
 
 Matrix convention everywhere: columns are inputs (the j-th column is the
 image of the j-th basis vector), and the twist acts entrywise before the
@@ -89,12 +91,8 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 
 def mat_scale(A: Mat, c) -> Mat:
-    """Scale by an int or a WittScalar."""
+    """Scale by an int, a WittScalar or a TruncSeries."""
     return tuple(tuple(a * c for a in row) for row in A)
-
-
-def mat_series_scale(A: Mat, s: TruncSeries) -> Mat:
-    return tuple(tuple(a * s for a in row) for row in A)
 
 
 def mat_frobenius(A: Mat) -> Mat:
@@ -410,11 +408,24 @@ def _m_matrix(ctx: SeriesContext, var: Optional[str]) -> Mat:
     return mat_from_rows([[x, p], [TruncSeries.one(ctx), TruncSeries.zero(ctx)]])
 
 
-def _m_adjoint(ctx: SeriesContext, var: Optional[str]) -> Mat:
-    # the complementary factor: M(x) * M_adj(x) = p * identity
-    x = TruncSeries.variable(ctx, var) if var else TruncSeries.zero(ctx)
-    p = TruncSeries.constant(ctx, ctx.p)
-    return mat_from_rows([[TruncSeries.zero(ctx), p], [TruncSeries.one(ctx), -x]])
+def _lift(X: Mat, var: Optional[str]) -> Mat:
+    """One lifting step: M(x) * sigma(X) * adj M(x), with x the variable `var`
+    (None for x = 0) and M(x) * adj M(x) = p * identity.
+
+    Written out with sigma(X) = [[a, b], [c, d]] and u = x*b + p*d, the
+    product is [[u, p*(x*a + p*c) - x*u], [b, p*a - x*b]], so every factor is
+    a monomial shift or an integer scaling.  A shift only raises exponents,
+    so a term it pushes out of the window never returns, and the generic
+    matrix product drops exactly the same terms.
+    """
+    (a, b), (c, d) = mat_frobenius(X)
+    p = a.ctx.p
+    if var is None:
+        return ((d * p, c * (p * p)), (b, a * p))
+    d1, d2 = {"x1": (1, 0), "x2": (0, 1)}[var]
+    x = lambda s: s.mul_monomial(d1, d2)
+    u = x(b) + d * p
+    return ((u, (x(a) + c * p) * p - x(u)), (b, a * p - x(b)))
 
 
 def check_phi_commutation(pair: QuasiEndoPair, *, two_variable: bool) -> bool:
@@ -495,8 +506,8 @@ def closed_form_vertical_pair(case: CaseDescriptor, ctx: SeriesContext) -> Quasi
             [_const(ctx, sc), zero],
         ]
     )
-    Y = mat_add(pY, mat_sub(mat_series_scale(corr_y_f, f1), mat_series_scale(corr_y_g, g1)))
-    Z = mat_add(pZ, mat_sub(mat_series_scale(corr_z_f, fp), mat_series_scale(corr_z_g, gp)))
+    Y = mat_add(pY, mat_sub(mat_scale(corr_y_f, f1), mat_scale(corr_y_g, g1)))
+    Z = mat_add(pZ, mat_sub(mat_scale(corr_z_f, fp), mat_scale(corr_z_g, gp)))
     return QuasiEndoPair(Y, Z, 1)
 
 
@@ -520,12 +531,10 @@ def solve_vertical_recursion(
     work = ctx.weakened(prec=ctx.prec + max_depth)
     base = gamma_matrix(case, work)
     Ys, Zs = mat_scale(base.Y, p), mat_scale(base.Z, p)
-    M1, A1 = _m_matrix(work, "x1"), _m_adjoint(work, "x1")
-    M0, A0 = _m_matrix(work, None), _m_adjoint(work, None)
     seen = QuasiEndoPair(Ys, Zs, 1).with_context(ctx)
     for depth in range(1, max_depth + 1):
-        nY = mat_divide_exact(mat_mul(mat_mul(M1, mat_frobenius(Zs)), A1), p)
-        nZ = mat_divide_exact(mat_mul(mat_mul(M0, mat_frobenius(Ys)), A0), p)
+        nY = mat_divide_exact(_lift(Zs, "x1"), p)
+        nZ = mat_divide_exact(_lift(Ys, None), p)
         candidate = QuasiEndoPair(nY, nZ, 1).with_context(ctx)
         if candidate == seen:
             return VerticalSolution(candidate.normalized(), depth - 1, True)
@@ -542,27 +551,31 @@ def solve_vertical_recursion(
 
 @dataclass(frozen=True)
 class ThickenedSolution:
-    """The depth-k scaled tower with its increments and corner series.
+    """The depth-k scaled tower and its corner series.
 
-    pairs[j] stores p^max(j,1) times the j-th solution; increments are the
-    exact differences (integral from level 1 on), and (alpha, beta) are the
-    upper-right corners of the stored level-k pair.
+    pairs[j] stores p^max(j,1) times the j-th solution, and (alpha, beta)
+    are the upper-right corners of the stored level-k pair.
     """
 
     case: CaseDescriptor
     k: int
     ctx: SeriesContext
     pairs: Tuple[QuasiEndoPair, ...]
-    increments_y: Tuple[Optional[Mat], ...]
-    increments_z: Tuple[Optional[Mat], ...]
     alpha: TruncSeries
     beta: TruncSeries
 
     def increment(self, side: str, level: int) -> Mat:
-        inc = (self.increments_y if side == "y" else self.increments_z)[level]
-        if inc is None:
-            raise ValueError(f"no level-{level} increment on side {side}")
-        return inc
+        """The exact level-`level` difference on side "y" or "z", 1 <= level <= k:
+        pairs[1] - pairs[0] at level 1 and pairs[l] - p * pairs[l-1] above.
+
+        Reduction mod p^prec is a ring map, so taking the difference of the
+        reduced pairs gives the reduced difference of the guarded ones.
+        """
+        pick = {"y": lambda q: q.Y, "z": lambda q: q.Z}.get(side)
+        if pick is None or not 1 <= level <= self.k:
+            raise ValueError(f"no level-{level} increment on side {side!r}")
+        lo = pick(self.pairs[level - 1])
+        return mat_sub(pick(self.pairs[level]), lo if level == 1 else mat_scale(lo, self.ctx.p))
 
 
 def solve_thickened_recursion(
@@ -584,38 +597,19 @@ def solve_thickened_recursion(
         ctx = recursion_context(case.p, k)
     p = case.p
     work = ctx.weakened(prec=ctx.prec + 1)
-    M1, A1 = _m_matrix(work, "x1"), _m_adjoint(work, "x1")
-    M2, A2 = _m_matrix(work, "x2"), _m_adjoint(work, "x2")
 
     scaled: List[QuasiEndoPair] = [closed_form_vertical_pair(case, work)]
     for j in range(k):
-        prev = scaled[j]
-        A = mat_mul(mat_mul(M1, mat_frobenius(prev.Z)), A1)
-        B = mat_mul(mat_mul(M2, mat_frobenius(prev.Y)), A2)
+        A, B = _lift(scaled[j].Z, "x1"), _lift(scaled[j].Y, "x2")
         if j == 0:
             # stored level 0 already carries one p; shed the extra factor
-            A = mat_divide_exact(A, p)
-            B = mat_divide_exact(B, p)
-        scaled.append(QuasiEndoPair(A, B, max(j + 1, 1)))
+            A, B = mat_divide_exact(A, p), mat_divide_exact(B, p)
+        scaled.append(QuasiEndoPair(A, B, j + 1))
 
-    inc_y: List[Optional[Mat]] = [None]
-    inc_z: List[Optional[Mat]] = [None]
-    for l in range(1, k + 1):
-        if l == 1:
-            dy = mat_sub(scaled[1].Y, scaled[0].Y)
-            dz = mat_sub(scaled[1].Z, scaled[0].Z)
-        else:
-            dy = mat_sub(scaled[l].Y, mat_scale(scaled[l - 1].Y, p))
-            dz = mat_sub(scaled[l].Z, mat_scale(scaled[l - 1].Z, p))
-        inc_y.append(dy)
-        inc_z.append(dz)
-
-    # reduce everything back to the declared precision
+    # reduce back to the declared precision
     pairs = tuple(q.with_context(ctx) for q in scaled)
-    inc_y_r = tuple(None if m is None else mat_with_context(m, ctx) for m in inc_y)
-    inc_z_r = tuple(None if m is None else mat_with_context(m, ctx) for m in inc_z)
     alpha, beta = pairs[k].upper_right()
-    return ThickenedSolution(case, k, ctx, pairs, inc_y_r, inc_z_r, alpha, beta)
+    return ThickenedSolution(case, k, ctx, pairs, alpha, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,23 @@ class TestSemilinearModules:
         module = tensor_rank4(3)
         assert set(module.actions) == {"omega-order", "omega-scalar"}
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_v_is_checked_when_it_differs_from_f(self, p):
+        # F the bare twist, V the twisted swap of e0 and e1: the lattice
+        # (p e0, e1) is F-stable, but V sends e1 to e0, outside it
+        base = standard_rank2(p)
+        one, zero = base.scalar(1), base.scalar(0)
+        F = ((one, zero), (zero, one))
+        V = ((zero, one), (one, zero))
+        module = SemilinearModule(p, base.prec, 2, F, V, {}, "rank2-swap")
+        assert [name for name, _, _ in module.operator_list()] == ["F", "V"]
+        assert [name for name, _, _ in base.operator_list()] == ["omega", "F"]
+        lat = LatticeHNF(module, ((base.scalar(p), zero), (zero, one)), 0)
+        assert all(lat.contains(module.apply_F(row)) for row in lat.rows)
+        assert not lattices._stable_under_all(module, lat)
+        same = SemilinearModule(p, base.prec, 2, F, F, {}, "rank2-bare")
+        assert lattices._stable_under_all(same, LatticeHNF(same, lat.rows, 0))
+
 
 class TestHermiteForm:
     def test_idempotent(self):

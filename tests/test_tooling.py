@@ -65,9 +65,8 @@ def test_no_unused_imports():
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep_inventory.py", "--primes", "3", "--max-c0", "1"],
     ["recursion_depth_probe.py", "--primes", "3", "--radius-powers", "1", "--prec", "2"],
-], ids=["sweep_inventory", "recursion_depth_probe"])
+], ids=["recursion_depth_probe"])
 def test_scripts_run(argv):
     # the scripts import the package by name; a deletion in src must not break them
     scripts = Path(__file__).resolve().parent.parent / "scripts"

@@ -3,18 +3,26 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from endolift.series import TruncSeries
+from endolift.series import SeriesContext, TruncSeries
 from endolift.windows import (
     CaseDescriptor,
+    QuasiEndoPair,
+    _lift,
+    _m_matrix,
     check_phi_commutation,
     closed_form_vertical_pair,
     gamma_matrix,
     hasse_witt_ideal,
     integrality_predicate,
+    mat_divide_exact,
     mat_eq,
+    mat_frobenius,
     mat_from_rows,
     mat_map,
+    mat_mul,
     mat_scale,
+    mat_sub,
+    mat_with_context,
     one_variable_context,
     recursion_context,
     solve_thickened_recursion,
@@ -38,6 +46,67 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def _m_adjoint(ctx, var):
+    # the complementary factor: M(x) * M_adj(x) = p * identity
+    x = TruncSeries.variable(ctx, var) if var else TruncSeries.zero(ctx)
+    p = TruncSeries.constant(ctx, ctx.p)
+    return mat_from_rows([[TruncSeries.zero(ctx), p], [TruncSeries.one(ctx), -x]])
+
+
+def _lift_reference(X, var):
+    """The lifting step as the generic product M * sigma(X) * adj M."""
+    ctx = X[0][0].ctx
+    return mat_mul(mat_mul(_m_matrix(ctx, var), mat_frobenius(X)), _m_adjoint(ctx, var))
+
+
+def _reference_tower(case, k):
+    """The depth-k tower through the generic product, at the guarded
+    precision (one digit above the declared context), unreduced."""
+    ctx = recursion_context(case.p, k)
+    work = ctx.weakened(prec=ctx.prec + 1)
+    pairs = [closed_form_vertical_pair(case, work)]
+    for j in range(k):
+        Y = _lift_reference(pairs[j].Z, "x1")
+        Z = _lift_reference(pairs[j].Y, "x2")
+        if j == 0:
+            Y, Z = mat_divide_exact(Y, case.p), mat_divide_exact(Z, case.p)
+        pairs.append(QuasiEndoPair(Y, Z, j + 1))
+    return pairs
+
+
+@st.composite
+def _edge_matrices(draw):
+    """A context whose window edges hi1 and cap2 - 1 are images of the
+    Frobenius dilation, and a 2x2 matrix with a term twisted onto the
+    corner (hi1, cap2 - 1), so that the shifts in the step push terms
+    out of the window."""
+    p = draw(st.sampled_from([3, 5]))
+    h = draw(st.integers(1, 2))
+    c2 = draw(st.integers(0, 2))
+    ctx = SeriesContext(p, draw(st.integers(1, 3)), -p * h, p * h, p * c2 + 1)
+    coeff = st.tuples(st.integers(0, ctx.mod - 1), st.integers(0, ctx.mod - 1))
+    key = st.tuples(st.integers(-h, h), st.integers(0, c2))
+    entries = [dict(draw(st.dictionaries(key, coeff, max_size=4))) for _ in range(4)]
+    entries[draw(st.integers(0, 3))][(h, c2)] = draw(coeff.filter(lambda v: v != (0, 0)))
+    series = [TruncSeries(ctx, e) for e in entries]
+    return mat_from_rows([series[:2], series[2:]])
+
+
+class TestLiftStep:
+    @given(_edge_matrices(), st.sampled_from(["x1", "x2", None]))
+    def test_step_matches_the_generic_product(self, X, var):
+        assert mat_eq(_lift(X, var), _lift_reference(X, var))
+
+    @pytest.mark.parametrize("lab", CASES)
+    @pytest.mark.parametrize("p, kmax", [(3, 3), (5, 2)])
+    def test_tower_matches_the_generic_product(self, lab, p, kmax):
+        case = CaseDescriptor.from_label(lab, p)
+        for k in range(1, kmax + 1):
+            sol = solve_thickened_recursion(case, k)
+            ref = [q.with_context(sol.ctx) for q in _reference_tower(case, k)]
+            assert list(sol.pairs) == ref
 
 
 class TestCaseDescriptor:
@@ -167,8 +236,6 @@ class TestVerticalRecursion:
         assert check_phi_commutation(vert.pair, two_variable=False)
 
     def test_commutation_rejects_perturbed_pair(self):
-        from endolift.windows import QuasiEndoPair
-
         case = CaseDescriptor.from_label("unr", 3)
         vert = solve_vertical_recursion(case)
         ctx = vert.pair.ctx
@@ -214,10 +281,22 @@ class TestThickenedTower:
             solve_thickened_recursion(CaseDescriptor.from_label("unr", 3), 0)
 
     def test_increment_lookup(self):
-        sol = solve_thickened_recursion(CaseDescriptor.from_label("unr", 3), 1)
-        assert sol.increment("y", 1) is sol.increments_y[1]
-        with pytest.raises(ValueError):
-            sol.increment("y", 0)
+        # derived from the reduced pairs, the increment equals the difference
+        # taken at the guarded precision and reduced afterwards
+        k = 2
+        for lab in CASES:
+            case = CaseDescriptor.from_label(lab, 3)
+            sol = solve_thickened_recursion(case, k)
+            guarded = _reference_tower(case, k)
+            for level in range(1, k + 1):
+                scale = 1 if level == 1 else 3
+                for side in ("y", "z"):
+                    hi, lo = (getattr(guarded[j], side.upper()) for j in (level, level - 1))
+                    want = mat_with_context(mat_sub(hi, mat_scale(lo, scale)), sol.ctx)
+                    assert mat_eq(sol.increment(side, level), want)
+            for side, level in (("y", 0), ("z", k + 1), ("q", 1)):
+                with pytest.raises(ValueError):
+                    sol.increment(side, level)
 
     def test_alpha_beta_are_corner_series(self):
         sol = solve_thickened_recursion(CaseDescriptor.from_label("unr", 3), 1)
