@@ -4,10 +4,15 @@ Five commands (`inventory`, `recursion`, `multiplicity`, `lattice`,
 `selfcheck`) share one report shape: a JSON object with fields
 {schema_version, command, config, rows, footers, verdicts, errata}, or a
 TSV projection of the rows.  Reports go to stdout and to a file named
-<command>.<ext> in the output directory (the ENDOLIFT_OUT_DIR environment
-variable overrides the default, which is the working directory).  Reruns
-with the same config are byte-identical: grids are walked in sorted order
-and nothing time- or host-dependent is emitted.
+<command>.<format> in the output directory (the ENDOLIFT_OUT_DIR
+environment variable overrides the default, which is the working
+directory).  Reruns with the same config are byte-identical: grids are
+walked in sorted order and nothing time- or host-dependent is emitted.
+
+Each command declares its flags and their defaults once.  A `--config`
+file may set exactly those flags, and its values pass the same choices and
+the same reader as the flags; the command line beats the file, which beats
+the default.  The report's `config` block is these resolved settings.
 
 Exit codes: 0 all selected checks pass; 1 a check failed; 2 usage error;
 3 precision or window exhaustion.
@@ -38,6 +43,9 @@ from .errors import (
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "ENDOLIFT_OUT_DIR"
 
+# what a command returns: rows, footers, verdicts, errata
+Report = Tuple[List[Dict], Dict, List[Dict], List[Dict]]
+
 SUBLATTICE_ERRATUM = (
     "classical display of the stable index-p^k sublattice puts the larger "
     "exponent on f0; operator stability forces it onto e0.  Canonical form "
@@ -47,7 +55,9 @@ SUBLATTICE_ERRATUM = (
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# settings: each flag is declared once, and one reader turns its value into
+# the setting whether it comes from the command line, the config file or
+# the command's default
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -70,78 +80,87 @@ def _parse_int_list(text: str) -> List[int]:
     return sorted(set(out))
 
 
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
+def _case_labels(choice: str) -> List[str]:
+    return ["unr", "ram"] if choice == "both" else [choice]
 
 
-def _resolve(ns, key: str, file_cfg: Dict[str, str], default):
-    """Command line beats config file beats hard default."""
-    cli_val = getattr(ns, key, None)
-    if cli_val is not None:
-        return cli_val
-    if key in file_cfg:
-        raw = file_cfg[key]
-        if isinstance(default, bool):
-            low = raw.lower()
-            if low in _TRUE_WORDS:
-                return True
-            if low in _FALSE_WORDS:
-                return False
-            raise ValueError(f"config key {key}: not a boolean: {raw!r}")
-        if isinstance(default, int):
-            return int(raw)
-        return raw
-    return default
+def _switch(value) -> bool:
+    """A switch given on the command line (True), as a default, or as a
+    config word: 1, true, yes, on or 0, false, no, off."""
+    word = str(value).lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
 
 
-# every flag, by dest; each command takes only the ones it reads, and its
-# config file may set exactly those
+# every flag, by dest: its argparse settings and its reader; each command
+# takes only the flags it reads, and its config file may set exactly those
 _FLAGS = {
-    "case": dict(choices=["unr", "ram", "both"]),
-    "p": dict(help="prime or list: 3 | 3,5 | 3..7"),
-    "c0": dict(help="conductor or list/range"),
-    "k": dict(type=int, help="tower depth"),
-    "format": dict(choices=["json", "tsv"]),
-    "precision_scale": dict(type=int, help="multiply declared p-adic precision (>= 1)"),
-    "dump": dict(action="store_const", const=True),
-    "sublattices": dict(type=int, metavar="K"),
-    "superlattices": dict(type=int, metavar="S"),
-    "appendix": dict(action="store_const", const=True),
+    "case": (dict(choices=["unr", "ram", "both"]), _case_labels),
+    "p": (dict(help="prime or list: 3 | 3,5 | 3..7"), _parse_int_list),
+    "c0": (dict(help="conductor or list/range"), _parse_int_list),
+    "k": (dict(help="tower depth"), int),
+    "format": (dict(choices=["json", "tsv"]), str),
+    "precision_scale": (dict(help="multiply declared p-adic precision (>= 1)"), int),
+    "dump": (dict(action="store_const", const=True), _switch),
+    "sublattices": (dict(metavar="K"), int),
+    "superlattices": (dict(metavar="S"), int),
+    "appendix": (dict(action="store_const", const=True), _switch),
 }
 
 
-def _add_flags(sub, *names: str) -> None:
-    names += ("format",)
-    for name in names:
-        sub.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **_FLAGS[name])
+def _add_flags(sub, fn, **defaults) -> None:
+    """Declare a command's flags with their defaults; --format is always one."""
+    defaults["format"] = "json"
+    for name in defaults:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **_FLAGS[name][0])
     sub.add_argument("--config", default=None, help="key = value file mirroring flags")
-    sub.set_defaults(config_keys=frozenset(names))
+    sub.set_defaults(fn=fn, flag_defaults=defaults)
 
 
-def _file_config(ns) -> Dict[str, str]:
-    """The `key = value` settings of the --config file, if any.  A key that
-    is not one of the command's flags is a usage error, not a silently
-    dropped setting."""
-    values: Dict[str, str] = {}
+def _file_config(ns) -> Dict[str, Tuple[str, str]]:
+    """The `key = value` settings of the --config file, each with the
+    `file:line` it came from.  A key that is not one of the command's flags,
+    or a value outside the flag's choices, is a usage error, not a silently
+    dropped or unchecked setting."""
+    values: Dict[str, Tuple[str, str]] = {}
     if not ns.config:
         return values
     with open(ns.config, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
+            where = f"{ns.config}:{lineno}"
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{ns.config}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in ns.config_keys:
-                raise ValueError(f"{ns.config}:{lineno}: {ns.command} takes no key {key!r}")
-            values[key] = value.strip()
+                raise ValueError(f"{where}: expected key = value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key not in ns.flag_defaults:
+                raise ValueError(f"{where}: {ns.command} takes no key {key!r}")
+            choices = _FLAGS[key][0].get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"{where}: {key} must be one of {choices}, not {value!r}")
+            values[key] = (value, where)
     return values
 
 
-def _case_labels(choice: str) -> List[str]:
-    return ["unr", "ram"] if choice == "both" else [choice]
+def _settings(ns) -> Dict:
+    """Each of the command's flags, read from the command line, else the
+    config file, else the default.  This is the report's `config` block."""
+    from_file = _file_config(ns)
+    settings = {}
+    for name, default in ns.flag_defaults.items():
+        value, where = getattr(ns, name), "--" + name.replace("_", "-")
+        if value is None:
+            value, where = from_file.get(name, (default, "default"))
+        try:
+            settings[name] = _FLAGS[name][1](value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +168,8 @@ def _case_labels(choice: str) -> List[str]:
 
 
 def _emit(command: str, config: Dict, rows: List[Dict], footers: Dict,
-          verdicts: List[Dict], errata: List[Dict], fmt: str) -> None:
+          verdicts: List[Dict], errata: List[Dict]) -> None:
+    fmt = config["format"]
     if fmt == "json":
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -171,8 +191,7 @@ def _emit(command: str, config: Dict, rows: List[Dict], footers: Dict,
         text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     out_dir = os.environ.get(OUT_DIR_ENV) or "."
-    ext = "json" if fmt == "json" else "tsv"
-    path = os.path.join(out_dir, f"{command}.{ext}")
+    path = os.path.join(out_dir, f"{command}.{fmt}")
     try:
         os.makedirs(out_dir, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
@@ -181,29 +200,18 @@ def _emit(command: str, config: Dict, rows: List[Dict], footers: Dict,
         print(f"warning: could not write {path}: {exc}", file=sys.stderr)
 
 
-def _exit_code(verdicts: List[Dict]) -> int:
-    return 0 if all(v["pass"] for v in verdicts) else 1
-
-
 # ---------------------------------------------------------------------------
 # inventory
 
 
-def cmd_inventory(ns) -> int:
-    file_cfg = _file_config(ns)
-    cases = _case_labels(_resolve(ns, "case", file_cfg, "both"))
-    ps = _parse_int_list(_resolve(ns, "p", file_cfg, "3"))
-    c0s = _parse_int_list(_resolve(ns, "c0", file_cfg, "1"))
-    fmt = _resolve(ns, "format", file_cfg, "json")
-    config = {"case": cases, "p": ps, "c0": c0s, "format": fmt}
-
+def cmd_inventory(config: Dict) -> Report:
     rows: List[Dict] = []
     footers: Dict = {}
     verdicts: List[Dict] = []
     errata: List[Dict] = []
-    for label in cases:
-        for p in ps:
-            for c0 in c0s:
+    for label in config["case"]:
+        for p in config["p"]:
+            for c0 in config["c0"]:
                 tag = f"{label} p={p} c0={c0}"
                 cinv = inv.component_inventory(label, p, c0)
                 for rec in cinv.records:
@@ -259,38 +267,22 @@ def cmd_inventory(ns) -> int:
                     for s in range(0, c0 + 1)
                 )
                 verdicts.append({"check": f"per-level-sums {tag}", "pass": level_ok})
-    _emit("inventory", config, rows, footers, verdicts, errata, fmt)
-    return _exit_code(verdicts)
+    return rows, footers, verdicts, errata
 
 
 # ---------------------------------------------------------------------------
 # recursion
 
 
-def cmd_recursion(ns) -> int:
-    file_cfg = _file_config(ns)
-    cases = _case_labels(_resolve(ns, "case", file_cfg, "both"))
-    ps = _parse_int_list(_resolve(ns, "p", file_cfg, "3"))
-    k = _resolve(ns, "k", file_cfg, 2)
-    scale = _resolve(ns, "precision_scale", file_cfg, 1)
-    dump = _resolve(ns, "dump", file_cfg, False)
-    fmt = _resolve(ns, "format", file_cfg, "json")
+def cmd_recursion(config: Dict) -> Report:
+    k, scale = config["k"], config["precision_scale"]
     if k < 1 or scale < 1:
         raise ValueError("need k >= 1 and precision scale >= 1")
-    config = {
-        "case": cases,
-        "p": ps,
-        "k": k,
-        "precision_scale": scale,
-        "dump": dump,
-        "format": fmt,
-    }
-
     rows: List[Dict] = []
     footers: Dict = {}
     verdicts: List[Dict] = []
-    for label in cases:
-        for p in ps:
+    for label in config["case"]:
+        for p in config["p"]:
             tag = f"{label} p={p} k={k}"
             case = win.CaseDescriptor.from_label(label, p)
             one_ctx = win.one_variable_context(p)
@@ -339,7 +331,7 @@ def cmd_recursion(ns) -> int:
                     "structure_ok": report.ok,
                 }
             )
-            if dump:
+            if config["dump"]:
                 for name, series in (("alpha", sol.alpha), ("beta", sol.beta)):
                     for (m1, m2), (ca, cb) in sorted(
                         series.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0])
@@ -362,31 +354,23 @@ def cmd_recursion(ns) -> int:
                 "beta_terms": len(sol.beta.coeffs),
                 "structure_ok": report.ok,
             }
-    _emit("recursion", config, rows, footers, verdicts, [], fmt)
-    return _exit_code(verdicts)
+    return rows, footers, verdicts, []
 
 
 # ---------------------------------------------------------------------------
 # multiplicity
 
 
-def cmd_multiplicity(ns) -> int:
-    file_cfg = _file_config(ns)
-    cases = _case_labels(_resolve(ns, "case", file_cfg, "both"))
-    ps = _parse_int_list(_resolve(ns, "p", file_cfg, "3"))
-    c0s = _parse_int_list(_resolve(ns, "c0", file_cfg, "1..2"))
-    scale = _resolve(ns, "precision_scale", file_cfg, 1)
-    fmt = _resolve(ns, "format", file_cfg, "json")
+def cmd_multiplicity(config: Dict) -> Report:
+    scale = config["precision_scale"]
     if scale < 1:
         raise ValueError("precision scale must be >= 1")
-    config = {"case": cases, "p": ps, "c0": c0s, "precision_scale": scale, "format": fmt}
-
     rows: List[Dict] = []
     verdicts: List[Dict] = []
     all_match = True
-    for label in cases:
-        for p in ps:
-            for c0 in c0s:
+    for label in config["case"]:
+        for p in config["p"]:
+            for c0 in config["c0"]:
                 if c0 < 1:
                     raise ValueError("multiplicity needs c0 >= 1")
                 tag = f"{label} p={p} c0={c0}"
@@ -411,36 +395,23 @@ def cmd_multiplicity(ns) -> int:
                 )
                 verdicts.append({"check": f"multiplicity {tag}", "pass": match})
     footers = {"grid": {"cells": len(rows), "all_match": all_match}}
-    _emit("multiplicity", config, rows, footers, verdicts, [], fmt)
-    return _exit_code(verdicts)
+    return rows, footers, verdicts, []
 
 
 # ---------------------------------------------------------------------------
 # lattice
 
 
-def cmd_lattice(ns) -> int:
-    file_cfg = _file_config(ns)
-    ps = _parse_int_list(_resolve(ns, "p", file_cfg, "3"))
-    fmt = _resolve(ns, "format", file_cfg, "json")
-    subl = _resolve(ns, "sublattices", file_cfg, -1)
-    superl = _resolve(ns, "superlattices", file_cfg, -1)
-    appendix = _resolve(ns, "appendix", file_cfg, False)
-    if subl < 0 and superl < 0 and not appendix:
-        subl, superl, appendix = 2, 1, True
-    config = {
-        "p": ps,
-        "sublattices": subl,
-        "superlattices": superl,
-        "appendix": appendix,
-        "format": fmt,
-    }
-
+def cmd_lattice(config: Dict) -> Report:
+    if config["sublattices"] < 0 and config["superlattices"] < 0 and not config["appendix"]:
+        # nothing selected: run the default suite, and echo it in the config
+        config.update(sublattices=2, superlattices=1, appendix=True)
+    subl, superl = config["sublattices"], config["superlattices"]
     rows: List[Dict] = []
     footers: Dict = {}
     verdicts: List[Dict] = []
     errata: List[Dict] = []
-    for p in ps:
+    for p in config["p"]:
         if subl >= 0:
             module = lab.standard_rank2(p, prec=max(8, subl + 2))
             parities = []
@@ -500,7 +471,7 @@ def cmd_lattice(ns) -> int:
                                 "delta": delta,
                             }
                         )
-        if appendix:
+        if config["appendix"]:
             census = lab.hodge_lift_census(p)
             rows.append(
                 {
@@ -515,8 +486,7 @@ def cmd_lattice(ns) -> int:
             verdicts.append(
                 {"check": f"hodge-lift-unique p={p}", "pass": census["both_stable"] == 1}
             )
-    _emit("lattice", config, rows, footers, verdicts, errata, fmt)
-    return _exit_code(verdicts)
+    return rows, footers, verdicts, errata
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +615,7 @@ def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
     return checks
 
 
-def cmd_selfcheck(ns) -> int:
-    file_cfg = _file_config(ns)
-    fmt = _resolve(ns, "format", file_cfg, "json")
-    config = {"format": fmt}
+def cmd_selfcheck(config: Dict) -> Report:
     checks = _selfcheck_battery()
     rows = [{"check": n, "pass": ok, "detail": detail} for n, ok, detail in checks]
     verdicts = [{"check": n, "pass": ok} for n, ok, _ in checks]
@@ -658,8 +625,7 @@ def cmd_selfcheck(ns) -> int:
             "passed": sum(1 for _, ok, _ in checks if ok),
         }
     }
-    _emit("selfcheck", config, rows, footers, verdicts, [], fmt)
-    return _exit_code(verdicts)
+    return rows, footers, verdicts, []
 
 
 # ---------------------------------------------------------------------------
@@ -673,34 +639,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("inventory", help="component tables and totals")
-    _add_flags(sub, "case", "p", "c0")
-    sub.set_defaults(fn=cmd_inventory)
-
-    sub = subs.add_parser("recursion", help="tower solutions and structure checks")
-    _add_flags(sub, "case", "p", "k", "precision_scale", "dump")
-    sub.set_defaults(fn=cmd_recursion)
-
-    sub = subs.add_parser("multiplicity", help="measured vs closed-form lengths")
-    _add_flags(sub, "case", "p", "c0", "precision_scale")
-    sub.set_defaults(fn=cmd_multiplicity)
-
-    sub = subs.add_parser("lattice", help="stable-lattice suites")
-    _add_flags(sub, "p", "sublattices", "superlattices", "appendix")
-    sub.set_defaults(fn=cmd_lattice)
-
-    sub = subs.add_parser("selfcheck", help="fast cross-check battery")
-    _add_flags(sub)
-    sub.set_defaults(fn=cmd_selfcheck)
-
+    _add_flags(subs.add_parser("inventory", help="component tables and totals"),
+               cmd_inventory, case="both", p="3", c0="1")
+    _add_flags(subs.add_parser("recursion", help="tower solutions and structure checks"),
+               cmd_recursion, case="both", p="3", k=2, precision_scale=1, dump=False)
+    _add_flags(subs.add_parser("multiplicity", help="measured vs closed-form lengths"),
+               cmd_multiplicity, case="both", p="3", c0="1..2", precision_scale=1)
+    # no suite selected (all three at their defaults) runs sublattices 2,
+    # superlattices 1 and the appendix
+    _add_flags(subs.add_parser("lattice", help="stable-lattice suites"),
+               cmd_lattice, p="3", sublattices=-1, superlattices=-1, appendix=False)
+    _add_flags(subs.add_parser("selfcheck", help="fast cross-check battery"), cmd_selfcheck)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.fn(ns)
+        config = _settings(ns)
+        rows, footers, verdicts, errata = ns.fn(config)
+        _emit(ns.command, config, rows, footers, verdicts, errata)
+        return 0 if all(v["pass"] for v in verdicts) else 1
     except (ValueError, NotAnOrder, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

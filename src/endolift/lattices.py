@@ -35,7 +35,7 @@ from .errors import (
     ShapeViolation,
     StabilityFailure,
 )
-from .witt import WittScalar, is_odd_prime, nonresidue, pair_mul, pair_sub
+from .witt import WittScalar, is_odd_prime, nonresidue, pair_inv, pair_mul, pair_sigma, pair_sub
 
 Vector = Tuple[WittScalar, ...]
 Matrix = Tuple[Vector, ...]
@@ -420,12 +420,10 @@ class _ResidueField:
         return pair_sub(x, y, self.p)
 
     def twist(self, x):
-        return (x[0], (-x[1]) % self.p)
+        return pair_sigma(x, self.p)
 
     def inv(self, x):
-        n = (x[0] * x[0] - x[1] * x[1] * self.r) % self.p
-        ninv = pow(n, self.p - 2, self.p)
-        return ((x[0] * ninv) % self.p, ((-x[1]) * ninv) % self.p)
+        return pair_inv(x, self.p, self.r, self.p)
 
     def elements(self):
         return [(a, b) for a in range(self.p) for b in range(self.p)]

@@ -76,7 +76,6 @@ __all__ = [
     "annihilator_check",
     "annihilator_report",
     "vertical_multiplicity",
-    "vertical_multiplicity_closed_form",
     "chain_default_radius",
 ]
 

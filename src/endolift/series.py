@@ -447,29 +447,13 @@ def g_series(ctx: SeriesContext, var: str = "x1", power: int = 1) -> TruncSeries
     """The square companion of f: sum over i of x^(power*p^(2i)) times
     (2 * sum_{j<i} x^(power*p^(2j)) + x^(power*p^(2i))), window-truncated.
 
-    Termwise this is exactly the in-window part of f^2.
+    This is exactly the in-window part of f^2, computed as the windowed
+    product: exponents only grow, so the product loses no in-window term,
+    and the cross exponents p^(2i) + p^(2j) are pairwise distinct, so each
+    cross coefficient is 2.
     """
-    bound = _f_bound(ctx, var)
-    step = ctx.p * ctx.p
-    powers = []
-    q = 1
-    # cross terms p^(2i) + 1 may fit even when 2*p^(2i) does not
-    while power * (q + 1) <= bound:
-        powers.append(q)
-        q *= step
-    coeffs: Dict[Key, Pair] = {}
-
-    def put(e: int, c: int):
-        if e <= bound:
-            key = (e, 0) if var == "x1" else (0, e)
-            prev = coeffs.get(key, (0, 0))
-            coeffs[key] = (prev[0] + c, prev[1])
-
-    for i, qi in enumerate(powers):
-        put(power * 2 * qi, 1)
-        for qj in powers[:i]:
-            put(power * (qi + qj), 2)
-    return TruncSeries(ctx, coeffs)
+    f = f_series(ctx, var, power)
+    return f * f
 
 
 def series_invert(u: TruncSeries) -> TruncSeries:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import endolift
-from endolift.cli import SCHEMA_VERSION, main
+from endolift.cli import SCHEMA_VERSION, build_parser, main
 from endolift.errors import ConsistencyFailure, WindowExhausted
 
 
@@ -237,6 +237,35 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main([command, flag])
         assert exc.value.code == 2
+
+    # a config value passes the same choices and reader as its flag
+    @pytest.mark.parametrize("command, line", [
+        ("selfcheck", "format = xml"), ("inventory", "case = inert"),
+        ("recursion", "dump = maybe"), ("lattice", "sublattices = two"),
+    ])
+    def test_bad_config_value_is_usage_error(self, outdir, capsys, tmp_path, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# sweep\n" + line + "\n", encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"{cfg}:2" in capsys.readouterr().err
+        assert not list(outdir.glob(command + ".*"))
+
+    # the report's config block is the command's resolved flags, no more
+    @pytest.mark.parametrize("argv", [
+        ["inventory", "--case", "unr", "--p", "3", "--c0", "1"],
+        ["recursion", "--case", "unr", "--p", "3", "--k", "1"],
+        ["multiplicity", "--case", "unr", "--p", "3", "--c0", "1"],
+        ["lattice", "--p", "3", "--sublattices", "0"],
+        ["selfcheck"],
+    ])
+    def test_config_block_keys_are_the_accepted_flags(self, outdir, capsys, argv):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        accepted = {
+            a.dest for a in commands.choices[argv[0]]._actions if a.option_strings
+        } - {"help", "config"}
+        rc, report = _run_json(capsys, argv)
+        assert rc == 0
+        assert set(report["config"]) == accepted
 
     def test_unread_config_key_is_usage_error(self, outdir, capsys, tmp_path):
         cfg = tmp_path / "typo.cfg"

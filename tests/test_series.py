@@ -278,14 +278,17 @@ def test_f_series_functional_equation(p, power):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-@pytest.mark.parametrize("power", [1, 2])
-def test_g_series_is_windowed_square_of_f(p, power):
+@pytest.mark.parametrize("var, power", [
+    ("x1", 1), ("x1", 2), ("x1", "p"), ("x2", 1), ("x2", "p"),
+], ids=["1", "2", "p", "x2-1", "x2-p"])
+def test_g_series_is_windowed_square_of_f(p, var, power):
     # compute f^2 in a wide enough box that no cross term is lost, then
     # compare the window part against g
-    wide = SeriesContext(p, 6, -(2 * p**4), 2 * p**4, 1)
-    narrow = SeriesContext(p, 6, -(p**4), p**4, 1)
-    f = f_series(wide, "x1", power)
-    g = g_series(narrow, "x1", power)
+    power = p if power == "p" else power
+    wide = SeriesContext(p, 6, -(2 * p**4), 2 * p**4, 2 * p**4 + 1)
+    narrow = SeriesContext(p, 6, -(p**4), p**4, p**4 + 1)
+    f = f_series(wide, var, power)
+    g = g_series(narrow, var, power)
     square = (f * f).with_context(narrow)
     assert g.coeffs == square.coeffs
 
