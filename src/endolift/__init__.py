@@ -5,7 +5,7 @@ Submodules:
 
 * witt       — quadratic Witt scalars mod p^N
 * series     — window-truncated two-variable series, base series f and g
-* windows    — displays, quasi-endomorphism pairs, lifting recursions
+* windows    — quasi-endomorphism pairs, lifting recursions
 * lengths    — chain-ring normal forms, quotient lengths, annihilators
 * inventory  — component bookkeeping, thresholds, closed-form totals
 * lattices   — module lattices: sublattices, superlattices, filtration lifts

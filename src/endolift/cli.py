@@ -658,6 +658,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         config = _settings(ns)
         rows, footers, verdicts, errata = ns.fn(config)
+        if not verdicts:
+            raise ValueError(f"{ns.command} with these settings checks nothing")
         _emit(ns.command, config, rows, footers, verdicts, errata)
         return 0 if all(v["pass"] for v in verdicts) else 1
     except (ValueError, NotAnOrder, OSError) as exc:

@@ -8,37 +8,29 @@ arbitrary-precision arithmetic with every division checked.
 
 from fractions import Fraction
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ConsistencyFailure, NotAnOrder
+from .witt import is_odd_prime
 
-CaseLike = Union[str, object]
 
-
-# every accepted spelling of a case label; windows.CaseDescriptor.from_label
-# parses labels through _case_label too, so both routes accept the same set
+# a case is given by one of these labels and nothing else;
+# windows.CaseDescriptor.from_label parses labels through _label too, so both
+# routes accept the same labels and primes
 _CASE_ALIASES = {"unr": "unr", "unramified": "unr", "inert": "unr", "ram": "ram", "ramified": "ram"}
 
 
-def _case_label(case: CaseLike) -> str:
-    ram = getattr(case, "ramified", None)
-    if ram is not None:
-        return "ram" if ram else "unr"
+def _label(case: str, p: int, c0: int = 0) -> str:
+    """The canonical label of `case`, once p is known to be an odd prime and
+    the conductor c0 to be at least 0; every entry point starts here."""
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if c0 < 0:
+        raise ValueError(f"the conductor must be at least 0, got c0 = {c0}")
     label = _CASE_ALIASES.get(case) if isinstance(case, str) else None
     if label is None:
         raise ValueError(f"unknown case {case!r}")
     return label
-
-
-def _case_p(case: CaseLike, p: Optional[int]) -> int:
-    got = getattr(case, "p", None)
-    if got is not None:
-        if p is not None and p != got:
-            raise ValueError("conflicting primes")
-        return got
-    if p is None:
-        raise ValueError("a prime is required when the case is given by label")
-    return p
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -58,7 +50,7 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def conductor(tr: int, nm: int, case: CaseLike, p: Optional[int] = None) -> int:
+def conductor(tr: int, nm: int, case: str, p: int) -> int:
     """Conductor exponent of the order generated by an element with the
     given trace and norm.
 
@@ -66,8 +58,7 @@ def conductor(tr: int, nm: int, case: CaseLike, p: Optional[int] = None) -> int:
     exceeds the valuation of the field discriminant by twice the conductor,
     and that excess must be even.
     """
-    label = _case_label(case)
-    p = _case_p(case, p)
+    label = _label(case, p)
     disc = tr * tr - 4 * nm
     v = _vp(disc, p)
     unit = disc // p**v
@@ -82,10 +73,9 @@ def conductor(tr: int, nm: int, case: CaseLike, p: Optional[int] = None) -> int:
     return (v - field_v) // 2
 
 
-def unit_index(case: CaseLike, t: int, s: int, p: Optional[int] = None) -> int:
+def unit_index(case: str, t: int, s: int, p: int) -> int:
     """Index of the level-s unit subgroup inside the level-t one."""
-    label = _case_label(case)
-    p = _case_p(case, p)
+    label = _label(case, p)
     if not 0 <= t <= s:
         raise ValueError("need 0 <= t <= s")
     if t == s:
@@ -95,44 +85,36 @@ def unit_index(case: CaseLike, t: int, s: int, p: Optional[int] = None) -> int:
     return p ** (s - t)
 
 
-def keating_threshold(case: CaseLike, k: int, p: Optional[int] = None) -> int:
+def keating_threshold(case: str, k: int, p: int) -> int:
     """The threshold a(k) (unramified) or b(k) = p^k + a(k) (ramified)."""
-    label = _case_label(case)
-    p = _case_p(case, p)
+    label = _label(case, p)
     if k < 0:
         raise ValueError("negative level")
     a = _exact_div((p + 1) * (p**k - 1), p - 1)
     return a if label == "unr" else p**k + a
 
 
-def endo_order_level(case: CaseLike, s: int, k: int, p: Optional[int] = None) -> int:
+def endo_order_level(case: str, s: int, k: int, p: int) -> int:
     """Conductor of the largest order still lifting at Artinian level k.
 
     The step function of the threshold table: the smallest j with
     k <= threshold(j), capped at the quasi-canonical level s.
     """
-    p = _case_p(case, p)
+    label = _label(case, p)
     j = 0
-    while j < s and k > keating_threshold(case, j, p):
+    while j < s and k > keating_threshold(label, j, p):
         j += 1
     return j
 
 
-def intersection_number(
-    case: CaseLike,
-    kind: str,
-    s: int,
-    t: Optional[int] = None,
-    p: Optional[int] = None,
-) -> int:
+def intersection_number(case: str, kind: str, s: int, t: Optional[int], p: int) -> int:
     """Intersection number of one proper horizontal component.
 
     Standard components meet the base locus in 1 + threshold(t) where t is
     the orbit level; nonstandard ones (ramified case, p odd) always meet it
     transversally.
     """
-    label = _case_label(case)
-    p = _case_p(case, p)
+    label = _label(case, p)
     if kind == "horizontal-nonstandard":
         if label != "ram":
             raise ValueError("nonstandard components only exist in the ramified case")
@@ -146,6 +128,8 @@ def intersection_number(
 
 def vertical_multiplicity_closed_form(p: int, c0: int) -> int:
     """2*p^(c0-1) + 4*p^(c0-2) + ... + (2*c0)*p^0; zero when c0 = 0."""
+    if c0 < 0:
+        raise ValueError(f"the conductor must be at least 0, got c0 = {c0}")
     return sum(2 * (j + 1) * p ** (c0 - 1 - j) for j in range(c0))
 
 
@@ -194,7 +178,7 @@ class ComponentInventory:
         )
 
 
-def component_inventory(case: CaseLike, p: Optional[int] = None, c0: int = 0) -> ComponentInventory:
+def component_inventory(case: str, p: int, c0: int = 0) -> ComponentInventory:
     """Enumerate every irreducible-component class at conductor c0.
 
     Per level s: one improper standard component (the identity orbit), the
@@ -203,8 +187,7 @@ def component_inventory(case: CaseLike, p: Optional[int] = None, c0: int = 0) ->
     components, all of multiplicity one.  For c0 > 0 there are additionally
     two vertical components carrying the whole multiplicity of the fiber.
     """
-    label = _case_label(case)
-    p = _case_p(case, p)
+    label = _label(case, p, c0)
     records: List[ComponentRecord] = []
     for s in range(c0 + 1):
         records.append(
@@ -238,9 +221,8 @@ def component_inventory(case: CaseLike, p: Optional[int] = None, c0: int = 0) ->
     return ComponentInventory(label, p, c0, tuple(records))
 
 
-def total_proper_closed_form(case: CaseLike, p: Optional[int] = None, c0: int = 0) -> int:
-    label = _case_label(case)
-    p = _case_p(case, p)
+def total_proper_closed_form(case: str, p: int, c0: int = 0) -> int:
+    label = _label(case, p, c0)
     if label == "unr":
         return c0 * (
             _exact_div(p ** (c0 + 1) - 1, p - 1) + _exact_div(p**c0 - 1, p - 1)
@@ -248,7 +230,7 @@ def total_proper_closed_form(case: CaseLike, p: Optional[int] = None, c0: int = 
     return (2 * c0 + 1) * _exact_div(p ** (c0 + 1) - 1, p - 1)
 
 
-def total_proper_intersection(case: CaseLike, p: Optional[int] = None, c0: int = 0) -> int:
+def total_proper_intersection(case: str, p: int, c0: int = 0) -> int:
     """Total proper intersection, assembled from the inventory and checked
     against the closed form."""
     inv = component_inventory(case, p, c0)
@@ -266,11 +248,10 @@ def total_proper_intersection(case: CaseLike, p: Optional[int] = None, c0: int =
 # proof-level per-level sums and the displayed closed forms
 
 
-def per_level_proper_sum(case: CaseLike, s: int, p: Optional[int] = None) -> int:
+def per_level_proper_sum(case: str, s: int, p: int) -> int:
     """Sum of intersection numbers over the proper standard orbits at one
     level, straight from the inventory rows."""
-    label = _case_label(case)
-    p = _case_p(case, p)
+    label = _label(case, p)
     total = 0
     for t in range(s):
         count = unit_index(label, t, s, p) - unit_index(label, t + 1, s, p)
@@ -278,10 +259,9 @@ def per_level_proper_sum(case: CaseLike, s: int, p: Optional[int] = None) -> int
     return total
 
 
-def per_level_proper_sum_closed_form(case: CaseLike, s: int, p: Optional[int] = None) -> int:
+def per_level_proper_sum_closed_form(case: str, s: int, p: int) -> int:
     """The proof-level expression for the same per-level sum."""
-    label = _case_label(case)
-    p = _case_p(case, p)
+    label = _label(case, p)
     if s == 0:
         return 0
     if label == "unr":
@@ -293,15 +273,14 @@ def per_level_proper_sum_closed_form(case: CaseLike, s: int, p: Optional[int] = 
     return 2 * s * p**s - _exact_div(2 * p**s - 2, p - 1)
 
 
-def displayed_corollary_value(case: CaseLike, p: Optional[int] = None, c0: int = 0) -> Fraction:
+def displayed_corollary_value(case: str, p: int, c0: int = 0) -> Fraction:
     """The printed closed form for the proper-horizontal intersection sum.
 
     Returned as an exact fraction: the ramified display does not even
     evaluate to the assembled total (see displayed_corollary_report), and
     trusting it silently would poison the grand totals.
     """
-    label = _case_label(case)
-    p = _case_p(case, p)
+    label = _label(case, p, c0)
     if label == "unr":
         num = -4 * p * (p**c0 - 1) + 2 * c0 * (p - 1) + c0 * p**c0 * (p * p - 1)
         return Fraction(num, (p - 1) ** 2)
@@ -310,15 +289,14 @@ def displayed_corollary_value(case: CaseLike, p: Optional[int] = None, c0: int =
     )
 
 
-def displayed_corollary_report(case: CaseLike, p: Optional[int] = None, c0: int = 0) -> Dict[str, object]:
+def displayed_corollary_report(case: str, p: int, c0: int = 0) -> Dict[str, object]:
     """Compare the printed closed form against the assembled per-level sums.
 
     The unramified display agrees; the ramified display comes out negative
     (already at p=3, c0=1 it gives -22 against an assembled 8), so the
     assembled value is authoritative and the display is flagged.
     """
-    label = _case_label(case)
-    p = _case_p(case, p)
+    label = _label(case, p, c0)
     inv = component_inventory(label, p, c0)
     assembled = inv.horizontal_proper_intersection()
     displayed = displayed_corollary_value(label, p, c0)
@@ -336,10 +314,9 @@ def displayed_corollary_report(case: CaseLike, p: Optional[int] = None, c0: int 
 # degrees and special-fiber lengths
 
 
-def level_degree(case: CaseLike, k: int, p: Optional[int] = None) -> int:
+def level_degree(case: str, k: int, p: int) -> int:
     """Degree of the level-k quasi-canonical layer over the base."""
-    label = _case_label(case)
-    p = _case_p(case, p)
+    label = _label(case, p)
     if k < 0:
         raise ValueError("negative level")
     if label == "unr":
@@ -347,46 +324,9 @@ def level_degree(case: CaseLike, k: int, p: Optional[int] = None) -> int:
     return 2 * p**k
 
 
-def special_fiber_length(case: CaseLike, p: Optional[int] = None, c0: int = 0) -> int:
+def special_fiber_length(case: str, p: int, c0: int = 0) -> int:
     """Length of the mod-p fiber of the one-variable deformation ring."""
-    label = _case_label(case)
-    p = _case_p(case, p)
+    label = _label(case, p, c0)
     if label == "unr":
         return 2 * _exact_div(p**c0 - 1, p - 1) + p**c0
     return 2 * _exact_div(p ** (c0 + 1) - 1, p - 1)
-
-
-# ---------------------------------------------------------------------------
-# order descriptions
-
-
-@dataclass(frozen=True)
-class QuadraticOrderDesc:
-    """A quadratic order given by its case and conductor, optionally
-    remembering the trace and norm of a defining element."""
-
-    case: str
-    p: int
-    c0: int
-    gamma: Optional[Tuple[int, int]] = None  # (trace, norm)
-
-    def __post_init__(self):
-        object.__setattr__(self, "case", _case_label(self.case))
-        if self.c0 < 0:
-            raise ValueError("negative conductor")
-        if self.gamma is not None:
-            tr, nm = self.gamma
-            got = conductor(tr, nm, self.case, self.p)
-            if got != self.c0:
-                raise ConsistencyFailure(
-                    f"declared conductor {self.c0} but the element has {got}"
-                )
-
-    @classmethod
-    def from_gamma(cls, tr: int, nm: int, case: CaseLike, p: Optional[int] = None) -> "QuadraticOrderDesc":
-        """The order Z_p[gamma] generated by the endomorphism gamma that is
-        to be deformed, given by its trace and norm; its c0 is the paper's
-        conductor of gamma, which indexes the component inventory."""
-        label = _case_label(case)
-        p = _case_p(case, p)
-        return cls(label, p, conductor(tr, nm, label, p), (tr, nm))

@@ -134,9 +134,6 @@ class SeriesContext:
     def in_window(self, m1: int, m2: int) -> bool:
         return self.lo1 <= m1 <= self.hi1 and 0 <= m2 < self.cap2
 
-    def scalar(self, n: int = 0, w: int = 0) -> WittScalar:
-        return WittScalar(self.p, self.prec, n, w)
-
     def weakened(self, *, prec=None, lo1=None, hi1=None, cap2=None) -> "SeriesContext":
         """A context with some truncation data replaced (used for reductions)."""
         return SeriesContext(
@@ -257,13 +254,6 @@ class TruncSeries:
         if len(self.coeffs) > 6:
             terms.append(f"... ({len(self.coeffs)} terms)")
         return "TruncSeries(" + (" + ".join(terms) if terms else "0") + ")"
-
-    def dump(self) -> str:
-        """Full sorted term list, one term per line (stable; used by --dump)."""
-        lines = []
-        for (m1, m2), (a, b) in sorted(self.coeffs.items()):
-            lines.append(f"x1^{m1} x2^{m2}: {a} + {b}w")
-        return "\n".join(lines) if lines else "0"
 
     def _check(self, other: "TruncSeries"):
         if self.ctx != other.ctx:

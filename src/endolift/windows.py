@@ -1,4 +1,4 @@
-"""Displays and window-lifting recursions for quasi-endomorphism pairs.
+"""Window-lifting recursions for quasi-endomorphism pairs.
 
 The moving parts:
 
@@ -6,8 +6,6 @@ The moving parts:
 * `CaseDescriptor` — which quadratic setting we are in (inert or ramified
   generator), together with the four structural parameters (a, b, c, d) kept
   as exact integer pairs so they materialize at any precision;
-* universal displays in one and two variables, their specializations, and the
-  leading minor ideal read off from them;
 * one lifting step, M(x) * sigma(X) * adj M(x) with M(x) = [[x, p], [1, 0]],
   shared by the one-variable fixed-point solve and the two-variable tower;
 * the closed form of the one-variable solve, and the tower, which stores its
@@ -28,20 +26,15 @@ from .errors import (
     PrecisionExhausted,
     StructureViolation,
 )
-from .inventory import _case_label
+from .inventory import _label
 from .series import SeriesContext, TruncSeries, f_series, g_series
 from .witt import WittScalar
 
 __all__ = [
     "CaseDescriptor",
-    "DisplayingMatrix",
     "QuasiEndoPair",
-    "HasseWittIdeal",
     "ThickenedSolution",
     "VerticalSolution",
-    "universal_display",
-    "tensor_square_embedding",
-    "hasse_witt_ideal",
     "gamma_matrix",
     "integrality_predicate",
     "closed_form_vertical_pair",
@@ -138,7 +131,7 @@ class CaseDescriptor:
     The four parameters are exact integer pairs (n, m) standing for n + m*w;
     they materialize at any precision on demand.  For the inert case the
     generator acts through (a, 0, 0, d) with a - d a unit; for the ramified
-    case through (0, b, sigma(b), 0) with b a unit.
+    case through (0, b, sigma(b), 0) with b = sigma(b) = 1.
     """
 
     p: int
@@ -154,12 +147,12 @@ class CaseDescriptor:
         return cls(p, False, (0, 1), (0, 0), (0, 0), (0, -1))
 
     @classmethod
-    def ramified_case(cls, p: int, b: Pair = (1, 0)) -> "CaseDescriptor":
-        return cls(p, True, (0, 0), b, (b[0], -b[1]), (0, 0))
+    def ramified_case(cls, p: int) -> "CaseDescriptor":
+        return cls(p, True, (0, 0), (1, 0), (1, 0), (0, 0))
 
     @classmethod
     def from_label(cls, label: str, p: int) -> "CaseDescriptor":
-        return cls.ramified_case(p) if _case_label(label) == "ram" else cls.unramified(p)
+        return cls.ramified_case(p) if _label(label, p) == "ram" else cls.unramified(p)
 
     @property
     def label(self) -> str:
@@ -186,122 +179,6 @@ class CaseDescriptor:
 
         sq = nonresidue(self.p) if not self.ramified else self.p
         return (2 * s, s * s - t * t * sq)
-
-
-# ---------------------------------------------------------------------------
-# universal displays and the leading minor ideal
-
-
-@dataclass(frozen=True)
-class DisplayingMatrix:
-    """A square display over a series context (columns are inputs)."""
-
-    ctx: SeriesContext
-    entries: Mat
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    def specialize_zero(self) -> "DisplayingMatrix":
-        """Set every deformation variable to zero: the display of the closed
-        point of the deformation space, i.e. of the supersingular group
-        being deformed."""
-        out = mat_map(self.entries, lambda e: TruncSeries(
-            self.ctx, {k: v for k, v in e.coeffs.items() if k == (0, 0)}
-        ))
-        return DisplayingMatrix(self.ctx, out)
-
-
-def universal_display(p: int, nvars: int, ctx: Optional[SeriesContext] = None) -> DisplayingMatrix:
-    """The universal display: 2x2 for one variable, 4x4 for two."""
-    if ctx is None:
-        ctx = SeriesContext(p, 2, -4, 4, 4 if nvars == 2 else 1)
-    zero = TruncSeries.zero(ctx)
-    one = TruncSeries.one(ctx)
-    x1 = TruncSeries.variable(ctx, "x1")
-    if nvars == 1:
-        rows = [[x1, one], [one, zero]]
-    elif nvars == 2:
-        x2 = TruncSeries.variable(ctx, "x2")
-        rows = [
-            [zero, x1, zero, one],
-            [x2, zero, one, zero],
-            [zero, one, zero, zero],
-            [one, zero, zero, zero],
-        ]
-    else:
-        raise ValueError("nvars must be 1 or 2")
-    return DisplayingMatrix(ctx, mat_from_rows(rows))
-
-
-def tensor_square_embedding(d: DisplayingMatrix) -> DisplayingMatrix:
-    """Blockwise substitution a_ij -> a_ij * S with S the 2x2 flip.
-
-    Doubling a one-variable display this way lands exactly on the diagonal
-    specialization of the two-variable display.
-    """
-    if d.dimension != 2:
-        raise ValueError("tensor embedding starts from a 2x2 display")
-    ctx = d.ctx
-    z = TruncSeries.zero(ctx)
-    S = ((z, TruncSeries.one(ctx)), (TruncSeries.one(ctx), z))
-    n = 4
-    entries = [[z for _ in range(n)] for _ in range(n)]
-    for i in range(2):
-        for j in range(2):
-            for u in range(2):
-                for v in range(2):
-                    entries[2 * i + u][2 * j + v] = d.entries[i][j] * S[u][v]
-    return DisplayingMatrix(ctx, mat_from_rows(entries))
-
-
-@dataclass(frozen=True)
-class HasseWittIdeal:
-    """The ideal (p, generator) cut out by the leading minor of a display."""
-
-    p: int
-    generator: TruncSeries
-
-    def __repr__(self):
-        gen = "0" if self.generator.is_zero() else self.generator.dump().replace("\n", ", ")
-        return f"HasseWittIdeal(p={self.p}, gen=[{gen}])"
-
-
-def _det2(A: Mat) -> TruncSeries:
-    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-
-
-def hasse_witt_ideal(display: DisplayingMatrix) -> HasseWittIdeal:
-    """Determinant of the upper-left half-size block, leading-unit normalized."""
-    n = display.dimension
-    if n % 2:
-        raise ValueError("display dimension must be even")
-    h = n // 2
-    block = tuple(tuple(display.entries[i][j] for j in range(h)) for i in range(h))
-    if h == 1:
-        det = block[0][0]
-    elif h == 2:
-        det = _det2(block)
-    else:
-        raise ValueError("only 2x2 and 4x4 displays are supported")
-    ctx = display.ctx
-    if det.is_zero():
-        return HasseWittIdeal(ctx.p, det)
-    # normalize: scale by the inverse of the first unit coefficient in
-    # (total degree, m1) order, so x1*x2-shaped generators come out monic
-    best = None
-    for (m1, m2), pair in det.coeffs.items():
-        if pair[0] % ctx.p or pair[1] % ctx.p:
-            key = (m1 + m2, m1, m2)
-            if best is None or key < best[0]:
-                best = (key, pair)
-    if best is not None:
-        from .witt import pair_inv
-
-        inv = pair_inv(best[1], ctx.p, ctx.r, ctx.mod)
-        det = det.scale(inv)
-    return HasseWittIdeal(ctx.p, det)
 
 
 # ---------------------------------------------------------------------------

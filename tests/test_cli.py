@@ -223,6 +223,17 @@ class TestArgumentErrors:
         rc = main(["multiplicity", "--p", "three"])
         assert rc == 2
 
+    # values the inventory cannot take, and a run that would check nothing
+    @pytest.mark.parametrize("argv", [
+        ["inventory", "--p", "4", "--c0", "1"],
+        ["inventory", "--case", "unr", "--c0", "-1"],
+        ["lattice", "--superlattices", "0"],
+    ])
+    def test_out_of_domain_run_is_usage_error(self, outdir, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not list(outdir.glob(argv[0] + ".*"))
+
     # every flag a command used to accept and then ignore
     @pytest.mark.parametrize("command, flag", [
         ("inventory", "--k=1"), ("inventory", "--precision-scale=2"), ("inventory", "--dump"),

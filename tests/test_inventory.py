@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from endolift.errors import ConsistencyFailure, NotAnOrder
+from endolift.errors import NotAnOrder
 from endolift.inventory import (
-    QuadraticOrderDesc,
     component_inventory,
     conductor,
     displayed_corollary_report,
@@ -144,6 +143,10 @@ class TestVerticalClosedForm:
         assert vertical_multiplicity_closed_form(5, 2) == 14
         assert vertical_multiplicity_closed_form(7, 1) == 2
 
+    def test_negative_conductor_is_refused(self):
+        with pytest.raises(ValueError):
+            vertical_multiplicity_closed_form(3, -1)
+
     @given(st.sampled_from([3, 5, 7, 11]), st.integers(0, 6))
     def test_matches_explicit_sum(self, p, c0):
         explicit = 0
@@ -157,6 +160,12 @@ class TestInventory:
         assert component_inventory("unr", 3, 1).total_proper() == 5
         assert component_inventory("unr", 3, 2).total_proper() == 34
         assert component_inventory("ram", 3, 1).total_proper() == 12
+
+    # p = 4 is not an odd prime, and a conductor is never negative
+    @pytest.mark.parametrize("p, c0", [(4, 1), (3, -1)])
+    def test_out_of_domain_input_is_refused(self, p, c0):
+        with pytest.raises(ValueError):
+            component_inventory("unr", p, c0)
 
     def test_conductor_zero_has_no_proper_components(self):
         inv = component_inventory("unr", 3, 0)
@@ -229,25 +238,3 @@ class TestDegrees:
         degrees = [level_degree("unr", k, 3) for k in range(3)]
         assert degrees == [1, 4, 12]
         assert special_fiber_length("unr", 3, 2) == sum(degrees)
-
-
-class TestQuadraticOrderDesc:
-    def test_from_gamma(self):
-        # 2 + 3w at p = 3: trace 4, norm 4 - 9r
-        from endolift.witt import nonresidue
-
-        r = nonresidue(3)
-        desc = QuadraticOrderDesc.from_gamma(4, 4 - 9 * r, "unr", 3)
-        assert desc.c0 == 1
-        assert desc.gamma == (4, 4 - 9 * r)
-
-    def test_declared_conductor_is_checked(self):
-        from endolift.witt import nonresidue
-
-        r = nonresidue(3)
-        with pytest.raises(ConsistencyFailure):
-            QuadraticOrderDesc("unr", 3, 2, (4, 4 - 9 * r))
-
-    def test_negative_conductor_rejected(self):
-        with pytest.raises(ValueError):
-            QuadraticOrderDesc("unr", 3, -1)

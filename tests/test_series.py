@@ -316,9 +316,3 @@ def test_series_invert_rejects_nonunit():
     with pytest.raises(Exception):
         series_invert(x1)
 
-
-def test_dump_is_readable():
-    ctx = SeriesContext(3, 3, 0, 5, 2)
-    s = TruncSeries(ctx, {(1, 0): (2, 0), (0, 1): (0, 1)})
-    text = s.dump()
-    assert "x1" in text and "x2" in text

@@ -105,3 +105,14 @@ def test_benchmark_probes_resolve_in_the_package():
         if not callable(owner):
             missing.append(f"{module}.{target}")
     assert not missing, f"benchmark probes with no target: {missing}"
+
+
+def test_every_all_entry_resolves():
+    # a stale __all__ entry breaks `from endolift.<module> import *` and
+    # nothing else would notice
+    names = ["endolift"] + [f"endolift.{path.stem}" for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    missing = []
+    for name in names:
+        module = importlib.import_module(name)
+        missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"__all__ entries with no attribute: {missing}"

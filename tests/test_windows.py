@@ -1,4 +1,4 @@
-"""Tests for case descriptors, displays, and the lifting recursions."""
+"""Tests for case descriptors and the lifting recursions."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +12,6 @@ from endolift.windows import (
     check_phi_commutation,
     closed_form_vertical_pair,
     gamma_matrix,
-    hasse_witt_ideal,
     integrality_predicate,
     mat_divide_exact,
     mat_eq,
@@ -29,8 +28,6 @@ from endolift.windows import (
     solve_vertical_recursion,
     structure_check,
     structure_epsilon_degree,
-    tensor_square_embedding,
-    universal_display,
 )
 from endolift.witt import WittScalar
 from endolift.inventory import conductor, total_proper_intersection
@@ -179,34 +176,6 @@ class TestIntegralityPredicate:
         c = CaseDescriptor.from_label("unr", 3)
         assert not integrality_predicate(*c.with_gamma(2, 1).param_scalars(8))
         assert integrality_predicate(*c.with_gamma(2, 3).param_scalars(8))
-
-
-class TestDisplays:
-    def test_universal_display_shapes(self):
-        assert universal_display(3, 1).dimension == 2
-        assert universal_display(3, 2).dimension == 4
-
-    def test_hasse_witt_one_variable(self):
-        ideal = hasse_witt_ideal(universal_display(3, 1))
-        gen = ideal.generator
-        assert gen.support() == [(1, 0)]
-        assert gen.coeffs[(1, 0)] == (1, 0)
-
-    def test_hasse_witt_two_variable(self):
-        ideal = hasse_witt_ideal(universal_display(3, 2))
-        gen = ideal.generator
-        assert gen.support() == [(1, 1)]
-        assert gen.coeffs[(1, 1)] == (1, 0)
-
-    def test_specialize_zero_drops_variables(self):
-        d = universal_display(3, 2).specialize_zero()
-        for row in d.entries:
-            for entry in row:
-                for (m1, m2) in entry.support():
-                    assert m1 == 0 and m2 == 0
-
-    def test_tensor_square_embedding_dimension(self):
-        assert tensor_square_embedding(universal_display(3, 1)).dimension == 4
 
 
 class TestVerticalRecursion:
