@@ -158,7 +158,7 @@ def _dense(coeffs: Dict[int, Pair], e0: int, g: int, n: int) -> Tuple[List[int],
 
 
 def _mul_packed(left: Dict[int, Pair], right: Dict[int, Pair], r: int, mod: int, lo: int, hi: int) -> Dict[int, Pair]:
-    """Kronecker substitution: the same product from three big-int products.
+    """Kronecker substitution: the same product from at most three big-int products.
 
     Both supports are divided by the common stride g of their exponent
     offsets and each coefficient list is packed into one integer with a
@@ -168,6 +168,12 @@ def _mul_packed(left: Dict[int, Pair], right: Dict[int, Pair], r: int, mod: int,
     work.  A slot holds at most min(n1, n2) terms of at most 2(mod-1)^2 (the
     subtraction is exact, so the cross sums are the bound); slots wider than
     8 bytes take the loop instead.
+
+    Karatsuba's third product pays only when all four packed parts are
+    nonzero.  When one of them is zero, A*D + B*C has at most one nonzero
+    term and is computed as it stands, with the same slot bound; when B*D
+    and the cross sums are both zero (a-only operands, as in the ramified
+    cells), only the a-slots are unpacked.
     """
     l0, r0 = min(left), min(right)
     g = gcd(*(e - l0 for e in left), *(e - r0 for e in right)) or 1
@@ -186,7 +192,10 @@ def _mul_packed(left: Dict[int, Pair], right: Dict[int, Pair], r: int, mod: int,
     ra, rb = map(pack, _dense(right, r0, g, n2))
     aa = la * ra
     bb = lb * rb
-    cross = (la + lb) * (ra + rb) - aa - bb
+    if la and lb and ra and rb:
+        cross = (la + lb) * (ra + rb) - aa - bb
+    else:
+        cross = la * rb + lb * ra
     # keep only the slots whose exponent e0 + g*k lies in [lo, hi]
     e0 = l0 + r0
     first = max(0, -((e0 - lo) // g))
@@ -202,6 +211,13 @@ def _mul_packed(left: Dict[int, Pair], right: Dict[int, Pair], r: int, mod: int,
 
     out = {}
     e = e0 + first * g
+    if not (bb or cross):
+        for sa in unpack(aa):
+            a = sa % mod
+            if a:
+                out[e] = (a, 0)
+            e += g
+        return out
     for sa, sb, sc in zip(unpack(aa), unpack(bb), unpack(cross)):
         a = (sa + r * sb) % mod
         b = sc % mod
@@ -317,7 +333,7 @@ class ChainScalar:
         self._check(other)
         ctx = self.ctx
         left, right = self.coeffs, other.coeffs
-        # a zero operand is its own product (most calls in chain_snf)
+        # a zero operand is its own product
         if not left:
             return self
         if not right:
@@ -391,12 +407,11 @@ class ChainPresentation:
                 cols.append(_shift_column(beta_slices, t, m))
         else:
             # generators of the maximal-ideal multiple: p*v and x2*v for v in
-            # {alpha, beta}, each with all x2-shifts (duplicates are harmless)
-            p_alpha = [s.scale_int(ctx.p) for s in alpha_slices]
-            p_beta = [s.scale_int(ctx.p) for s in beta_slices]
-            for t in range(m):
-                cols.append(_shift_column(p_alpha, t, m))
-                cols.append(_shift_column(p_beta, t, m))
+            # {alpha, beta}, each with all x2-shifts.  p*x2^t*v for t >= 1 is
+            # p times the column x2^t*v below, and scale_int commutes with the
+            # window filter, so only t = 0 of p*v adds to the span
+            cols.append(_shift_column([s.scale_int(ctx.p) for s in alpha_slices], 0, m))
+            cols.append(_shift_column([s.scale_int(ctx.p) for s in beta_slices], 0, m))
             for t in range(1, m):
                 cols.append(_shift_column(alpha_slices, t, m))
                 cols.append(_shift_column(beta_slices, t, m))
@@ -512,7 +527,9 @@ def chain_snf(
             if t.is_zero():
                 continue
             tq = t.divide_p_power(e)
-            work[i] = [zero] + [unit * a - tq * b for a, b in zip(work[i][1:], row0[1:])]
+            # a zero entry on either side contributes nothing to its product
+            work[i] = [zero] + [(unit * a if a.coeffs else a) - (tq * b if b.coeffs else b)
+                                for a, b in zip(work[i][1:], row0[1:])]
         # the column pass clears the pivot row, which is dropped below, so its
         # entries are never built; below it column 0 is now zero, so the
         # column operation u*col_j - (t/p^e)*col_0 is the unit scaling alone
@@ -532,7 +549,8 @@ def chain_snf(
             # and so has a query that passed the test above: t/p^e exists,
             # and the pivot-row entry u*t - (t/p^e)*pivot it clears is zero
             for i in range(1, len(work)):
-                work[i][j] = unit * work[i][j]
+                if work[i][j].coeffs:
+                    work[i][j] = unit * work[i][j]
         exps.append(min(e, M))
         n -= 1
         work = [row[1:] for row in work[1:]]
@@ -798,12 +816,17 @@ def annihilator_report(
     Each model is eliminated once, with its monomials as passive query
     columns of `chain_snf`.  Without an explicit chain_radius the whole
     table goes through the same confirm-or-raise window driver as the
-    lengths: it is recomputed at doubled radii until it repeats, starting
-    from the radius at which the plain length of the official model
-    stabilizes, and raises WindowExhausted if no two radii agree below the
-    ceiling.  A pinned chain_radius below that anchor is a probe of the
-    truncated model, not a table of the module: there the passive decision
-    and a comparison of lengths can differ.
+    lengths: it is recomputed at doubled radii until it repeats, and raises
+    WindowExhausted if no two radii agree below the ceiling.  The anchor is
+    the radius at which the plain length of the official model stabilizes;
+    smaller windows can agree with each other while both are still
+    distorted.  The table loop starts at anchor // 2: the anchor is a
+    confirming radius, so anchor // 2 is never below the default radius and
+    its official exponents are the stable ones.  The table is thus confirmed
+    at the anchor by two consecutive radii that both carry the stable
+    official exponents.  A pinned chain_radius below anchor // 2 is a probe
+    of the truncated model, not a table of the module: there the passive
+    decision and a comparison of lengths can differ.
     """
     p = case.p
     # one tower solve serves both models: the official one (cap p^k) reads
@@ -845,12 +868,10 @@ def annihilator_report(
 
     if chain_radius is not None:
         return table_at(chain_radius)
-    # anchor where the official model's exponents (its plain length) have
-    # already stabilized; smaller windows can agree with each other while both
-    # are still distorted.  Passive queries never move the active pivots, and
-    # the cache hands the anchor's elimination on to table_at(anchor)
+    # passive queries never move the active pivots, and the cache hands the
+    # official eliminations at anchor // 2 and anchor on to the table loop
     anchor, _ = _stabilize(lambda r: official(r)[0], chain_default_radius(p, k), p, k)
-    return _stabilize(table_at, anchor, p, k)[1]
+    return _stabilize(table_at, anchor // 2, p, k)[1]
 
 
 def annihilator_check(case: CaseDescriptor, k: int, **kwargs) -> bool:

@@ -364,13 +364,6 @@ class TruncSeries:
                 out[(n1, n2)] = pair_sigma(v, mod)
         return TruncSeries(ctx, out, _clean=True)
 
-    def substitute_x2_zero(self) -> "TruncSeries":
-        return TruncSeries(
-            self.ctx,
-            {k: v for k, v in self.coeffs.items() if k[1] == 0},
-            _clean=True,
-        )
-
     def substitute_x1_zero(self) -> "TruncSeries":
         return TruncSeries(
             self.ctx,
