@@ -30,12 +30,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     ConsistencyFailure,
-    InexactDivision,
     PrecisionTooLow,
     ShapeViolation,
     StabilityFailure,
 )
-from .witt import WittScalar, is_odd_prime, nonresidue, pair_inv, pair_mul, pair_sigma, pair_sub
+from .witt import WittScalar, is_odd_prime, nonresidue, pair_inv, pair_mul, pair_sigma, pair_sub, pair_val
 
 Vector = Tuple[WittScalar, ...]
 Matrix = Tuple[Vector, ...]
@@ -52,9 +51,14 @@ class SemilinearModule:
     Operator matrices act by columns: the image of basis vector j is column
     j.  Application twists the coordinates first, then multiplies; sigma is
     an involution on the quadratic scalars, so both twists are sigma itself.
+
+    The operators are fixed at construction.  Internally coordinates are raw
+    (a, b) pairs reduced modulo p^prec, and each operator keeps only its
+    nonzero entries; WittScalars appear only in what the public methods take
+    and return, and every such vector is checked against the module there.
     """
 
-    __slots__ = ("p", "prec", "rank", "F", "V", "actions", "label")
+    __slots__ = ("p", "prec", "rank", "F", "V", "actions", "label", "_mod", "_r", "_ops")
 
     def __init__(self, p, prec, rank, F, V, actions, label):
         self.p = p
@@ -64,6 +68,16 @@ class SemilinearModule:
         self.V = V
         self.actions = dict(actions)
         self.label = label
+        self._mod = p**prec
+        self._r = nonresidue(p)
+        # (name, matrix, twist, sparse rows), cheap-to-fail linear actions
+        # first; V is kept only when its matrix differs from F's: both act
+        # with the twist sigma, so one matrix is one operator
+        ops = [(name, mat, 0) for name, mat in sorted(self.actions.items())]
+        ops.append(("F", F, 1))
+        if V != F:
+            ops.append(("V", V, 1))
+        self._ops = tuple((name, mat, twist, self._sparse_rows(mat)) for name, mat, twist in ops)
 
     def scalar(self, n: int) -> WittScalar:
         return WittScalar.from_int(self.p, self.prec, n)
@@ -80,16 +94,60 @@ class SemilinearModule:
         v[i] = WittScalar.one(self.p, self.prec)
         return tuple(v)
 
-    def apply(self, matrix: Matrix, vector: Vector, twist: int = 0) -> Vector:
-        if twist:
-            vector = tuple(c.sigma() for c in vector)
+    # -- the boundary between WittScalars and raw pairs ---------------------
+
+    def _pairs(self, vector) -> List[Tuple[int, int]]:
+        """The coordinates of a vector as pairs; ValueError unless it has
+        `rank` coordinates, each a WittScalar of this module's (p, prec)."""
+        if len(vector) != self.rank:
+            raise ValueError(
+                f"{self.label}: vector has {len(vector)} coordinates, the module has rank {self.rank}"
+            )
+        p, prec = self.p, self.prec
         out = []
-        for i in range(self.rank):
-            acc = WittScalar.zero(self.p, self.prec)
-            for j in range(self.rank):
-                acc = acc + matrix[i][j] * vector[j]
-            out.append(acc)
-        return tuple(out)
+        for c in vector:
+            if not isinstance(c, WittScalar) or c.p != p or c.prec != prec:
+                raise ValueError(f"{self.label}: coordinate {c!r} is not a scalar mod {p}^{prec}")
+            out.append((c.a, c.b))
+        return out
+
+    def _scalars(self, pairs) -> Vector:
+        p, prec = self.p, self.prec
+        return tuple(WittScalar(p, prec, a, b) for a, b in pairs)
+
+    def _sparse_rows(self, matrix):
+        """Per row, the (column, pair) of each nonzero entry."""
+        if len(matrix) != self.rank:
+            raise ValueError(f"{self.label}: matrix has {len(matrix)} rows, the module has rank {self.rank}")
+        return tuple(
+            tuple((j, x) for j, x in enumerate(self._pairs(row)) if x != (0, 0)) for row in matrix
+        )
+
+    def _apply_pairs(self, sparse, vec, twist):
+        """The kernel of `apply`: only nonzero matrix entries are summed, and
+        each output coordinate is reduced once."""
+        mod, r = self._mod, self._r
+        if twist:
+            vec = [(a, -b) for a, b in vec]
+        out = []
+        for row in sparse:
+            sa = sb = 0
+            for j, (ma, mb) in row:
+                a, b = vec[j]
+                sa += ma * a + mb * b * r
+                sb += ma * b + mb * a
+            out.append((sa % mod, sb % mod))
+        return out
+
+    # -- operators ----------------------------------------------------------
+
+    def apply(self, matrix: Matrix, vector: Vector, twist: int = 0) -> Vector:
+        # the module's own operators carry their sparse rows; any other
+        # matrix is converted, and checked, on each call
+        sparse = next((ops[3] for ops in self._ops if ops[1] is matrix), None)
+        if sparse is None:
+            sparse = self._sparse_rows(matrix)
+        return self._scalars(self._apply_pairs(sparse, self._pairs(vector), twist))
 
     def apply_F(self, vector: Vector) -> Vector:
         return self.apply(self.F, vector, twist=1)
@@ -98,14 +156,10 @@ class SemilinearModule:
         return self.apply(self.V, vector, twist=1)
 
     def operator_list(self) -> List[Tuple[str, Matrix, int]]:
-        """All operators, cheap-to-fail linear actions first.  V is listed
-        only when its matrix differs from F's: both act with the twist sigma,
-        so one matrix is one operator (every module built here has V = F)."""
-        ops = [(name, mat, 0) for name, mat in sorted(self.actions.items())]
-        ops.append(("F", self.F, 1))
-        if self.V != self.F:
-            ops.append(("V", self.V, 1))
-        return ops
+        """All operators as (name, matrix, twist), cheap-to-fail linear
+        actions first.  V is listed only when its matrix differs from F's
+        (every module built here has V = F)."""
+        return [(name, mat, twist) for name, mat, twist, _sparse in self._ops]
 
 
 def _diag(p, prec, entries) -> Matrix:
@@ -211,12 +265,29 @@ class LatticeHNF:
     """Upper-triangular row basis with p-power pivots; the lattice is
     p^-scale times the row span, sitting in the module's standard frame."""
 
-    __slots__ = ("module", "scale", "rows")
+    __slots__ = ("module", "scale", "rows", "_pair_rows", "_steps")
 
     def __init__(self, module: SemilinearModule, rows: Sequence[Vector], scale: int = 0):
         self.module = module
         self.scale = scale
         self.rows = tuple(tuple(r) for r in rows)
+        if len(self.rows) != module.rank:
+            raise ValueError(f"{len(self.rows)} rows for a rank-{module.rank} module")
+        self._pair_rows = tuple(module._pairs(row) for row in self.rows)
+        # per row: p^d for the pivot's valuation d, the inverse of the pivot's
+        # unit part (None for a zero pivot, whose d = prec rejects every
+        # nonzero coordinate), and the row's nonzero entries
+        p, prec, mod, r = module.p, module.prec, module._mod, module._r
+        steps = []
+        for i, row in enumerate(self._pair_rows):
+            a, b = row[i]
+            if a or b:
+                pd = p ** pair_val((a, b), p, prec)
+                inv = pair_inv((a // pd, b // pd), p, r, mod)
+            else:
+                pd, inv = mod, None
+            steps.append((pd, inv, tuple((j, x) for j, x in enumerate(row) if x != (0, 0))))
+        self._steps = tuple(steps)
 
     def __eq__(self, other):
         return (
@@ -232,7 +303,7 @@ class LatticeHNF:
         return f"LatticeHNF(scale={self.scale}, rows={self.rows!r})"
 
     def sort_key(self):
-        return (self.scale, tuple((c.a, c.b) for row in self.rows for c in row))
+        return (self.scale, tuple(x for row in self._pair_rows for x in row))
 
     def pivot_exponents(self) -> Tuple[int, ...]:
         return tuple(row[i].valuation() for i, row in enumerate(self.rows))
@@ -252,79 +323,77 @@ class LatticeHNF:
     def contains(self, vector: Vector) -> bool:
         """Membership of a vector written in this lattice's integral frame
         (i.e. already multiplied by p^scale)."""
-        p = self.module.p
-        v = list(vector)
-        for i, row in enumerate(self.rows):
-            x = v[i]
-            if x.is_zero():
+        return self._contains_pairs(self.module._pairs(vector))
+
+    def _contains_pairs(self, v) -> bool:
+        """The kernel of `contains` on a list of pairs, which it consumes:
+        clear each coordinate against its row, failing as soon as the
+        coordinate is not a multiple of the row's pivot."""
+        mod, r = self.module._mod, self.module._r
+        for i, (pd, inv, row) in enumerate(self._steps):
+            a, b = v[i]
+            if not a and not b:
                 continue
-            d = row[i].valuation()
-            if x.valuation() < d:
+            if a % pd or b % pd:
                 return False
-            try:
-                q = x.divide_exact(p**d)
-            except InexactDivision:
-                return False
-            unit = row[i].divide_exact(p**d)
-            q = q * unit.inverse()
-            for j in range(self.module.rank):
-                v[j] = v[j] - q * row[j]
-        return all(c.is_zero() for c in v)
+            qa, qb = pair_mul((a // pd, b // pd), inv, r, mod)
+            for j, (ea, eb) in row:
+                xa, xb = v[j]
+                v[j] = ((xa - qa * ea - qb * eb * r) % mod, (xb - qa * eb - qb * ea) % mod)
+        return not any(a or b for a, b in v)
 
 
 def hermite_form(module: SemilinearModule, rows: Sequence[Vector], scale: int = 0) -> LatticeHNF:
     """Canonical Hermite basis of a full-rank row span over the local
     scalar ring: unit-normalized p-power pivots, entries above each pivot
     reduced to their canonical residues."""
-    p = module.p
-    prec = module.prec
-    rank = module.rank
-    work = [list(r) for r in rows]
-    pivots: List[List[WittScalar]] = []
+    p, prec, rank, mod, r = module.p, module.prec, module.rank, module._mod, module._r
+    work = [module._pairs(row) for row in rows]
+    pivots: List[List[Tuple[int, int]]] = []
     for col in range(rank):
         best = None
         for idx, row in enumerate(work):
             entry = row[col]
-            if entry.is_zero():
+            if entry == (0, 0):
                 continue
-            val = entry.valuation()
+            val = pair_val(entry, p, prec)
             if best is None or val < best[0]:
                 best = (val, idx)
         if best is None:
             raise ValueError("row span is not full rank")
         d, idx = best
-        row = work.pop(idx)
-        unit = row[col].divide_exact(p**d)
-        inv = unit.inverse()
-        row = [inv * c for c in row]
-        for other in work:
-            x = other[col]
-            if x.is_zero():
-                continue
-            q = x.divide_exact(p**d)
-            for j in range(rank):
-                other[j] = other[j] - q * row[j]
-        pivots.append(row)
-        work = [r for r in work if any(not c.is_zero() for c in r)]
-    for i in range(rank - 1, -1, -1):
-        d = pivots[i][i].valuation()
         pd = p**d
-        for k in range(i):
-            x = pivots[k][i]
-            a = x.a - x.a % pd
-            b = x.b - x.b % pd
-            if a == 0 and b == 0:
+        row = work.pop(idx)
+        a, b = row[col]
+        inv = pair_inv((a // pd, b // pd), p, r, mod)
+        row = [pair_mul(inv, c, r, mod) for c in row]
+        for other in work:
+            a, b = other[col]
+            if not a and not b:
                 continue
-            q = WittScalar(p, prec, a // pd, b // pd)
+            q = (a // pd, b // pd)
             for j in range(rank):
-                pivots[k][j] = pivots[k][j] - q * pivots[i][j]
-    return LatticeHNF(module, [tuple(r) for r in pivots], scale)
+                if row[j] != (0, 0):
+                    other[j] = pair_sub(other[j], pair_mul(q, row[j], r, mod), mod)
+        pivots.append(row)
+        work = [w for w in work if any(x != (0, 0) for x in w)]
+    for i in range(rank - 1, -1, -1):
+        pd = p ** pair_val(pivots[i][i], p, prec)
+        for k in range(i):
+            a, b = pivots[k][i]
+            q = (a // pd, b // pd)
+            if q == (0, 0):
+                continue
+            for j in range(rank):
+                if pivots[i][j] != (0, 0):
+                    pivots[k][j] = pair_sub(pivots[k][j], pair_mul(q, pivots[i][j], r, mod), mod)
+    return LatticeHNF(module, [module._scalars(row) for row in pivots], scale)
 
 
 def _stable_under_all(module: SemilinearModule, lat: LatticeHNF) -> bool:
-    for _name, mat, twist in module.operator_list():
-        for row in lat.rows:
-            if not lat.contains(module.apply(mat, row, twist=twist)):
+    for _name, _mat, twist, sparse in module._ops:
+        for row in lat._pair_rows:
+            if not lat._contains_pairs(module._apply_pairs(sparse, row, twist)):
                 return False
     return True
 

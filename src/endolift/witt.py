@@ -8,7 +8,9 @@ identity, and induces the p-power map on residues.
 Two layers live here:
 
 * raw "pair" helpers operating on (a, b) integer tuples — used by the series
-  and chain-ring hot loops, where attribute dispatch would dominate;
+  and chain-ring hot loops and by the lattice layer's operator application,
+  membership test and Hermite elimination, where attribute dispatch and a
+  wrapper per operation would dominate;
 * the `WittScalar` wrapper, the type that appears in public signatures.
 
 Only odd p is supported; p = 2 is rejected at construction.
@@ -95,21 +97,37 @@ def pair_inv(x, p, r, mod):
     return ((a * ninv) % mod, (-b * ninv) % mod)
 
 
+# p^prec for every (p, prec) that passed the checks, so a construction pays
+# one dict lookup instead of a primality test and a power
+_MODULI = {}
+
+
+def _checked_modulus(p: int, prec: int) -> int:
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if prec < 0:
+        raise ValueError(f"precision must be nonnegative, got {prec}")
+    mod = _MODULI[p, prec] = p**prec
+    return mod
+
+
+_setattr = object.__setattr__
+
+
 class WittScalar:
     """A residue a + b*w modulo p^prec, with w^2 the least nonresidue mod p."""
 
     __slots__ = ("p", "prec", "a", "b")
 
     def __init__(self, p: int, prec: int, a: int = 0, b: int = 0):
-        if not is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if prec < 0:
-            raise ValueError(f"precision must be nonnegative, got {prec}")
-        mod = p**prec
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "a", a % mod if prec else 0)
-        object.__setattr__(self, "b", b % mod if prec else 0)
+        try:
+            mod = _MODULI[p, prec]
+        except KeyError:
+            mod = _checked_modulus(p, prec)
+        _setattr(self, "p", p)
+        _setattr(self, "prec", prec)
+        _setattr(self, "a", a % mod)
+        _setattr(self, "b", b % mod)
 
     # -- constructors -------------------------------------------------------
 
@@ -137,7 +155,7 @@ class WittScalar:
 
     @property
     def modulus(self) -> int:
-        return self.p**self.prec
+        return _MODULI[self.p, self.prec]
 
     def __setattr__(self, name, value):
         raise AttributeError("WittScalar is immutable")
@@ -203,7 +221,7 @@ class WittScalar:
             return NotImplemented
         self._check(other)
         r = nonresidue(self.p)
-        a, b = pair_mul(self.pair(), other.pair(), r, self.modulus or 1)
+        a, b = pair_mul(self.pair(), other.pair(), r, self.modulus)
         return WittScalar(self.p, self.prec, a, b)
 
     __rmul__ = __mul__

@@ -1,5 +1,6 @@
 """Tests for semilinear modules, stable lattices, and the lift census."""
 
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from endolift import lattices
 from endolift.errors import (
     ConsistencyFailure,
+    InexactDivision,
     PrecisionTooLow,
     ShapeViolation,
 )
@@ -275,6 +277,288 @@ class TestDescent:
             descend_superlattice(0, 0, 2, 3)
         with pytest.raises(ValueError):
             descend_superlattice(-1, 0, 0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the WittScalar references for the pair kernels: operator application,
+# membership and Hermite elimination written on WittScalar arithmetic, with
+# its per-operation context checks
+
+
+def _apply_reference(module, matrix, vector, twist=0):
+    if twist:
+        vector = tuple(c.sigma() for c in vector)
+    out = []
+    for i in range(module.rank):
+        acc = WittScalar.zero(module.p, module.prec)
+        for j in range(module.rank):
+            acc = acc + matrix[i][j] * vector[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def _contains_reference(lat, vector):
+    p = lat.module.p
+    v = list(vector)
+    for i, row in enumerate(lat.rows):
+        x = v[i]
+        if x.is_zero():
+            continue
+        d = row[i].valuation()
+        if x.valuation() < d:
+            return False
+        try:
+            q = x.divide_exact(p**d)
+        except InexactDivision:
+            return False
+        unit = row[i].divide_exact(p**d)
+        q = q * unit.inverse()
+        for j in range(lat.module.rank):
+            v[j] = v[j] - q * row[j]
+    return all(c.is_zero() for c in v)
+
+
+def _hermite_reference(module, rows):
+    """The Hermite rows of a full-rank span; ValueError otherwise."""
+    p, prec, rank = module.p, module.prec, module.rank
+    work = [list(r) for r in rows]
+    pivots = []
+    for col in range(rank):
+        best = None
+        for idx, row in enumerate(work):
+            entry = row[col]
+            if entry.is_zero():
+                continue
+            val = entry.valuation()
+            if best is None or val < best[0]:
+                best = (val, idx)
+        if best is None:
+            raise ValueError("row span is not full rank")
+        d, idx = best
+        row = work.pop(idx)
+        inv = row[col].divide_exact(p**d).inverse()
+        row = [inv * c for c in row]
+        for other in work:
+            x = other[col]
+            if x.is_zero():
+                continue
+            q = x.divide_exact(p**d)
+            for j in range(rank):
+                other[j] = other[j] - q * row[j]
+        pivots.append(row)
+        work = [r for r in work if any(not c.is_zero() for c in r)]
+    for i in range(rank - 1, -1, -1):
+        pd = p ** pivots[i][i].valuation()
+        for k in range(i):
+            x = pivots[k][i]
+            a, b = x.a - x.a % pd, x.b - x.b % pd
+            if a == 0 and b == 0:
+                continue
+            q = WittScalar(p, prec, a // pd, b // pd)
+            for j in range(rank):
+                pivots[k][j] = pivots[k][j] - q * pivots[i][j]
+    return tuple(tuple(r) for r in pivots)
+
+
+def _stable_reference(module, lat):
+    return all(
+        _contains_reference(lat, _apply_reference(module, mat, row, twist))
+        for _name, mat, twist in module.operator_list()
+        for row in lat.rows
+    )
+
+
+PAIR_MODULES = {
+    "normalized": standard_rank2,
+    "anti-normalized": lambda p: standard_rank2(p, action="anti-normalized"),
+    "ramified": ramified_rank2,
+    "rank4": tensor_rank4,
+}
+
+
+@lru_cache(maxsize=None)
+def _pair_module(label, p):
+    return PAIR_MODULES[label](p)
+
+
+def _coords(module):
+    """Scalars of every valuation up to the precision, zero half the time,
+    so that zero entries and non-unit pivots are common."""
+    p, prec = module.p, module.prec
+    digits = st.integers(0, p**prec - 1)
+    scaled = st.builds(
+        lambda e, a, b: WittScalar(p, prec, p**e * a, p**e * b), st.integers(0, prec), digits, digits
+    )
+    return st.one_of(st.just(WittScalar.zero(p, prec)), scaled)
+
+
+def _vectors(module):
+    return st.lists(_coords(module), min_size=module.rank, max_size=module.rank).map(tuple)
+
+
+def _full_rank_rows(data, module):
+    """Drawn rows whose span has full rank: p-power multiples of the basis
+    under drawn rows, so that the elimination meets non-unit pivots."""
+    p, prec, rank = module.p, module.prec, module.rank
+    rows = [data.draw(_vectors(module)) for _ in range(data.draw(st.integers(0, 2)))]
+    for i in range(rank):
+        e = data.draw(st.integers(0, 3))
+        rows.append(tuple(
+            WittScalar(p, prec, p**e) if j == i else (data.draw(_coords(module)) if j > i else module.scalar(0))
+            for j in range(rank)
+        ))
+    return data.draw(st.permutations(rows))
+
+
+class TestPairKernels:
+    """The pair kernels against their WittScalar references."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("label", sorted(PAIR_MODULES))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_apply_matches_the_reference(self, label, p, data):
+        module = _pair_module(label, p)
+        v = data.draw(_vectors(module))
+        other = tuple(data.draw(_vectors(module)) for _ in range(module.rank))
+        for mat in [mat for _name, mat, _twist in module.operator_list()] + [other]:
+            for twist in (0, 1):
+                assert module.apply(mat, v, twist) == _apply_reference(module, mat, v, twist)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("rank_label", ["normalized", "rank4"])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_hermite_form_matches_the_reference(self, rank_label, p, data):
+        module = _pair_module(rank_label, p)
+        scale = data.draw(st.integers(0, 3))
+        rows = data.draw(st.one_of(
+            st.just(None), st.lists(_vectors(module), min_size=0, max_size=module.rank + 1)
+        ))
+        if rows is None:
+            rows = _full_rank_rows(data, module)
+        try:
+            want = _hermite_reference(module, rows)
+        except ValueError:
+            with pytest.raises(ValueError, match="not full rank"):
+                hermite_form(module, rows, scale)
+            return
+        lat = hermite_form(module, rows, scale)
+        assert (lat.rows, lat.scale) == (want, scale)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("label", sorted(PAIR_MODULES))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_contains_matches_the_reference(self, label, p, data):
+        module = _pair_module(label, p)
+        lat = hermite_form(module, _full_rank_rows(data, module), data.draw(st.integers(0, 3)))
+        coeffs = data.draw(_vectors(module))
+        member = tuple(
+            sum((c * row[j] for c, row in zip(coeffs, lat.rows)), module.scalar(0))
+            for j in range(module.rank)
+        )
+        images = [
+            module.apply(mat, row, twist) for _name, mat, twist in module.operator_list() for row in lat.rows
+        ]
+        for v in [data.draw(_vectors(module)), member] + images:
+            assert lat.contains(v) == _contains_reference(lat, v)
+        assert lat.contains(member)
+        assert lattices._stable_under_all(module, lat) == _stable_reference(module, lat)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("label", sorted(PAIR_MODULES))
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_contains_on_unnormalized_rows_matches_the_reference(self, label, p, data):
+        # triangular rows whose pivots are p^e times a unit other than 1, so
+        # the membership test must divide by that unit
+        module = _pair_module(label, p)
+        prec, rank = module.prec, module.rank
+        digits = st.integers(0, p**prec - 1)
+        rows = []
+        for i in range(rank):
+            e, a, b = data.draw(st.integers(0, 3)), data.draw(digits), data.draw(digits)
+            pivot = WittScalar(p, prec, p**e * (1 + p * a), p**e * b)
+            rows.append(tuple(
+                pivot if j == i else (data.draw(_coords(module)) if j > i else module.scalar(0))
+                for j in range(rank)
+            ))
+        lat = LatticeHNF(module, rows, data.draw(st.integers(0, 2)))
+        unit = WittScalar(p, prec, 1 + p * data.draw(digits), data.draw(digits))
+        member = tuple(unit * c for c in rows[-1])
+        for v in (data.draw(_vectors(module)), member):
+            assert lat.contains(v) == _contains_reference(lat, v)
+        assert lat.contains(member)
+        assert lattices._stable_under_all(module, lat) == _stable_reference(module, lat)
+
+    @pytest.mark.parametrize("p, kmax", [(3, 2), (5, 2), (7, 1)])
+    @pytest.mark.parametrize("label", ["normalized", "anti-normalized", "ramified"])
+    def test_stability_on_the_sublattice_grid_matches_the_reference(self, label, p, kmax):
+        # the grid candidates are upper triangular but not reduced, and
+        # their pivots are non-units once k > 0
+        module = _pair_module(label, p)
+        zero = module.scalar(0)
+        for k in range(kmax + 1):
+            for a in range(k + 1):
+                pa, pb = module.scalar(p**a), module.scalar(p ** (k - a))
+                for w0 in range(p ** (k - a)):
+                    for w1 in range(p ** (k - a)):
+                        w = WittScalar(p, module.prec, w0, w1)
+                        lat = LatticeHNF(module, ((pa, w), (zero, pb)), 0)
+                        assert lattices._stable_under_all(module, lat) == _stable_reference(module, lat)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_superlattice_membership_matches_the_reference(self, p, data):
+        module = _pair_module("rank4", p)
+        s, m = data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
+        for lat in enumerate_stable_superlattices(module, s, m):
+            assert lat.scale == m
+            assert lattices._stable_under_all(module, lat) and _stable_reference(module, lat)
+            v = data.draw(_vectors(module))
+            assert lat.contains(v) == _contains_reference(lat, v)
+
+
+class TestVectorChecks:
+    """Mixed input is a ValueError at the public boundary, not a silent
+    truncation or a verdict."""
+
+    def test_apply_rejects_a_vector_of_the_wrong_length(self):
+        module = standard_rank2(3)
+        with pytest.raises(ValueError, match="3 coordinates"):
+            module.apply(module.F, _vec(module, 1, 2, 3), twist=1)
+
+    def test_contains_rejects_a_vector_of_the_wrong_length(self):
+        module = standard_rank2(3)
+        lat = hermite_form(module, [_vec(module, 1, 0), _vec(module, 0, 1)])
+        with pytest.raises(ValueError, match="3 coordinates"):
+            lat.contains(_vec(module, 1, 0, 0))
+
+    @pytest.mark.parametrize("p, prec", [(5, 8), (3, 9)], ids=["other-prime", "other-precision"])
+    def test_contains_rejects_a_foreign_scalar(self, p, prec):
+        module = standard_rank2(3)
+        lat = hermite_form(module, [_vec(module, 1, 0), _vec(module, 0, 1)])
+        foreign = (WittScalar(p, prec, 1), WittScalar(p, prec, 0))
+        with pytest.raises(ValueError, match="not a scalar mod 3\\^8"):
+            lat.contains(foreign)
+
+    @pytest.mark.parametrize("p, prec", [(5, 8), (3, 9)], ids=["other-prime", "other-precision"])
+    def test_apply_and_hermite_form_reject_a_foreign_scalar(self, p, prec):
+        module = standard_rank2(3)
+        foreign = (WittScalar(p, prec, 1), module.scalar(0))
+        with pytest.raises(ValueError, match="not a scalar mod 3\\^8"):
+            module.apply_F(foreign)
+        with pytest.raises(ValueError, match="not a scalar mod 3\\^8"):
+            hermite_form(module, [foreign, _vec(module, 0, 1)])
+
+    def test_lattice_rows_are_checked(self):
+        module = standard_rank2(3)
+        with pytest.raises(ValueError, match="3 rows"):
+            LatticeHNF(module, [_vec(module, 1, 0), _vec(module, 0, 1), _vec(module, 1, 1)])
+        with pytest.raises(ValueError, match="not a scalar"):
+            LatticeHNF(module, [(WittScalar(5, 8, 1), module.scalar(0)), _vec(module, 0, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,17 @@ def test_nonresidue_is_a_nonresidue():
 
 
 def test_constructor_validates():
-    with pytest.raises(ValueError):
-        WittScalar(4, 3)
-    with pytest.raises(ValueError):
-        WittScalar(2, 3)
-    with pytest.raises(ValueError):
-        WittScalar(3, -1)
+    # moduli are cached only for contexts that passed the checks, so a
+    # rejected context stays rejected however often it is asked for
+    for _ in range(2):
+        with pytest.raises(ValueError, match="odd prime, got 4"):
+            WittScalar(4, 3)
+        with pytest.raises(ValueError):
+            WittScalar(2, 3)
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            WittScalar(3, -1)
+    assert (WittScalar(5, 3, -1, 126).pair(), WittScalar(5, 3).modulus) == ((124, 1), 125)
+    assert WittScalar(3, 0, 5, 7).pair() == (0, 0)
 
 
 def test_immutability():
