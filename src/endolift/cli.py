@@ -95,6 +95,14 @@ def _switch(value) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
+def _count(value) -> int:
+    """A lattice count: n >= 0, or -1, the "not selected" default."""
+    n = int(value)
+    if n < -1:
+        raise ValueError(f"a count is n >= 0, or -1 for none, not {n}")
+    return n
+
+
 # every flag, by dest: its argparse settings and its reader; each command
 # takes only the flags it reads, and its config file may set exactly those
 _FLAGS = {
@@ -105,8 +113,8 @@ _FLAGS = {
     "format": (dict(choices=["json", "tsv"]), str),
     "precision_scale": (dict(help="multiply declared p-adic precision (>= 1)"), int),
     "dump": (dict(action="store_const", const=True), _switch),
-    "sublattices": (dict(metavar="K"), int),
-    "superlattices": (dict(metavar="S"), int),
+    "sublattices": (dict(metavar="K"), _count),
+    "superlattices": (dict(metavar="S"), _count),
     "appendix": (dict(action="store_const", const=True), _switch),
 }
 

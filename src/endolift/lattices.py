@@ -1,9 +1,10 @@
 """Constraint-first stable-lattice enumeration in the standard semilinear modules.
 
-The rank-2 module is free on (e0, f0) with F and V both sending e0 -> f0,
-f0 -> p*e0 (F twisted by sigma, V by its inverse); the rank-4 module is its
-scalar extension, free on (e1, e2, f1, f2), with F and V sending
-e1 -> f2, e2 -> f1, f1 -> p*e2, f2 -> p*e1.  Order actions are diagonal in
+The rank-2 module is free on (e0, f0) with F sending e0 -> f0, f0 -> p*e0,
+twisted by sigma; the rank-4 module is its scalar extension, free on
+(e1, e2, f1, f2), with F sending e1 -> f2, e2 -> f1, f1 -> p*e2, f2 -> p*e1.
+V needs no matrix of its own: sigma is an involution on the quadratic Witt
+scalars, so V = F, and FV = p is F^2 = p.  Order actions are diagonal in
 omega except for the ramified uniformizer.
 
 Lattices are held as Hermite bases over the quadratic Witt scalars: an
@@ -46,11 +47,10 @@ Matrix = Tuple[Vector, ...]
 
 class SemilinearModule:
     """A free module over the quadratic Witt scalars with sigma-semilinear
-    F, sigma-inverse-semilinear V, and a family of linear action matrices.
+    F (which is also V) and a family of linear action matrices.
 
     Operator matrices act by columns: the image of basis vector j is column
-    j.  Application twists the coordinates first, then multiplies; sigma is
-    an involution on the quadratic scalars, so both twists are sigma itself.
+    j.  Application twists the coordinates first, then multiplies.
 
     The operators are fixed at construction.  Internally coordinates are raw
     (a, b) pairs reduced modulo p^prec, and each operator keeps only its
@@ -58,41 +58,23 @@ class SemilinearModule:
     and return, and every such vector is checked against the module there.
     """
 
-    __slots__ = ("p", "prec", "rank", "F", "V", "actions", "label", "_mod", "_r", "_ops")
+    __slots__ = ("p", "prec", "rank", "F", "actions", "label", "_mod", "_r", "_ops")
 
-    def __init__(self, p, prec, rank, F, V, actions, label):
+    def __init__(self, p, prec, rank, F, actions, label):
         self.p = p
         self.prec = prec
         self.rank = rank
         self.F = F
-        self.V = V
         self.actions = dict(actions)
         self.label = label
         self._mod = p**prec
         self._r = nonresidue(p)
-        # (name, matrix, twist, sparse rows), cheap-to-fail linear actions
-        # first; V is kept only when its matrix differs from F's: both act
-        # with the twist sigma, so one matrix is one operator
-        ops = [(name, mat, 0) for name, mat in sorted(self.actions.items())]
-        ops.append(("F", F, 1))
-        if V != F:
-            ops.append(("V", V, 1))
+        # (name, matrix, twist, sparse rows), cheap-to-fail linear actions first
+        ops = [(name, mat, 0) for name, mat in sorted(self.actions.items())] + [("F", F, 1)]
         self._ops = tuple((name, mat, twist, self._sparse_rows(mat)) for name, mat, twist in ops)
 
     def scalar(self, n: int) -> WittScalar:
         return WittScalar.from_int(self.p, self.prec, n)
-
-    def omega(self) -> WittScalar:
-        return WittScalar.omega(self.p, self.prec)
-
-    def zero_vector(self) -> Vector:
-        z = WittScalar.zero(self.p, self.prec)
-        return tuple(z for _ in range(self.rank))
-
-    def basis_vector(self, i: int) -> Vector:
-        v = list(self.zero_vector())
-        v[i] = WittScalar.one(self.p, self.prec)
-        return tuple(v)
 
     # -- the boundary between WittScalars and raw pairs ---------------------
 
@@ -152,13 +134,10 @@ class SemilinearModule:
     def apply_F(self, vector: Vector) -> Vector:
         return self.apply(self.F, vector, twist=1)
 
-    def apply_V(self, vector: Vector) -> Vector:
-        return self.apply(self.V, vector, twist=1)
-
     def operator_list(self) -> List[Tuple[str, Matrix, int]]:
-        """All operators as (name, matrix, twist), cheap-to-fail linear
-        actions first.  V is listed only when its matrix differs from F's
-        (every module built here has V = F)."""
+        """All operators as (name, matrix, twist): the linear actions, cheap
+        to fail, then F.  V is not listed: sigma is an involution on these
+        scalars, so V = F (module docstring)."""
         return [(name, mat, twist) for name, mat, twist, _sparse in self._ops]
 
 
@@ -188,14 +167,14 @@ def standard_rank2(p: int, prec: int = 8, action: str = "normalized") -> Semilin
     zero = WittScalar.zero(p, prec)
     pp = WittScalar.from_int(p, prec, p)
     w = WittScalar.omega(p, prec)
-    FV = _matrix_from_columns(p, prec, 2, [(zero, one), (pp, zero)])
+    F = _matrix_from_columns(p, prec, 2, [(zero, one), (pp, zero)])
     if action == "normalized":
         eta = _diag(p, prec, (w, -w))
     elif action == "anti-normalized":
         eta = _diag(p, prec, (-w, w))
     else:
         raise ValueError(f"unknown action {action!r}")
-    return SemilinearModule(p, prec, 2, FV, FV, {"omega": eta}, f"rank2-{action}")
+    return SemilinearModule(p, prec, 2, F, {"omega": eta}, f"rank2-{action}")
 
 
 def ramified_rank2(p: int, prec: int = 8) -> SemilinearModule:
@@ -207,14 +186,13 @@ def ramified_rank2(p: int, prec: int = 8) -> SemilinearModule:
     one = WittScalar.one(p, prec)
     zero = WittScalar.zero(p, prec)
     pp = WittScalar.from_int(p, prec, p)
-    FV = _matrix_from_columns(p, prec, 2, [(zero, one), (pp, zero)])
-    pi = _matrix_from_columns(p, prec, 2, [(zero, one), (pp, zero)])
-    return SemilinearModule(p, prec, 2, FV, FV, {"uniformizer": pi}, "rank2-ramified")
+    F = _matrix_from_columns(p, prec, 2, [(zero, one), (pp, zero)])
+    return SemilinearModule(p, prec, 2, F, {"uniformizer": F}, "rank2-ramified")
 
 
 def tensor_rank4(p: int, prec: int = 10) -> SemilinearModule:
-    """The rank-4 scalar extension: basis (e1, e2, f1, f2), F and V as in
-    the module docstring, and two omega actions -- one through the order
+    """The rank-4 scalar extension: basis (e1, e2, f1, f2), F as in the
+    module docstring, and two omega actions -- one through the order
     (omega, omega, -omega, -omega), one through the extended scalars
     (omega, -omega, omega, -omega)."""
     if not is_odd_prime(p):
@@ -229,32 +207,27 @@ def tensor_rank4(p: int, prec: int = 10) -> SemilinearModule:
         (zero, pp, zero, zero),  # f1 -> p e2
         (pp, zero, zero, zero),  # f2 -> p e1
     ]
-    FV = _matrix_from_columns(p, prec, 4, cols)
+    F = _matrix_from_columns(p, prec, 4, cols)
     eta_order = _diag(p, prec, (w, w, -w, -w))
     eta_scalar = _diag(p, prec, (w, -w, w, -w))
     actions = {"omega-order": eta_order, "omega-scalar": eta_scalar}
-    return SemilinearModule(p, prec, 4, FV, FV, actions, "rank4-tensor")
+    return SemilinearModule(p, prec, 4, F, actions, "rank4-tensor")
 
 
 def operator_sanity(module: SemilinearModule) -> None:
-    """F V = V F = p on the nose, and every action matrix commutes with
-    both operators; raises ConsistencyFailure otherwise."""
-    basis = [module.basis_vector(i) for i in range(module.rank)]
+    """F F = p on the nose (FV = p, as V = F), and every action matrix
+    commutes with F; raises ConsistencyFailure otherwise."""
+    basis = [tuple(module.scalar(int(i == j)) for j in range(module.rank)) for i in range(module.rank)]
     pscale = module.scalar(module.p)
     for v in basis:
-        fv = module.apply_F(module.apply_V(v))
-        vf = module.apply_V(module.apply_F(v))
-        pv = tuple(pscale * c for c in v)
-        if fv != pv or vf != pv:
-            raise ConsistencyFailure(f"{module.label}: FV or VF is not p")
+        if module.apply_F(module.apply_F(v)) != tuple(pscale * c for c in v):
+            raise ConsistencyFailure(f"{module.label}: FF is not p")
     for name, mat, twist in module.operator_list():
         if twist:
             continue
         for v in basis:
             if module.apply(mat, module.apply_F(v)) != module.apply_F(module.apply(mat, v)):
                 raise ConsistencyFailure(f"{module.label}: {name} does not commute with F")
-            if module.apply(mat, module.apply_V(v)) != module.apply_V(module.apply(mat, v)):
-                raise ConsistencyFailure(f"{module.label}: {name} does not commute with V")
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +376,7 @@ def _stable_under_all(module: SemilinearModule, lat: LatticeHNF) -> bool:
 
 
 def enumerate_stable_sublattices(module: SemilinearModule, k: int) -> List[LatticeHNF]:
-    """All sublattices of index p^k stable under F, V, and the actions, on
+    """All sublattices of index p^k stable under F and the actions, on
     the Hermite grid (p^a, w; 0, p^b) with a + b = k and w modulo p^b.
 
     diag(m0, m1) sends the first row to m0 times itself plus (0, (m1 - m0) w)
@@ -473,8 +446,7 @@ def lie_action_parity(lattice: LatticeHNF) -> str:
 
 class _ResidueField:
     """Arithmetic in the quadratic residue field as pairs (a, b) meaning
-    a + b*omega with omega^2 the least nonresidue, plus the p-power twist
-    (a, b) -> (a, -b)."""
+    a + b*omega with omega^2 the least nonresidue."""
 
     __slots__ = ("p", "r")
 
@@ -487,9 +459,6 @@ class _ResidueField:
 
     def sub(self, x, y):
         return pair_sub(x, y, self.p)
-
-    def twist(self, x):
-        return pair_sigma(x, self.p)
 
     def inv(self, x):
         return pair_inv(x, self.p, self.r, self.p)
@@ -507,12 +476,12 @@ def _residue_apply(field: _ResidueField, op: str, vec):
     """One induced operator on the one-step quotient, coordinates over
     (e1, e2, f1, f2) residue lines.
 
-    F and V induce the same map there -- e1 -> f2, e2 -> f1, f1 -> 0,
-    f2 -> 0, twisted by the p-power map -- because dividing by p turns the
-    f -> p*e legs into integral vectors.  The omega actions stay diagonal.
+    F induces e1 -> f2, e2 -> f1, f1 -> 0, f2 -> 0, twisted by the p-power
+    map, because dividing by p turns the f -> p*e legs into integral
+    vectors.  The omega actions stay diagonal.
     """
-    if op in ("F", "V"):
-        tv = [field.twist(c) for c in vec]
+    if op == "F":
+        tv = [pair_sigma(c, field.p) for c in vec]
         return [(0, 0), (0, 0), tv[1], tv[0]]
     signs = _RESIDUE_OMEGA_SIGNS.get(op)
     if signs is None:
@@ -539,11 +508,9 @@ def _rank(field: _ResidueField, vectors) -> int:
 
 
 def _subspace_stable(field: _ResidueField, rows) -> bool:
-    """Whether F, V and both omega actions keep the span of the basis rows:
-    adding the images of the basis must not raise the rank.  F and V are
-    semilinear, so the images of a basis still span the image.  F and V
-    induce the same residue operator (see `_residue_apply`), so the F test
-    decides V as well."""
+    """Whether F and both omega actions keep the span of the basis rows:
+    adding the images of the basis must not raise the rank.  F is
+    semilinear, so the images of a basis still span the image."""
     return all(
         _rank(field, rows + [_residue_apply(field, op, row) for row in rows]) == len(rows)
         for op in ("F", "omega-order", "omega-scalar")
@@ -720,34 +687,35 @@ def descend_superlattice(
 ) -> DescentReport:
     """Push a classified superlattice down to a rank-2 frame.
 
-    Builds e* = p^-a e1 + p^-b e2 and f* = p^-(b+delta) f1 + p^-(a+delta) f2
-    in scaled integral coordinates, checks the operator identities
-    F e* = V e* = p^delta f* and F f* = V f* = p^(1-delta) e*, checks that
-    the order omega acts by omega on e* and by -omega on f*, and checks
-    that the scalar-omega translates of the pair regenerate the full
-    rank-4 superlattice.  StabilityFailure on any miss.
+    Reads e* = p^-a e1 + p^-b e2 and f* = p^-(b+delta) f1 + p^-(a+delta) f2
+    in scaled integral coordinates off the family lattice's diagonal, checks
+    F e* = p^delta f* and F f* = p^(1-delta) e* (V = F), checks that the
+    order omega acts by omega on e* and by -omega on f*, and checks that the
+    scalar-omega translates of the pair span the family lattice, which is
+    its own Hermite basis (diagonal, unit-normalized p-power pivots).
+    StabilityFailure on any miss; PrecisionTooLow below the precision of
+    the superlattice search at the same (s, m).
     """
     if delta not in (0, 1) or a < 0 or b < 0:
         raise ValueError("need a, b >= 0 and delta in {0, 1}")
     s = a + b + delta
     m = max(a, b, b + delta, a + delta)
-    if prec is None:
-        prec = 2 * (s + max(m, 1)) + 4
+    floor = 2 * (s + max(m, 1)) + 2
+    prec = floor + 2 if prec is None else prec
+    if prec < floor:
+        raise PrecisionTooLow(f"descent of ({a}, {b}, {delta}) wants precision {floor}, got {prec}")
     module = tensor_rank4(p, prec)
-    scale = m
-    pw = module.scalar(p)
+    expected = _family_lattice(module, a, b, delta, m)
+    pe1, pe2, pf1, pf2 = (row[i] for i, row in enumerate(expected.rows))
     zero = WittScalar.zero(p, prec)
-    e_star = (pw ** (scale - a), pw ** (scale - b), zero, zero)
-    f_star = (zero, zero, pw ** (scale - (b + delta)), pw ** (scale - (a + delta)))
+    e_star, f_star = (pe1, pe2, zero, zero), (zero, zero, pf1, pf2)
 
-    want_e_image = tuple(pw**delta * c for c in f_star)
-    want_f_image = tuple(pw ** (1 - delta) * c for c in e_star)
-    for op in (module.apply_F, module.apply_V):
-        if op(e_star) != want_e_image or op(f_star) != want_f_image:
+    for v, image, e in ((e_star, f_star, delta), (f_star, e_star, 1 - delta)):
+        if module.apply_F(v) != tuple(module.scalar(p**e) * c for c in image):
             raise StabilityFailure(f"descent of ({a}, {b}, {delta}) is not operator-stable")
 
     eta = module.actions["omega-order"]
-    w = module.omega()
+    w = WittScalar.omega(p, prec)
     if module.apply(eta, e_star) != tuple(w * c for c in e_star):
         raise StabilityFailure("order action does not act by a scalar on e*")
     if module.apply(eta, f_star) != tuple(-w * c for c in f_star):
@@ -755,11 +723,10 @@ def descend_superlattice(
 
     eta2 = module.actions["omega-scalar"]
     gens = [e_star, f_star, module.apply(eta2, e_star), module.apply(eta2, f_star)]
-    span = hermite_form(module, gens, scale=scale)
-    expected = _family_lattice(module, a, b, delta, scale)
-    if span != hermite_form(module, expected.rows, scale=scale):
+    span = hermite_form(module, gens, scale=m)
+    if span != expected:
         raise StabilityFailure("scalar extension of the descent misses the superlattice")
-    return DescentReport(p, a, b, delta, scale, module, e_star, f_star, span)
+    return DescentReport(p, a, b, delta, m, module, e_star, f_star, span)
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,10 @@ def recursion_context(p: int, k: int, *, precision_scale: int = 1) -> SeriesCont
     """Declared working box for the depth-k tower: p-precision 2k+2,
     x1 window +-p^(2k+2), x2 cap p^k.  `precision_scale` multiplies the
     p-adic precision only — the box shape is part of the model and stays put.
+    Below 1 it is a ValueError: at precision 0 every coefficient is 0.
     """
+    if precision_scale < 1:
+        raise ValueError(f"precision scale must be >= 1, got {precision_scale}")
     prec = (2 * k + 2) * precision_scale
     radius = p ** (2 * k + 2)
     return SeriesContext(p, prec, -radius, radius, p**k)

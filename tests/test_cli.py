@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line harness (in-process)."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -234,6 +236,13 @@ class TestArgumentErrors:
         assert capsys.readouterr().err.startswith("usage error:")
         assert not list(outdir.glob(argv[0] + ".*"))
 
+    # a count below -1 is refused, not replaced by the default suite
+    @pytest.mark.parametrize("flag, value", [("--sublattices", "-2"), ("--superlattices", "-7")])
+    def test_lattice_count_below_minus_one_is_usage_error(self, outdir, capsys, flag, value):
+        assert main(["lattice", flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {flag}: ")
+        assert not (outdir / "lattice.json").exists()
+
     # every flag a command used to accept and then ignore
     @pytest.mark.parametrize("command, flag", [
         ("inventory", "--k=1"), ("inventory", "--precision-scale=2"), ("inventory", "--dump"),
@@ -253,6 +262,7 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("command, line", [
         ("selfcheck", "format = xml"), ("inventory", "case = inert"),
         ("recursion", "dump = maybe"), ("lattice", "sublattices = two"),
+        ("lattice", "superlattices = -3"),
     ])
     def test_bad_config_value_is_usage_error(self, outdir, capsys, tmp_path, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -287,3 +297,24 @@ class TestArgumentErrors:
         cfg.write_text("c0 = 1\n", encoding="utf-8")
         assert main(["lattice", "--config", str(cfg)]) == 2
         assert not (outdir / "lattice.json").exists()
+
+
+def _recorded_digests():
+    """The benchmark's sha256 of each CLI report, read from its oracle file
+    by path, so that the harness itself is not imported."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle.CLI_DIGESTS
+
+
+CLI_DIGESTS = _recorded_digests()
+
+
+class TestReportDigests:
+    @pytest.mark.parametrize("argv", sorted(CLI_DIGESTS), ids=" ".join)
+    def test_report_bytes_match_the_recorded_digest(self, outdir, capsys, argv):
+        rc, out = _run(capsys, list(argv))
+        assert rc == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_DIGESTS[argv]

@@ -12,6 +12,7 @@ from endolift.errors import (
     InexactDivision,
     PrecisionTooLow,
     ShapeViolation,
+    StabilityFailure,
 )
 from endolift.lattices import (
     DescentReport,
@@ -56,8 +57,7 @@ class TestSemilinearModules:
             module.p,
             module.prec,
             module.rank,
-            ((one, one), (one, one)),  # FV is no longer p
-            module.V,
+            ((one, one), (one, one)),  # F F is no longer p
             module.actions,
             module.label,
         )
@@ -66,12 +66,10 @@ class TestSemilinearModules:
 
     @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
     def test_fv_is_multiplication_by_p(self, x, y, c):
+        # V = F (module docstring), so FV = p reads F F = p
         module = standard_rank2(3)
         v = _vec(module, x, y)
-        fv = module.apply_F(module.apply_V(v))
-        vf = module.apply_V(module.apply_F(v))
-        pv = tuple(e * 3 for e in v)
-        assert fv == pv and vf == pv
+        assert module.apply_F(module.apply_F(v)) == tuple(e * 3 for e in v)
 
     @given(st.integers(-20, 20), st.integers(-20, 20))
     def test_frobenius_is_sigma_semilinear(self, x, y):
@@ -99,22 +97,10 @@ class TestSemilinearModules:
         module = tensor_rank4(3)
         assert set(module.actions) == {"omega-order", "omega-scalar"}
 
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_v_is_checked_when_it_differs_from_f(self, p):
-        # F the bare twist, V the twisted swap of e0 and e1: the lattice
-        # (p e0, e1) is F-stable, but V sends e1 to e0, outside it
-        base = standard_rank2(p)
-        one, zero = base.scalar(1), base.scalar(0)
-        F = ((one, zero), (zero, one))
-        V = ((zero, one), (one, zero))
-        module = SemilinearModule(p, base.prec, 2, F, V, {}, "rank2-swap")
-        assert [name for name, _, _ in module.operator_list()] == ["F", "V"]
-        assert [name for name, _, _ in base.operator_list()] == ["omega", "F"]
-        lat = LatticeHNF(module, ((base.scalar(p), zero), (zero, one)), 0)
-        assert all(lat.contains(module.apply_F(row)) for row in lat.rows)
-        assert not lattices._stable_under_all(module, lat)
-        same = SemilinearModule(p, base.prec, 2, F, F, {}, "rank2-bare")
-        assert lattices._stable_under_all(same, LatticeHNF(same, lat.rows, 0))
+    def test_operators_are_the_actions_then_f(self):
+        assert [name for name, _, _ in standard_rank2(3).operator_list()] == ["omega", "F"]
+        assert [name for name, _, _ in ramified_rank2(3).operator_list()] == ["uniformizer", "F"]
+        assert [name for name, _, _ in tensor_rank4(3).operator_list()] == ["omega-order", "omega-scalar", "F"]
 
 
 class TestHermiteForm:
@@ -215,14 +201,20 @@ class TestSuperlattices:
         field = _ResidueField(3)
         assert sum(1 for _ in _exhaustive_subspaces(field, dim)) == subspace_count(3, dim)
 
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @settings(max_examples=100)
     @given(data=st.data())
-    def test_f_and_v_induce_one_residue_operator(self, p, data):
-        # why _subspace_stable runs the F rank test alone
+    def test_residue_operators_are_the_module_operators_mod_p(self, p, data):
+        # the residue layer restates F and the omega signs; reducing the
+        # module operator's image of a lift mod p must give the same map
+        module = _pair_module("rank4", p)
         field = _ResidueField(p)
         coord = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
         vec = data.draw(st.lists(coord, min_size=4, max_size=4))
-        assert _residue_apply(field, "F", vec) == _residue_apply(field, "V", vec)
+        lift = tuple(WittScalar(p, module.prec, a, b) for a, b in vec)
+        for op in ("F", "omega-order", "omega-scalar"):
+            image = module.apply_F(lift) if op == "F" else module.apply(module.actions[op], lift)
+            assert [(c.a % p, c.b % p) for c in image] == _residue_apply(field, op, vec)
 
     def test_exhaustive_one_step_window(self):
         module = tensor_rank4(3)
@@ -277,6 +269,43 @@ class TestDescent:
             descend_superlattice(0, 0, 2, 3)
         with pytest.raises(ValueError):
             descend_superlattice(-1, 0, 0, 3)
+
+    # below 2(s + max(m, 1)) + 2, the superlattice search's floor, the
+    # elimination either loses rank or runs with p^2 = 0
+    @pytest.mark.parametrize("a, b, delta, prec", [(1, 1, 1, 1), (0, 0, 0, 0), (1, 1, 1, 2)])
+    def test_precision_guard(self, a, b, delta, prec):
+        with pytest.raises(PrecisionTooLow):
+            descend_superlattice(a, b, delta, 3, prec=prec)
+
+    def test_precision_floor_is_enough(self):
+        for args, prec in (((1, 1, 1, 3), 12), ((0, 0, 0, 3), 4)):
+            at_floor, default = descend_superlattice(*args, prec=prec), descend_superlattice(*args)
+            assert at_floor.span.pivot_exponents() == default.span.pivot_exponents()
+            assert at_floor.scale == default.scale
+
+    @pytest.mark.parametrize("corrupt, message", [
+        ("F", "not operator-stable"),
+        ("omega-order", "order action"),
+        ("omega-scalar", "misses the superlattice"),
+    ])
+    def test_corrupted_module_fails_the_descent(self, corrupt, message, monkeypatch):
+        real = tensor_rank4
+
+        def corrupted(p, prec):
+            module = real(p, prec)
+            F, actions = module.F, dict(module.actions)
+            if corrupt == "F":
+                F = tuple(tuple(c * 2 for c in row) for row in F)
+            elif corrupt == "omega-order":
+                actions[corrupt] = actions["omega-scalar"]
+            else:
+                # full rank, but p times too small on the translates
+                actions[corrupt] = tuple(tuple(c * p for c in row) for row in actions[corrupt])
+            return SemilinearModule(p, prec, 4, F, actions, module.label)
+
+        monkeypatch.setattr(lattices, "tensor_rank4", corrupted)
+        with pytest.raises(StabilityFailure, match=message):
+            descend_superlattice(1, 0, 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +637,7 @@ def _exhaustive_subspaces(field, dim):
 
 
 def _gap_module(p, first, second):
-    """A synthetic rank-2 module whose F and V are the bare sigma-twist and
+    """A synthetic rank-2 module whose F is the bare sigma-twist and
     whose one action is diag(first, second).  Its stable lattices are the
     (p^a, w; 0, p^b) with w in the prime subring and p^b dividing
     (second - first) w: more than w = 0 once the gap has positive
@@ -617,7 +646,7 @@ def _gap_module(p, first, second):
     one, zero = base.scalar(1), base.scalar(0)
     identity = ((one, zero), (zero, one))
     action = ((first, zero), (zero, second))
-    return SemilinearModule(p, base.prec, 2, identity, identity, {"gap": action}, "rank2-gap")
+    return SemilinearModule(p, base.prec, 2, identity, {"gap": action}, "rank2-gap")
 
 
 RANK2_MODULES = {

@@ -505,6 +505,15 @@ class TestQuotientLength:
         assert doubled.length == base.length
         assert doubled.exponents == base.exponents
 
+    # at precision 0 every coefficient is 0, and two doubled radii would
+    # agree on a wrong length (9, exponents (3, 3, 3), against 2)
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_precision_scale_below_one_is_refused(self, scale):
+        with pytest.raises(ValueError, match="precision scale must be >= 1"):
+            quotient_length_details(CaseDescriptor.unramified(3), 1, precision_scale=scale)
+        with pytest.raises(ValueError, match="precision scale must be >= 1"):
+            recursion_context(3, 1, precision_scale=scale)
+
     def test_pinned_radius_skips_stabilization(self, monkeypatch):
         def no_driver(*args):
             raise AssertionError("the stabilization driver ran")
