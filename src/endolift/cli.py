@@ -284,8 +284,6 @@ def cmd_inventory(config: Dict) -> Report:
 
 def cmd_recursion(config: Dict) -> Report:
     k, scale = config["k"], config["precision_scale"]
-    if k < 1 or scale < 1:
-        raise ValueError("need k >= 1 and precision scale >= 1")
     rows: List[Dict] = []
     footers: Dict = {}
     verdicts: List[Dict] = []
@@ -293,6 +291,9 @@ def cmd_recursion(config: Dict) -> Report:
         for p in config["p"]:
             tag = f"{label} p={p} k={k}"
             case = win.CaseDescriptor.from_label(label, p)
+            # the tower first, so a refused depth or precision scale costs no engine work
+            ctx = win.recursion_context(p, k, precision_scale=scale)
+            sol = win.solve_thickened_recursion(case, k, ctx)
             one_ctx = win.one_variable_context(p)
             vert = win.solve_vertical_recursion(case, one_ctx)
             closed = win.closed_form_vertical_pair(case, one_ctx)
@@ -311,8 +312,6 @@ def cmd_recursion(config: Dict) -> Report:
                     "pass": win.check_phi_commutation(vert.pair, two_variable=False),
                 }
             )
-            ctx = win.recursion_context(p, k, precision_scale=scale)
-            sol = win.solve_thickened_recursion(case, k, ctx)
             verdicts.append(
                 {
                     "check": f"tower-commutation {tag}",
@@ -370,21 +369,16 @@ def cmd_recursion(config: Dict) -> Report:
 
 
 def cmd_multiplicity(config: Dict) -> Report:
-    scale = config["precision_scale"]
-    if scale < 1:
-        raise ValueError("precision scale must be >= 1")
     rows: List[Dict] = []
     verdicts: List[Dict] = []
     all_match = True
     for label in config["case"]:
         for p in config["p"]:
             for c0 in config["c0"]:
-                if c0 < 1:
-                    raise ValueError("multiplicity needs c0 >= 1")
                 tag = f"{label} p={p} c0={c0}"
                 case = win.CaseDescriptor.from_label(label, p)
                 details = lengths.quotient_length_details(
-                    case, c0, precision_scale=scale
+                    case, c0, precision_scale=config["precision_scale"]
                 )
                 closed = inv.vertical_multiplicity_closed_form(p, c0)
                 match = details.length == closed

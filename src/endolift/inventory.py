@@ -11,26 +11,25 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConsistencyFailure, NotAnOrder
-from .witt import is_odd_prime
+from .witt import nonresidue
 
 
-# a case is given by one of these labels and nothing else;
-# windows.CaseDescriptor.from_label parses labels through _label too, so both
-# routes accept the same labels and primes
-_CASE_ALIASES = {"unr": "unr", "unramified": "unr", "inert": "unr", "ram": "ram", "ramified": "ram"}
-
-
-def _label(case: str, p: int, c0: int = 0) -> str:
-    """The canonical label of `case`, once p is known to be an odd prime and
-    the conductor c0 to be at least 0; every entry point starts here."""
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+def _domain(p: int, c0: int) -> None:
+    """Refuse a p that is not an odd prime (the rule `witt.nonresidue` owns)
+    and a conductor c0 below 0."""
+    nonresidue(p)
     if c0 < 0:
         raise ValueError(f"the conductor must be at least 0, got c0 = {c0}")
-    label = _CASE_ALIASES.get(case) if isinstance(case, str) else None
-    if label is None:
+
+
+# a case is "unr" (inert) or "ram" (ramified), spelled exactly so; every entry
+# point, CaseDescriptor.from_label and vertical_multiplicity too, starts here
+def _label(case: str, p: int, c0: int = 0) -> str:
+    """`case`, once it is a label and (p, c0) is in the domain."""
+    _domain(p, c0)
+    if case not in ("unr", "ram"):
         raise ValueError(f"unknown case {case!r}")
-    return label
+    return case
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -128,8 +127,7 @@ def intersection_number(case: str, kind: str, s: int, t: Optional[int], p: int) 
 
 def vertical_multiplicity_closed_form(p: int, c0: int) -> int:
     """2*p^(c0-1) + 4*p^(c0-2) + ... + (2*c0)*p^0; zero when c0 = 0."""
-    if c0 < 0:
-        raise ValueError(f"the conductor must be at least 0, got c0 = {c0}")
+    _domain(p, c0)
     return sum(2 * (j + 1) * p ** (c0 - 1 - j) for j in range(c0))
 
 

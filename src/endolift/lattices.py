@@ -35,7 +35,7 @@ from .errors import (
     ShapeViolation,
     StabilityFailure,
 )
-from .witt import WittScalar, is_odd_prime, nonresidue, pair_inv, pair_mul, pair_sigma, pair_sub, pair_val
+from .witt import WittScalar, nonresidue, pair_inv, pair_mul, pair_sigma, pair_sub, pair_val
 
 Vector = Tuple[WittScalar, ...]
 Matrix = Tuple[Vector, ...]
@@ -161,8 +161,6 @@ def _matrix_from_columns(p, prec, rank, cols) -> Matrix:
 def standard_rank2(p: int, prec: int = 8, action: str = "normalized") -> SemilinearModule:
     """The rank-2 module with the omega action scaled into the basis lines:
     omega on e0, minus omega on f0 (or the reverse)."""
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime")
     one = WittScalar.one(p, prec)
     zero = WittScalar.zero(p, prec)
     pp = WittScalar.from_int(p, prec, p)
@@ -181,8 +179,6 @@ def ramified_rank2(p: int, prec: int = 8) -> SemilinearModule:
     """The rank-2 module carrying the simplest ramified uniformizer action
     (zero trace part, unit norm part): e0 -> f0, f0 -> p*e0, plain-linearly.
     Its square is multiplication by p, the Eisenstein situation."""
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime")
     one = WittScalar.one(p, prec)
     zero = WittScalar.zero(p, prec)
     pp = WittScalar.from_int(p, prec, p)
@@ -195,8 +191,6 @@ def tensor_rank4(p: int, prec: int = 10) -> SemilinearModule:
     module docstring, and two omega actions -- one through the order
     (omega, omega, -omega, -omega), one through the extended scalars
     (omega, -omega, omega, -omega)."""
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime")
     one = WittScalar.one(p, prec)
     zero = WittScalar.zero(p, prec)
     pp = WittScalar.from_int(p, prec, p)
@@ -782,8 +776,6 @@ def hodge_lift_census(p: int) -> Dict[str, int]:
     "uniformizer_stable", "both_stable"; each is q^(4 - rank) of the
     commutation equations of the operators involved (section comment).
     """
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime")
     field = _ResidueField(p)
     blocks = _census_blocks(field)
     order = _commutation_rows(field, blocks["order"])

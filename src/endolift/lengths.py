@@ -53,7 +53,7 @@ from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import ConsistencyFailure, StructureViolation, WindowExhausted
-from .inventory import vertical_multiplicity_closed_form
+from .inventory import _label, vertical_multiplicity_closed_form
 from .series import (
     TruncSeries,
     terms_add,
@@ -158,22 +158,20 @@ def _dense(coeffs: Dict[int, Pair], e0: int, g: int, n: int) -> Tuple[List[int],
 
 
 def _mul_packed(left: Dict[int, Pair], right: Dict[int, Pair], r: int, mod: int, lo: int, hi: int) -> Dict[int, Pair]:
-    """Kronecker substitution: the same product from at most three big-int products.
+    """Kronecker substitution: the same product from big-int products of packed parts.
 
     Both supports are divided by the common stride g of their exponent
     offsets and each coefficient list is packed into one integer with a
     whole-byte slot per exponent.  With (a + b w)(c + d w) = (ac + r bd) +
-    (ad + bc) w, the products A*C, B*D and (A+B)(C+D) - A*C - B*D carry every
-    ac, bd and ad + bc sum in its own slot, so CPython's Karatsuba does the
-    work.  A slot holds at most min(n1, n2) terms of at most 2(mod-1)^2 (the
-    subtraction is exact, so the cross sums are the bound); slots wider than
-    8 bytes take the loop instead.
+    (ad + bc) w, the products A*C, B*D and A*D + B*C carry every ac, bd and
+    ad + bc sum in its own slot, so CPython's Karatsuba does the work.  A
+    slot holds at most min(n1, n2) terms of at most 2(mod-1)^2 (the cross
+    sums are the bound); slots wider than 8 bytes take the loop instead.
 
-    Karatsuba's third product pays only when all four packed parts are
-    nonzero.  When one of them is zero, A*D + B*C has at most one nonzero
-    term and is computed as it stands, with the same slot bound; when B*D
-    and the cross sums are both zero (a-only operands, as in the ramified
-    cells), only the a-slots are unpacked.
+    A product with a zero factor costs nothing; in the benchmark workloads
+    and the acceptance cells one of the four packed parts is always zero.
+    When B*D and the cross sums are both zero (a-only operands, as in the
+    ramified cells), only the a-slots are unpacked.
     """
     l0, r0 = min(left), min(right)
     g = gcd(*(e - l0 for e in left), *(e - r0 for e in right)) or 1
@@ -192,10 +190,7 @@ def _mul_packed(left: Dict[int, Pair], right: Dict[int, Pair], r: int, mod: int,
     ra, rb = map(pack, _dense(right, r0, g, n2))
     aa = la * ra
     bb = lb * rb
-    if la and lb and ra and rb:
-        cross = (la + lb) * (ra + rb) - aa - bb
-    else:
-        cross = la * rb + lb * ra
+    cross = la * rb + lb * ra
     # keep only the slots whose exponent e0 + g*k lies in [lo, hi]
     e0 = l0 + r0
     first = max(0, -((e0 - lo) // g))
@@ -667,19 +662,19 @@ def quotient_length(case: CaseDescriptor, k: int, **kwargs) -> int:
 
 
 def vertical_multiplicity(case: str, p: int, c0: int, **kwargs) -> int:
-    """Length of the special-fiber quotient on the vertical piece.
+    """Length of the special-fiber quotient on the vertical piece of case "unr" or "ram".
 
     Zero when c0 = 0 (no vertical piece); otherwise the measured quotient
     length, cross-checked against the closed form — disagreement raises.
     """
+    label = _label(case, p, c0)
     if c0 == 0:
         return 0
-    desc = case if isinstance(case, CaseDescriptor) else CaseDescriptor.from_label(case, p)
-    measured = quotient_length(desc, c0, **kwargs)
+    measured = quotient_length(CaseDescriptor.from_label(label, p), c0, **kwargs)
     expected = vertical_multiplicity_closed_form(p, c0)
     if measured != expected:
         raise ConsistencyFailure(
-            f"vertical multiplicity mismatch at (case={desc.label}, p={p}, c0={c0}): "
+            f"vertical multiplicity mismatch at (case={label}, p={p}, c0={c0}): "
             f"measured {measured}, closed form {expected}"
         )
     return measured

@@ -20,14 +20,13 @@ packed span about B*cap2 slots wide (MemoryError on the largest products).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, Hashable, Iterator, Optional, Tuple
 
 from .errors import InexactDivision, NotAUnit, WindowExhausted
 from .witt import (
     WittScalar,
-    is_odd_prime,
     nonresidue,
     pair_add,
     pair_inv,
@@ -105,31 +104,27 @@ def terms_valuation(x: Terms, p: int, cap: int) -> int:
 
 @dataclass(frozen=True)
 class SeriesContext:
-    """Shared truncation data: p-precision, x1 window, x2 cap (exclusive)."""
+    """Shared truncation data: p-precision, x1 window, x2 cap (exclusive).
+    `nonresidue` refuses a p that is not an odd prime."""
 
     p: int
     prec: int
     lo1: int
     hi1: int
     cap2: int
+    # derived once here: every series operation reads them
+    mod: int = field(init=False, repr=False, compare=False)  # p^prec
+    r: int = field(init=False, repr=False, compare=False)  # w^2
 
     def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+        object.__setattr__(self, "r", nonresidue(self.p))
         if self.prec < 0:
             raise ValueError("negative precision")
         if self.lo1 > 0 or self.hi1 < 0:
             raise ValueError("x1 window must contain 0")
         if self.cap2 < 1:
             raise ValueError("x2 cap must be at least 1")
-
-    @property
-    def mod(self) -> int:
-        return self.p**self.prec
-
-    @property
-    def r(self) -> int:
-        return nonresidue(self.p)
+        object.__setattr__(self, "mod", self.p**self.prec)
 
     def in_window(self, m1: int, m2: int) -> bool:
         return self.lo1 <= m1 <= self.hi1 and 0 <= m2 < self.cap2

@@ -13,7 +13,8 @@ Two layers live here:
   wrapper per operation would dominate;
 * the `WittScalar` wrapper, the type that appears in public signatures.
 
-Only odd p is supported; p = 2 is rejected at construction.
+Only odd primes p are supported: `nonresidue` raises on any other p, and every
+check of p in the package goes through it.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ _MODULI = {}
 
 
 def _checked_modulus(p: int, prec: int) -> int:
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    nonresidue(p)  # raises unless p is an odd prime
     if prec < 0:
         raise ValueError(f"precision must be nonnegative, got {prec}")
     mod = _MODULI[p, prec] = p**prec

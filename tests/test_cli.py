@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import endolift
+from endolift import windows as win
 from endolift.cli import SCHEMA_VERSION, build_parser, main
 from endolift.errors import ConsistencyFailure, WindowExhausted
 
@@ -225,16 +226,31 @@ class TestArgumentErrors:
         rc = main(["multiplicity", "--p", "three"])
         assert rc == 2
 
-    # values the inventory cannot take, and a run that would check nothing
+    # values the inventory or the tower cannot take, and a run that would
+    # check nothing
     @pytest.mark.parametrize("argv", [
         ["inventory", "--p", "4", "--c0", "1"],
         ["inventory", "--case", "unr", "--c0", "-1"],
         ["lattice", "--superlattices", "0"],
+        ["recursion", "--k", "0"],
+        ["recursion", "--precision-scale", "0"],
+        ["multiplicity", "--precision-scale", "0"],
     ])
     def test_out_of_domain_run_is_usage_error(self, outdir, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("usage error:")
         assert not list(outdir.glob(argv[0] + ".*"))
+
+    def test_refused_recursion_does_no_engine_work(self, outdir, capsys, monkeypatch):
+        calls = []
+        real = win.solve_vertical_recursion
+        monkeypatch.setattr(win, "solve_vertical_recursion", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        for bad in (["--k", "0"], ["--precision-scale", "0"]):
+            assert main(["recursion", "--case", "unr", *bad]) == 2
+        assert calls == []
+        # the probe does see an accepted run
+        assert main(["recursion", "--case", "unr", "--k", "1"]) == 0
+        assert len(calls) == 1
 
     # a count below -1 is refused, not replaced by the default suite
     @pytest.mark.parametrize("flag, value", [("--sublattices", "-2"), ("--superlattices", "-7")])

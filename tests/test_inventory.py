@@ -147,6 +147,12 @@ class TestVerticalClosedForm:
         with pytest.raises(ValueError):
             vertical_multiplicity_closed_form(3, -1)
 
+    # the closed form takes the inventory's p and c0 gate, message and all
+    @pytest.mark.parametrize("p", [4, 2, 9])
+    def test_p_that_is_not_an_odd_prime_is_refused(self, p):
+        with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}"):
+            vertical_multiplicity_closed_form(p, 1)
+
     @given(st.sampled_from([3, 5, 7, 11]), st.integers(0, 6))
     def test_matches_explicit_sum(self, p, c0):
         explicit = 0

@@ -596,9 +596,17 @@ class TestVerticalMultiplicity:
     def test_conductor_two(self):
         assert vertical_multiplicity("unr", 3, 2) == 10
 
-    def test_accepts_descriptor(self):
-        case = CaseDescriptor.from_label("ram", 3)
-        assert vertical_multiplicity(case, 3, 1) == 2
+    # the label and p are checked before the no-vertical-piece shortcut
+    @pytest.mark.parametrize("case, p", [("xyz", 3), ("xyz", 4), ("unr", 4)])
+    def test_out_of_domain_input_at_conductor_zero_is_refused(self, case, p):
+        with pytest.raises(ValueError):
+            vertical_multiplicity(case, p, 0)
+
+    def test_descriptor_is_refused(self):
+        # a descriptor carries its own p, which need not be the p passed
+        # beside it; only the label route is taken
+        with pytest.raises(ValueError, match="unknown case"):
+            vertical_multiplicity(CaseDescriptor.unramified(5), 3, 1)
 
 
 class TestAnnihilator:

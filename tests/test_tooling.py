@@ -57,6 +57,16 @@ def _unused_imports(path):
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
+def test_each_input_rule_is_stated_once():
+    # a restated check drifts from its owner: the odd-prime rule belongs to
+    # witt.nonresidue, the tower's precision scale to windows.recursion_context
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    text = "".join(sources.values())
+    assert text.count("must be an odd prime") == 1
+    assert text.count("precision scale must be") == 1
+    assert [name for name, source in sources.items() if "is_odd_prime" in source] == ["witt.py"]
+
+
 def test_no_unused_imports():
     found = []
     for path in sorted(SRC.glob("*.py")) + sorted(Path(__file__).resolve().parent.glob("*.py")):

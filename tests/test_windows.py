@@ -116,15 +116,8 @@ class TestCaseDescriptor:
         with pytest.raises(ValueError):
             CaseDescriptor.from_label("split", 3)
 
-    @pytest.mark.parametrize(
-        "label, canonical",
-        [("unr", "unr"), ("unramified", "unr"), ("inert", "unr"), ("ram", "ram"), ("ramified", "ram")],
-    )
-    def test_both_label_routes_accept_the_same_aliases(self, label, canonical):
-        assert CaseDescriptor.from_label(label, 3).label == canonical
-        assert total_proper_intersection(label, 3, 1) == total_proper_intersection(canonical, 3, 1)
-
-    @pytest.mark.parametrize("label", ["split", "", "UNR", "inertial", None])
+    # a case has one spelling, "unr" or "ram": the long names are refused too
+    @pytest.mark.parametrize("label", ["split", "", "UNR", "inertial", None, "unramified", "inert", "ramified"])
     def test_both_label_routes_reject_the_same_labels(self, label):
         with pytest.raises(ValueError):
             CaseDescriptor.from_label(label, 3)
