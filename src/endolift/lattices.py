@@ -547,18 +547,6 @@ def _enumerate_subspaces(field: _ResidueField, dim: int):
             yield rows
 
 
-def subspace_count(p: int, dim: int) -> int:
-    """Number of subspaces of the given dimension in the rank-4 residue
-    space: the Gaussian binomial over the quadratic residue field, which an
-    exhaustive walk of the reduced row bases must reach."""
-    q = p * p
-    num = den = 1
-    for i in range(dim):
-        num *= q ** (4 - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
-
-
 # ---------------------------------------------------------------------------
 # rank-4 superlattices
 

@@ -1,17 +1,26 @@
 """Length computations in the chain ring attached to the deformation corner.
 
 The chain ring C is a window-truncated Laurent model in the deformation
-variable x1 over the quadratic Witt scalars modulo p^M; the modules of
-interest are presented over the x2-power generator basis of C[[x2]]/x2^cap by
-the shifted columns of the two corner series.  Elimination fills the short
-corner slices in to dense Laurent polynomials, so chain-ring products go
-through one kernel with two branches: a reduce-once loop for short operands
-and Kronecker-packed big-integer products for dense ones.  The termwise
-arithmetic (add, sub, neg, integer scale, exact division, valuation) is the
-key-agnostic `terms_*` section of `series`, shared with `TruncSeries`.  The
-kernel serves x1-only operands alone: run per pair of x2-slices it made the
-series products of a small sweep 1.5x slower (117 ms against 78 ms), and
-packing both exponents into one key outgrows memory (see `series`).
+variable x1 over Z/p^M, one integer coefficient per x1 exponent; the modules
+of interest are presented over the x2-power generator basis of C[[x2]]/x2^cap
+by the shifted columns of the two corner series.  The series live over the
+quadratic Witt scalars, but the Z_{p^2}-action reaches the corner only
+through the unit w (w^2 = r): every coefficient of a corner series is w-free
+in the ramified case and a w-multiple in the unramified one.  Dividing a
+generator by a unit leaves the corner ideal as it is, and the query
+monomials p^j*x2^i are w-free, so `ChainScalar.from_series` divides each
+slice by its w-power; a slice or a series that mixes the two kinds is a
+StructureViolation, raised before any window is measured.
+
+Elimination fills the short corner slices in to dense Laurent polynomials,
+so chain-ring products go through one kernel with two branches: a
+reduce-once loop for short operands and one Kronecker-packed big-integer
+product for dense ones.  The termwise arithmetic (add, sub, neg, integer
+scale, exact division, valuation) works on the integers directly; the pair
+layer of `series` serves `TruncSeries` alone.  The kernel serves x1-only
+operands alone: run per pair of x2-slices it made the series products of a
+small sweep 1.5x slower (117 ms against 78 ms), and packing both exponents
+into one key outgrows memory (see `series`).
 
 Two independent length oracles live here:
 
@@ -50,20 +59,12 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from .errors import ConsistencyFailure, StructureViolation, WindowExhausted
+from .errors import ConsistencyFailure, InexactDivision, StructureViolation, WindowExhausted
 from .inventory import _label, vertical_multiplicity_closed_form
-from .series import (
-    TruncSeries,
-    terms_add,
-    terms_divide,
-    terms_neg,
-    terms_scale,
-    terms_valuation,
-)
+from .series import SeriesContext, TruncSeries
 from .windows import CaseDescriptor, ThickenedSolution, recursion_context, solve_thickened_recursion
-from .witt import nonresidue
 
 __all__ = [
     "ChainContext",
@@ -79,7 +80,7 @@ __all__ = [
     "chain_default_radius",
 ]
 
-Pair = Tuple[int, int]
+Terms = Dict[int, int]
 T = TypeVar("T")
 
 
@@ -91,9 +92,8 @@ class ChainContext:
     modulus: int
     lo: int
     hi: int
-    # derived once here: every chain-ring operation reads them
+    # derived once here: every chain-ring operation reads it
     mod: int = field(init=False, repr=False, compare=False)  # p^modulus
-    r: int = field(init=False, repr=False, compare=False)  # w^2
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -101,12 +101,11 @@ class ChainContext:
         if self.lo > 0 or self.hi < 0:
             raise ValueError("chain window must contain 0")
         object.__setattr__(self, "mod", self.p**self.modulus)
-        object.__setattr__(self, "r", nonresidue(self.p))
 
 
 # ---------------------------------------------------------------------------
-# the product kernel: {x1 exponent -> (a, b)} dicts over Z[w]/p^M, w^2 = r,
-# with product exponents outside [lo, hi] dropped
+# the product kernel: {x1 exponent -> coefficient} dicts over Z/p^M, with
+# product exponents outside [lo, hi] dropped
 
 # operand-size product (term pairs) from which Kronecker packing beats the loop
 PACK_MIN_TERM_PRODUCTS = 512
@@ -119,115 +118,88 @@ _NATIVE = sys.byteorder
 _SLOT_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
-def _mul_short(left: Dict[int, Pair], right: Dict[int, Pair], r: int, mod: int, lo: int, hi: int) -> Dict[int, Pair]:
-    """Term-by-term product; both parts accumulate unreduced, reduced once."""
+def _mul_short(left: Terms, right: Terms, mod: int, lo: int, hi: int) -> Terms:
+    """Term-by-term product; sums accumulate unreduced, reduced once."""
     if len(left) > len(right):
         left, right = right, left
-    acc_a: Dict[int, int] = {}
-    acc_b: Dict[int, int] = {}
-    for e1, (a1, b1) in left.items():
-        rb1 = r * b1
-        for e2, (a2, b2) in right.items():
+    acc: Terms = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
             e = e1 + e2
             if e < lo or e > hi:
                 continue
-            if e in acc_a:
-                acc_a[e] += a1 * a2 + rb1 * b2
-                acc_b[e] += a1 * b2 + b1 * a2
+            if e in acc:
+                acc[e] += c1 * c2
             else:
-                acc_a[e] = a1 * a2 + rb1 * b2
-                acc_b[e] = a1 * b2 + b1 * a2
+                acc[e] = c1 * c2
     out = {}
-    for e, a in acc_a.items():
-        a %= mod
-        b = acc_b[e] % mod
-        if a or b:
-            out[e] = (a, b)
+    for e, c in acc.items():
+        c %= mod
+        if c:
+            out[e] = c
     return out
 
 
-def _dense(coeffs: Dict[int, Pair], e0: int, g: int, n: int) -> Tuple[List[int], List[int]]:
-    """a- and b-coefficient lists at exponents e0, e0 + g, ..., e0 + (n-1)g."""
-    a_part = [0] * n
-    b_part = [0] * n
-    for e, (a, b) in coeffs.items():
-        i = (e - e0) // g
-        a_part[i] = a
-        b_part[i] = b
-    return a_part, b_part
-
-
-def _mul_packed(left: Dict[int, Pair], right: Dict[int, Pair], r: int, mod: int, lo: int, hi: int) -> Dict[int, Pair]:
-    """Kronecker substitution: the same product from big-int products of packed parts.
+def _mul_packed(left: Terms, right: Terms, mod: int, lo: int, hi: int) -> Terms:
+    """Kronecker substitution: the same product from one big-integer product.
 
     Both supports are divided by the common stride g of their exponent
     offsets and each coefficient list is packed into one integer with a
-    whole-byte slot per exponent.  With (a + b w)(c + d w) = (ac + r bd) +
-    (ad + bc) w, the products A*C, B*D and A*D + B*C carry every ac, bd and
-    ad + bc sum in its own slot, so CPython's Karatsuba does the work.  A
-    slot holds at most min(n1, n2) terms of at most 2(mod-1)^2 (the cross
-    sums are the bound); slots wider than 8 bytes take the loop instead.
-
-    A product with a zero factor costs nothing; in the benchmark workloads
-    and the acceptance cells one of the four packed parts is always zero.
-    When B*D and the cross sums are both zero (a-only operands, as in the
-    ramified cells), only the a-slots are unpacked.
+    whole-byte slot per exponent, so the product of the two integers carries
+    every coefficient sum in its own slot and CPython's Karatsuba does the
+    work.  A slot holds at most min(n1, n2) terms of at most (mod-1)^2;
+    slots wider than 8 bytes take the loop instead.
     """
     l0, r0 = min(left), min(right)
     g = gcd(*(e - l0 for e in left), *(e - r0 for e in right)) or 1
     n1 = (max(left) - l0) // g + 1
     n2 = (max(right) - r0) // g + 1
-    need = ((2 * min(n1, n2) * (mod - 1) ** 2).bit_length() + 7) // 8
+    need = ((min(n1, n2) * (mod - 1) ** 2).bit_length() + 7) // 8
     width = next((w for w in _SLOT_CODES if w >= need), None)
     if width is None:
-        return _mul_short(left, right, r, mod, lo, hi)
+        return _mul_short(left, right, mod, lo, hi)
     code = _SLOT_CODES[width]
 
-    def pack(xs: List[int]) -> int:
-        return int.from_bytes(array(code, xs).tobytes(), _NATIVE)
+    def pack(coeffs: Terms, e0: int, n: int) -> int:
+        slots = [0] * n
+        for e, c in coeffs.items():
+            slots[(e - e0) // g] = c
+        return int.from_bytes(array(code, slots).tobytes(), _NATIVE)
 
-    la, lb = map(pack, _dense(left, l0, g, n1))
-    ra, rb = map(pack, _dense(right, r0, g, n2))
-    aa = la * ra
-    bb = lb * rb
-    cross = la * rb + lb * ra
+    product = pack(left, l0, n1) * pack(right, r0, n2)
     # keep only the slots whose exponent e0 + g*k lies in [lo, hi]
     e0 = l0 + r0
     first = max(0, -((e0 - lo) // g))
     last = min(n1 + n2 - 2, (hi - e0) // g)
     if first > last:
         return {}
-    size = (n1 + n2 - 1) * width
-
-    def unpack(x: int) -> array:
-        slots = array(code)
-        slots.frombytes(x.to_bytes(size, _NATIVE)[first * width:(last + 1) * width])
-        return slots
-
+    slots = array(code)
+    slots.frombytes(product.to_bytes((n1 + n2 - 1) * width, _NATIVE)[first * width:(last + 1) * width])
     out = {}
     e = e0 + first * g
-    if not (bb or cross):
-        for sa in unpack(aa):
-            a = sa % mod
-            if a:
-                out[e] = (a, 0)
-            e += g
-        return out
-    for sa, sb, sc in zip(unpack(aa), unpack(bb), unpack(cross)):
-        a = (sa + r * sb) % mod
-        b = sc % mod
-        if a or b:
-            out[e] = (a, b)
+    for c in slots:
+        c %= mod
+        if c:
+            out[e] = c
         e += g
     return out
 
 
+def _w_power(pairs: Iterable[Tuple[int, int]]) -> int:
+    """0 if every coefficient a + b*w is w-free (b = 0), 1 if every one is a
+    w-multiple (a = 0); StructureViolation if the two kinds mix."""
+    kinds = {(a != 0, b != 0) for a, b in pairs if a or b}
+    if len(kinds) > 1 or (True, True) in kinds:
+        raise StructureViolation("corner coefficients mix w-free and w-multiple parts")
+    return int((False, True) in kinds)
+
+
 class ChainScalar:
-    """An element of the chain ring: {x1 exponent -> coefficient pair}."""
+    """An element of the chain ring: {x1 exponent -> coefficient mod p^M}."""
 
     __slots__ = ("ctx", "coeffs", "_pivot_key")
 
-    def __init__(self, ctx: ChainContext, coeffs: Optional[Dict[int, Pair]] = None, *, _clean: bool = False):
+    def __init__(self, ctx: ChainContext, coeffs: Optional[Terms] = None, *, _clean: bool = False):
         self.ctx = ctx
         self._pivot_key: Optional[Tuple[int, Optional[int]]] = None
         if coeffs is None:
@@ -236,32 +208,25 @@ class ChainScalar:
             self.coeffs = coeffs
         else:
             mod = ctx.mod
-            clean: Dict[int, Pair] = {}
-            for e, pair in coeffs.items():
-                if e < ctx.lo or e > ctx.hi:
-                    continue
-                a, b = pair[0] % mod, pair[1] % mod
-                if a or b:
-                    clean[e] = (a, b)
-            self.coeffs = clean
+            self.coeffs = {e: c % mod for e, c in coeffs.items()
+                           if ctx.lo <= e <= ctx.hi and c % mod}
 
     @classmethod
     def zero(cls, ctx: ChainContext) -> "ChainScalar":
         return cls(ctx, {}, _clean=True)
 
     @classmethod
-    def monomial(cls, ctx: ChainContext, e: int, pair: Pair = (1, 0)) -> "ChainScalar":
-        return cls(ctx, {e: pair})
+    def monomial(cls, ctx: ChainContext, e: int, c: int = 1) -> "ChainScalar":
+        return cls(ctx, {e: c})
 
     @classmethod
     def from_series(cls, ctx: ChainContext, series: TruncSeries) -> "ChainScalar":
-        """Reduce an x2-free series slice into the chain ring."""
-        out: Dict[int, Pair] = {}
-        for (m1, m2), pair in series.coeffs.items():
-            if m2 != 0:
-                raise ValueError("slice is not x2-free")
-            out[m1] = pair
-        return cls(ctx, out)
+        """Reduce an x2-free series slice into the chain ring, divided by its
+        w-power (StructureViolation if it has none, see `_w_power`)."""
+        if any(m2 for _, m2 in series.coeffs):
+            raise ValueError("slice is not x2-free")
+        part = _w_power(series.coeffs.values())
+        return cls(ctx, {m1: pair[part] for (m1, _), pair in series.coeffs.items()})
 
     # -- views ---------------------------------------------------------------
 
@@ -269,7 +234,17 @@ class ChainScalar:
         return not self.coeffs
 
     def p_valuation(self) -> int:
-        return terms_valuation(self.coeffs, self.ctx.p, self.ctx.modulus)
+        """Least p-valuation of the coefficients (the modulus for zero)."""
+        ctx = self.ctx
+        if not self.coeffs:
+            return ctx.modulus
+        # the least coefficient valuation is that of the coefficients' gcd,
+        # which is below p^modulus as every stored coefficient is
+        g, v = gcd(*self.coeffs.values()), 0
+        while g % ctx.p == 0:
+            g //= ctx.p
+            v += 1
+        return v
 
     def leading_degree(self, at_val: int) -> Optional[int]:
         """Least exponent whose coefficient has exactly the given valuation."""
@@ -277,8 +252,7 @@ class ChainScalar:
         if not 0 <= at_val < ctx.modulus:  # stored coefficients are nonzero
             return None
         low, high = ctx.p**at_val, ctx.p ** (at_val + 1)
-        return min((e for e, (a, b) in self.coeffs.items()
-                    if not (a % low or b % low) and (a % high or b % high)), default=None)
+        return min((e for e, c in self.coeffs.items() if not c % low and c % high), default=None)
 
     def pivot_key(self) -> Tuple[int, Optional[int]]:
         """(p_valuation, leading_degree at it), computed once per scalar."""
@@ -310,19 +284,22 @@ class ChainScalar:
             raise ValueError("mixed chain contexts")
 
     def __add__(self, other: "ChainScalar") -> "ChainScalar":
-        self._check(other)
-        if not other.coeffs:
-            return self
-        return ChainScalar(self.ctx, terms_add(self.coeffs, other.coeffs, self.ctx.mod), _clean=True)
+        return self - other.scale_int(-1)
 
     def __sub__(self, other: "ChainScalar") -> "ChainScalar":
+        """Coefficients that cancel are dropped."""
         self._check(other)
         if not other.coeffs:
             return self
-        return ChainScalar(self.ctx, terms_add(self.coeffs, other.coeffs, self.ctx.mod, -1), _clean=True)
-
-    def __neg__(self) -> "ChainScalar":
-        return ChainScalar(self.ctx, terms_neg(self.coeffs, self.ctx.mod), _clean=True)
+        mod = self.ctx.mod
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            c = (out.get(e, 0) - c) % mod
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+        return ChainScalar(self.ctx, out, _clean=True)
 
     def __mul__(self, other: "ChainScalar") -> "ChainScalar":
         self._check(other)
@@ -334,21 +311,17 @@ class ChainScalar:
         if not right:
             return other
         mul = _mul_packed if len(left) * len(right) >= PACK_MIN_TERM_PRODUCTS else _mul_short
-        return ChainScalar(ctx, mul(left, right, ctx.r, ctx.mod, ctx.lo, ctx.hi), _clean=True)
+        return ChainScalar(ctx, mul(left, right, ctx.mod, ctx.lo, ctx.hi), _clean=True)
 
     def scale_int(self, n: int) -> "ChainScalar":
-        return ChainScalar(self.ctx, terms_scale(self.coeffs, n, self.ctx.mod), _clean=True)
+        return ChainScalar(self.ctx, {e: c * n for e, c in self.coeffs.items()})
 
     def shift(self, d: int) -> "ChainScalar":
         """Multiply by x1^d (window-filtered)."""
         if d == 0:
             return self
         ctx = self.ctx
-        out = {}
-        for e, v in self.coeffs.items():
-            n = e + d
-            if ctx.lo <= n <= ctx.hi:
-                out[n] = v
+        out = {e + d: c for e, c in self.coeffs.items() if ctx.lo <= e + d <= ctx.hi}
         return ChainScalar(ctx, out, _clean=True)
 
     def min_exponent(self):
@@ -358,7 +331,10 @@ class ChainScalar:
         """Exact division of every stored coefficient by p^k."""
         if k == 0:
             return self
-        return ChainScalar(self.ctx, terms_divide(self.coeffs, self.ctx.p**k), _clean=True)
+        q = self.ctx.p**k
+        if any(c % q for c in self.coeffs.values()):
+            raise InexactDivision(f"a coefficient is not divisible by {q}")
+        return ChainScalar(self.ctx, {e: c // q for e, c in self.coeffs.items()}, _clean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -436,18 +412,14 @@ def _recenter(work: List[List[ChainScalar]], n: int) -> None:
     their own.
     """
     for i, row in enumerate(work):
-        lows = [e.min_exponent() for e in row[:n] if not e.is_zero()]
-        if lows:
-            s = min(lows)
-            if s > 0:
-                work[i] = [e.shift(-s) for e in row]
+        s = min([e.min_exponent() for e in row[:n] if e.coeffs], default=0)
+        if s > 0:
+            work[i] = [e.shift(-s) for e in row]
     for j in range(n):
-        lows = [row[j].min_exponent() for row in work if not row[j].is_zero()]
-        if lows:
-            s = min(lows)
-            if s > 0:
-                for row in work:
-                    row[j] = row[j].shift(-s)
+        s = min([row[j].min_exponent() for row in work if row[j].coeffs], default=0)
+        if s > 0:
+            for row in work:
+                row[j] = row[j].shift(-s)
 
 
 def chain_snf(
@@ -566,10 +538,12 @@ def chain_default_radius(p: int, k: int) -> int:
     """Default x1-window radius for the chain-ring model at level k.
 
     The valuation-minimal coefficients of the deepest corner slices sit at
-    x1-degree 2*(p^k + p^(k-2) + ...); anything inside that horizon must
-    survive the truncation or units become invisible and the measured
-    module is the wrong one.  One extra factor of p leaves elimination
-    products room to breathe before recentering pulls them back.
+    x1-degree 2*(p^k + p^(k-2) + ...); a window inside that horizon cuts
+    units off and measures the wrong module.  The horizon is not enough,
+    though: at (unr, 3, 3) pinned radii 83-94 and 135-143, all above it,
+    give wrong lengths.  The default, one factor of p past p^k, is only
+    where `_stabilize` starts; what guards a value is its confirmation at
+    two consecutive radii.
     """
     return 2 * p ** (k + 1)
 
@@ -613,6 +587,17 @@ class LengthReport:
     retried: bool
 
 
+def _solve_corner(case: CaseDescriptor, k: int, ctx: SeriesContext) -> ThickenedSolution:
+    """The depth-k tower, once each corner series is found w-free or a
+    w-multiple throughout (see `_w_power`).  The check runs here, before the
+    window driver, which would read its StructureViolation as a failed
+    window and retry it at every radius."""
+    sol = solve_thickened_recursion(case, k, ctx)
+    for series in (sol.alpha, sol.beta):
+        _w_power(series.coeffs.values())
+    return sol
+
+
 def _corner_slices(series: TruncSeries, cap: int, chain_ctx: ChainContext) -> List[ChainScalar]:
     return [ChainScalar.from_series(chain_ctx, series.x2_slice(j)) for j in range(cap)]
 
@@ -646,7 +631,7 @@ def quotient_length_details(
     """
     p = case.p
     ctx = recursion_context(p, k, precision_scale=precision_scale)
-    sol = solve_thickened_recursion(case, k, ctx)
+    sol = _solve_corner(case, k, ctx)
     if chain_radius is not None:
         total, exps = _measure_at_radius(sol.alpha, sol.beta, p, k, chain_radius)
         return LengthReport(case, k, total, exps, chain_radius, False)
@@ -707,7 +692,7 @@ def length_by_elimination(
     """
     p = case.p
     ctx = recursion_context(p, k)
-    sol = solve_thickened_recursion(case, k, ctx)
+    sol = _solve_corner(case, k, ctx)
     if chain_radius is not None:
         return _peel_at_radius(case, sol, k, chain_radius)
     _, total = _stabilize(
@@ -720,31 +705,22 @@ def _peel_at_radius(
     case: CaseDescriptor, sol: ThickenedSolution, k: int, radius: int
 ) -> int:
     p = case.p
-    modulus = 2 * k + 1
-    chain_ctx = ChainContext(p, modulus, -radius, radius)
+    chain_ctx = ChainContext(p, 2 * k + 1, -radius, radius)
     cap = p**k
-
-    sides = {
-        "plain": _corner_slices(sol.alpha, cap, chain_ctx),
-        "twisted": _corner_slices(sol.beta, cap, chain_ctx),
-    }
+    # the plain side (alpha) carries at even steps, the twisted side (beta) at odd ones
+    sides = [_corner_slices(sol.alpha, cap, chain_ctx), _corner_slices(sol.beta, cap, chain_ctx)]
     total = 0
     for j in range(k):
-        carrier_name = "plain" if j % 2 == 0 else "twisted"
-        other_name = "twisted" if j % 2 == 0 else "plain"
-        P = sides[carrier_name]
-        O = sides[other_name]
-        pv = P[0]
-        v = pv.p_valuation()
+        P, O = sides[j % 2], sides[1 - j % 2]
+        v = P[0].p_valuation()
         if v != k - j:
             raise StructureViolation(
                 f"peel step {j}: carrier corner valuation {v}, expected {k - j}"
             )
-        unit = pv.divide_p_power(v)
+        unit = P[0].divide_p_power(v)
         if unit.p_valuation() != 0:
             raise StructureViolation(f"peel step {j}: carrier unit part not invertible")
         width = 2 * p**j
-        O = list(O)
         for d in range(min(width, len(O))):
             t = O[d]
             if t.is_zero():
@@ -753,32 +729,21 @@ def _peel_at_radius(
             # every product a single multiplication, hence an exact zero at
             # slice d; the extra unit factor on O never moves valuations
             tq = t.divide_p_power(v)
-            newO = []
-            for idx in range(len(O)):
-                term = unit * O[idx]
-                shift = idx - d
-                if 0 <= shift < len(P):
-                    term = term - tq * P[shift]
-                newO.append(term)
-            O = newO
+            O = [unit * o - tq * P[i - d] if 0 <= i - d < len(P) else unit * o for i, o in enumerate(O)]
             # every slice just picked up the same unit factor; pull the common
             # x1-power back out so supports cannot drift through the window
             # (a single monomial unit on the whole series, not per slice)
-            lows = [s.min_exponent() for s in O if not s.is_zero()]
-            if lows:
-                common = min(lows)
-                if common > 0:
-                    O = [s.shift(-common) for s in O]
-        if any(not O[d].is_zero() for d in range(min(width, len(O)))):
+            common = min([s.min_exponent() for s in O if s.coeffs], default=0)
+            if common > 0:
+                O = [s.shift(-common) for s in O]
+        if any(not s.is_zero() for s in O[:width]):
             raise StructureViolation(f"peel step {j}: low slices survived elimination")
         # one annulus chunk: the carrying side alone over 2*p^j generators
         cols = [_shift_column(P, t, width) for t in range(width)]
         chunk_rows = [[col[i] for col in cols] for i in range(width)]
         total += sum(chain_snf(chunk_rows, chain_ctx))
-        sides[other_name] = O[width:] + [ChainScalar.zero(chain_ctx)] * width
-        sides[carrier_name] = P
-    final = sides["plain" if k % 2 == 0 else "twisted"]
-    if final[0].p_valuation() != 0:
+        sides[1 - j % 2] = O[width:] + [ChainScalar.zero(chain_ctx)] * width
+    if sides[k % 2][0].p_valuation() != 0:
         raise StructureViolation("after peeling, the remaining corner is not a unit")
     return total
 
@@ -790,7 +755,7 @@ def _peel_at_radius(
 def _monomial_column(ctx: ChainContext, m: int, x2_exp: int, p_exp: int) -> List[ChainScalar]:
     col = [ChainScalar.zero(ctx) for _ in range(m)]
     if 0 <= x2_exp < m:
-        col[x2_exp] = ChainScalar.monomial(ctx, 0, (ctx.p**p_exp % ctx.mod, 0))
+        col[x2_exp] = ChainScalar.monomial(ctx, 0, ctx.p**p_exp)
     return col
 
 
@@ -827,10 +792,10 @@ def annihilator_report(
     # one tower solve serves both models: the official one (cap p^k) reads
     # only the x2-slices below p^k, which the one extra slice never changes
     ctx = recursion_context(p, k).weakened(cap2=p**k + 1)
-    sol = solve_thickened_recursion(case, k, ctx)
+    sol = _solve_corner(case, k, ctx)
     alpha, beta = sol.alpha, sol.beta
 
-    def model(radius: int, cap: int, modulus: int, maximal_multiple: bool, queries: List[Pair]):
+    def model(radius: int, cap: int, modulus: int, maximal_multiple: bool, queries: List[Tuple[int, int]]):
         """Exponents and memberships of the monomials x2^i * p^j, one (i, j) per query."""
         chain = ChainContext(p, modulus, -radius, radius)
         pres = ChainPresentation.from_corner_series(

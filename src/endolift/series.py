@@ -9,13 +9,15 @@ inside the box and the box is part of the declared context.
 The Frobenius lift acts by the coefficient twist together with m -> p*m on
 exponents on both variables.
 
-The termwise arithmetic on {key -> (a, b)} dicts (add, sub, neg, integer
-scale, exact integer division, least p-valuation) lives in one key-agnostic
-section below, shared with the x1-only `lengths.ChainScalar`.  Products stay
-per carrier: replaying the 9,376 series products of one sweep-small benchmark
-pass, the two-variable loop here took 78 ms and one chain-ring kernel call per
-pair of x2-slices 117 ms; folding m2 into an integer key m1 + B*m2 makes the
-packed span about B*cap2 slots wide (MemoryError on the largest products).
+The termwise arithmetic on {(m1, m2) -> (a, b)} dicts (add, sub, neg,
+integer scale, exact integer division, least p-valuation) lives in one
+section below.  The chain ring of `lengths` divides the corner series by w
+and works on integer coefficients, so it shares neither that section nor
+the products: replaying the 9,376 series products of one sweep-small
+benchmark pass, the two-variable loop here took 78 ms and one chain-ring
+kernel call per pair of x2-slices 117 ms; folding m2 into an integer key
+m1 + B*m2 makes the packed span about B*cap2 slots wide (MemoryError on the
+largest products).
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ Terms = Dict[Hashable, Pair]
 
 
 # ---------------------------------------------------------------------------
-# termwise arithmetic on {key -> (a, b)} dicts of reduced nonzero pairs, for
-# any key type: (m1, m2) here, the x1 exponent in lengths.ChainScalar
+# termwise arithmetic on {key -> (a, b)} dicts of reduced nonzero pairs; the
+# keys are the (m1, m2) exponents of TruncSeries, but any hashable key works
 
 
 def terms_add(x: Terms, y: Terms, mod: int, sign: int = 1) -> Terms:

@@ -269,12 +269,20 @@ def one_variable_context(p: int, *, prec: int = 8, radius: Optional[int] = None)
     return SeriesContext(p, prec, -radius, radius, 1)
 
 
+def _check_depth(k: int) -> None:
+    """The tower's depth rule, checked before any box of that depth is built."""
+    if k < 1:
+        raise ValueError(f"depth k must be at least 1, got k = {k}")
+
+
 def recursion_context(p: int, k: int, *, precision_scale: int = 1) -> SeriesContext:
     """Declared working box for the depth-k tower: p-precision 2k+2,
     x1 window +-p^(2k+2), x2 cap p^k.  `precision_scale` multiplies the
     p-adic precision only — the box shape is part of the model and stays put.
-    Below 1 it is a ValueError: at precision 0 every coefficient is 0.
+    Below 1 it is a ValueError: at precision 0 every coefficient is 0.  A
+    depth k below 1 is refused first, before p**k makes a box of it.
     """
+    _check_depth(k)
     if precision_scale < 1:
         raise ValueError(f"precision scale must be >= 1, got {precision_scale}")
     prec = (2 * k + 2) * precision_scale
@@ -471,8 +479,7 @@ def solve_thickened_recursion(
     at the end; internally one guard digit is carried so that the division
     leaves every declared digit trustworthy.
     """
-    if k < 1:
-        raise ValueError("depth k must be at least 1")
+    _check_depth(k)
     if ctx is None:
         ctx = recursion_context(case.p, k)
     p = case.p

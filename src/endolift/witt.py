@@ -8,7 +8,7 @@ identity, and induces the p-power map on residues.
 Two layers live here:
 
 * raw "pair" helpers operating on (a, b) integer tuples — used by the series
-  and chain-ring hot loops and by the lattice layer's operator application,
+  hot loops and by the lattice layer's operator application,
   membership test and Hermite elimination, where attribute dispatch and a
   wrapper per operation would dominate;
 * the `WittScalar` wrapper, the type that appears in public signatures.

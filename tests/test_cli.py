@@ -241,6 +241,12 @@ class TestArgumentErrors:
         assert capsys.readouterr().err.startswith("usage error:")
         assert not list(outdir.glob(argv[0] + ".*"))
 
+    # a negative depth is refused by the depth rule, before p**k builds a box
+    @pytest.mark.parametrize("argv", [["recursion", "--k", "-1"], ["multiplicity", "--c0", "-1"]])
+    def test_negative_depth_is_refused_by_name(self, outdir, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "usage error: depth k must be at least 1, got k = -1\n"
+
     def test_refused_recursion_does_no_engine_work(self, outdir, capsys, monkeypatch):
         calls = []
         real = win.solve_vertical_recursion

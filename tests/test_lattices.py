@@ -29,13 +29,24 @@ from endolift.lattices import (
     operator_sanity,
     ramified_rank2,
     standard_rank2,
-    subspace_count,
     superlattice_family,
     tensor_rank4,
     _ResidueField,
     _residue_apply,
 )
 from endolift.witt import WittScalar
+
+
+def subspace_count(p: int, dim: int) -> int:
+    """Number of subspaces of the given dimension in the rank-4 residue
+    space: the Gaussian binomial over the quadratic residue field, which an
+    exhaustive walk of the reduced row bases must reach."""
+    q = p * p
+    num = den = 1
+    for i in range(dim):
+        num *= q ** (4 - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
 def _vec(module, *ints):

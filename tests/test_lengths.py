@@ -1,5 +1,7 @@
 """Tests for chain-ring arithmetic, SNF measurement, and quotient lengths."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +28,8 @@ from endolift.lengths import (
     vertical_multiplicity,
 )
 from endolift.windows import CaseDescriptor, recursion_context, solve_thickened_recursion
-from endolift.witt import pair_add, pair_mul, pair_val
+from endolift.series import TruncSeries
+from endolift.witt import nonresidue, pair_add, pair_mul, pair_val
 
 CTX = ChainContext(3, 4, -12, 12)
 
@@ -43,8 +46,13 @@ PINNED_WINDOWS = {
 }
 
 
-def _mono(e, a=1, b=0, ctx=CTX):
-    return ChainScalar.monomial(ctx, e, (a, b))
+def _mono(e, c=1, ctx=CTX):
+    return ChainScalar.monomial(ctx, e, c)
+
+
+def _series_slice(coeffs, p=3):
+    """An x2-free series slice {m1: (a, b)} in the depth-1 tower box."""
+    return TruncSeries(recursion_context(p, 1), {(m1, 0): pair for m1, pair in coeffs.items()})
 
 
 class TestChainScalar:
@@ -55,18 +63,18 @@ class TestChainScalar:
             ChainContext(3, 2, 1, 4)
 
     def test_add_sub_roundtrip(self):
-        x = ChainScalar(CTX, {0: (2, 1), 3: (5, 0)})
-        y = ChainScalar(CTX, {-1: (1, 1), 3: (4, 80)})
+        x = ChainScalar(CTX, {0: 2, 3: 5})
+        y = ChainScalar(CTX, {-1: 1, 3: 76})
         assert (x + y) - y == x
         assert (x - x).is_zero()
 
     def test_mul_commutes(self):
-        x = ChainScalar(CTX, {0: (2, 1), 2: (5, 0)})
-        y = ChainScalar(CTX, {-1: (1, 1), 1: (7, 3)})
+        x = ChainScalar(CTX, {0: 2, 2: 5})
+        y = ChainScalar(CTX, {-1: 1, 1: 7})
         assert x * y == y * x
 
     def test_product_with_zero_returns_the_zero_operand(self):
-        x = ChainScalar(CTX, {0: (2, 1), 2: (5, 0)})
+        x = ChainScalar(CTX, {0: 2, 2: 5})
         zero = ChainScalar.zero(CTX)
         assert x * zero is zero
         assert zero * x is zero
@@ -74,30 +82,28 @@ class TestChainScalar:
             x * ChainScalar.zero(ChainContext(3, 4, -6, 6))
 
     def test_shift_is_monomial_multiplication(self):
-        x = ChainScalar(CTX, {0: (2, 1), 2: (5, 0)})
+        x = ChainScalar(CTX, {0: 2, 2: 5})
         assert x.shift(3) == x * _mono(3)
 
     def test_divide_p_power(self):
-        x = ChainScalar(CTX, {1: (9, 18)})
-        assert x.divide_p_power(2) == ChainScalar(CTX, {1: (1, 2)})
+        x = ChainScalar(CTX, {1: 9, 2: 18})
+        assert x.divide_p_power(2) == ChainScalar(CTX, {1: 1, 2: 2})
         with pytest.raises(InexactDivision):
-            ChainScalar(CTX, {0: (3, 1)}).divide_p_power(1)
+            ChainScalar(CTX, {0: 3, 1: 1}).divide_p_power(1)
 
     def test_p_valuation_and_leading_degree(self):
-        x = ChainScalar(CTX, {-2: (9, 0), 1: (3, 0), 4: (6, 0)})
+        x = ChainScalar(CTX, {-2: 9, 1: 3, 4: 6})
         assert x.p_valuation() == 1
         assert x.leading_degree(1) == 1
         assert x.leading_degree(2) == -2
         assert x.leading_degree(0) is None
 
     @given(st.dictionaries(
-        st.integers(-12, 12),
-        st.tuples(st.integers(0, 4), st.integers(0, 80), st.integers(0, 80)),
-        max_size=8,
+        st.integers(-12, 12), st.tuples(st.integers(0, 4), st.integers(0, 80)), max_size=8,
     ))
     def test_valuation_and_leading_degree_match_the_pairwise_reference(self, terms):
-        x = ChainScalar(CTX, {e: (3**i * a, 3**i * b) for e, (i, a, b) in terms.items()})
-        vals = {e: pair_val(v, 3, CTX.modulus) for e, v in x.coeffs.items()}
+        x = ChainScalar(CTX, {e: 3**i * a for e, (i, a) in terms.items()})
+        vals = {e: pair_val((c, 0), 3, CTX.modulus) for e, c in x.coeffs.items()}
         v = min(vals.values(), default=CTX.modulus)
         assert x.p_valuation() == v
         for at in range(-1, CTX.modulus + 2):
@@ -105,11 +111,36 @@ class TestChainScalar:
             assert x.leading_degree(at) == want
         assert x.pivot_key() == (v, x.leading_degree(v))
 
+    def test_from_series_divides_a_slice_by_its_w_power(self):
+        ctx = ChainContext(3, 3, -6, 6)
+        w_free = _series_slice({0: (4, 0), 2: (3, 0)})
+        w_multiple = _series_slice({0: (0, 4), 2: (0, 3)})
+        want = ChainScalar(ctx, {0: 4, 2: 3})
+        assert ChainScalar.from_series(ctx, w_free) == want
+        assert ChainScalar.from_series(ctx, w_multiple) == want
+        with pytest.raises(ValueError, match="not x2-free"):
+            ChainScalar.from_series(ctx, TruncSeries.monomial(recursion_context(3, 1), 0, 1))
 
-def _naive_chain_mul(left, right, r, mod, lo, hi):
-    """Reference product: one pair_mul and one pair_add per term pair."""
-    if len(left) > len(right):
-        left, right = right, left
+    @pytest.mark.parametrize("coeffs", [{0: (1, 1)}, {0: (4, 0), 2: (0, 3)}],
+                             ids=["mixed-coefficient", "mixed-slice"])
+    def test_from_series_refuses_a_slice_without_a_w_power(self, coeffs):
+        with pytest.raises(StructureViolation):
+            ChainScalar.from_series(ChainContext(3, 3, -6, 6), _series_slice(coeffs))
+
+
+def _naive_chain_mul(left, right, mod, lo, hi):
+    """Reference product: one reduced product and one reduced sum per term pair."""
+    acc = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = e1 + e2
+            if lo <= e <= hi:
+                acc[e] = (acc.get(e, 0) + c1 * c2 % mod) % mod
+    return {e: c for e, c in acc.items() if c}
+
+
+def _pair_chain_mul(left, right, r, mod, lo, hi):
+    """Reference product over Z[w]/p^M: one pair_mul and one pair_add per term pair."""
     acc = {}
     for e1, v1 in left.items():
         for e2, v2 in right.items():
@@ -122,12 +153,10 @@ def _naive_chain_mul(left, right, r, mod, lo, hi):
 
 
 @st.composite
-def _chain_operand(draw, ctx, stride, parts="ab"):
+def _chain_operand(draw, ctx, stride):
     """Coefficients of a chain scalar: empty, one term, or a support on a
     stride-progression (full or thinned, sometimes with both window edges);
-    coefficients are often mod - 1, the worst case for the packed slots.
-    parts names the coefficient parts that may be nonzero: "ab" for mixed
-    operands, "a" or "b" for operands with one part only."""
+    coefficients are often mod - 1, the worst case for the packed slots."""
     coeff = st.one_of(st.integers(0, ctx.mod - 1), st.just(ctx.mod - 1))
     shape = draw(st.sampled_from(["empty", "single", "strided"]))
     if shape == "empty":
@@ -141,42 +170,48 @@ def _chain_operand(draw, ctx, stride, parts="ab"):
                 if full or draw(st.booleans())]
         if draw(st.booleans()):
             exps += [ctx.lo, ctx.hi]
+    return ChainScalar(ctx, {e: draw(coeff) for e in exps}).coeffs
 
-    def part(name):
-        return draw(coeff) if name in parts else 0
 
-    return ChainScalar(ctx, {e: (part("a"), part("b")) for e in exps}).coeffs
+@st.composite
+def _kernel_case(draw):
+    """(ctx, left, right) on a random window, modulus and support stride."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    stride = draw(st.sampled_from([1, 2, 3, 24]))
+    lo = -draw(st.integers(0, 30 * stride))
+    hi = draw(st.integers(0, 30 * stride))
+    ctx = ChainContext(p, draw(st.integers(1, 7)), lo, hi)
+    return ctx, draw(_chain_operand(ctx, stride)), draw(_chain_operand(ctx, stride))
 
 
 class TestProductKernel:
     @settings(max_examples=300)
-    @given(st.data())
-    def test_both_branches_match_the_naive_product(self, data):
-        p = data.draw(st.sampled_from([3, 5, 7]))
-        stride = data.draw(st.sampled_from([1, 2, 3, 24]))
-        lo = -data.draw(st.integers(0, 30 * stride))
-        hi = data.draw(st.integers(0, 30 * stride))
-        ctx = ChainContext(p, data.draw(st.integers(1, 7)), lo, hi)
-        # a-only x a-only, b-only x b-only, mixed x single-part (both orders)
-        # and mixed x mixed: the packed product skips zero packed parts
-        left_parts, right_parts = data.draw(st.sampled_from([
-            ("a", "a"), ("b", "b"), ("ab", "a"), ("ab", "b"), ("a", "ab"), ("b", "ab"), ("ab", "ab"),
-        ]))
-        left = data.draw(_chain_operand(ctx, stride, left_parts))
-        right = data.draw(_chain_operand(ctx, stride, right_parts))
-        args = (ctx.r, ctx.mod, ctx.lo, ctx.hi)
+    @given(_kernel_case())
+    def test_both_branches_match_the_naive_product(self, case):
+        ctx, left, right = case
+        args = (ctx.mod, ctx.lo, ctx.hi)
         want = _naive_chain_mul(left, right, *args)
         assert lengths._mul_short(left, right, *args) == want
         if left and right:
             assert lengths._mul_packed(left, right, *args) == want
         assert (ChainScalar(ctx, left) * ChainScalar(ctx, right)).coeffs == want
 
+    @settings(max_examples=100)
+    @given(_kernel_case())
+    def test_products_match_the_pair_arithmetic_on_w_free_operands(self, case):
+        # Z/p^M is the w-free part of Z[w]/p^M: embedded as (c, 0) pairs, the
+        # operands multiply in the quadratic Witt scalars to the same product
+        ctx, left, right = case
+        got = (ChainScalar(ctx, left) * ChainScalar(ctx, right)).coeffs
+        pairs = [{e: (c, 0) for e, c in x.items()} for x in (left, right)]
+        assert {e: (c, 0) for e, c in got.items()} == _pair_chain_mul(
+            *pairs, nonresidue(ctx.p), ctx.mod, ctx.lo, ctx.hi)
+
     def test_slots_wider_than_eight_bytes_still_match(self):
         ctx = ChainContext(3, 30, -40, 40)
-        top = (ctx.mod - 1, ctx.mod - 1)
-        x = {e: top for e in range(-40, 41, 2)}
-        y = {e: top for e in range(-20, 21)}
-        args = (ctx.r, ctx.mod, ctx.lo, ctx.hi)
+        x = {e: ctx.mod - 1 for e in range(-40, 41, 2)}
+        y = {e: ctx.mod - 1 for e in range(-20, 21)}
+        args = (ctx.mod, ctx.lo, ctx.hi)
         assert lengths._mul_packed(x, y, *args) == _naive_chain_mul(x, y, *args)
 
     def test_branch_follows_the_operand_sizes(self, monkeypatch):
@@ -186,8 +221,8 @@ class TestProductKernel:
                 used.append(_name)
                 return _naive_chain_mul(*args)
             monkeypatch.setattr(lengths, name, spy)
-        short = ChainScalar(CTX, {0: (1, 1), 3: (2, 0)})
-        dense = ChainScalar(CTX, {e: (e % 7, 1) for e in range(-12, 13)})
+        short = ChainScalar(CTX, {0: 1, 3: 2})
+        dense = ChainScalar(CTX, {e: e % 7 + 1 for e in range(-12, 13)})
         assert (short * ChainScalar.zero(CTX)).is_zero() and used == []
         short * dense
         dense * dense
@@ -204,15 +239,14 @@ def _small_presentations(draw):
     ctx = ChainContext(3, 3, -48, 48)
     small = st.one_of(st.none(), st.tuples(
         st.integers(0, 2),
-        st.dictionaries(st.integers(-2, 2), st.tuples(st.integers(0, 8), st.integers(0, 8)),
-                        min_size=1, max_size=2),
+        st.dictionaries(st.integers(-2, 2), st.integers(0, 8), min_size=1, max_size=2),
     ))
 
     def scalar(drawn):
         if drawn is None:
             return ChainScalar.zero(ctx)
         v, terms = drawn
-        return ChainScalar(ctx, {e: (3**v * a, 3**v * b) for e, (a, b) in terms.items()})
+        return ChainScalar(ctx, {e: 3**v * c for e, c in terms.items()})
 
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
@@ -310,12 +344,12 @@ class TestChainSNF:
         assert chain_snf([[_mono(0)]], CTX) == [0]
 
     def test_p_power_entry(self):
-        assert chain_snf([[_mono(0, 9, 0)]], CTX) == [2]
+        assert chain_snf([[_mono(0, 9)]], CTX) == [2]
 
     def test_x_shift_is_invisible(self):
         # x1 is invertible in the chain ring, so x1-powers scale away
-        assert chain_snf([[_mono(5, 9, 0)]], CTX) == [2]
-        assert chain_snf([[_mono(-3, 3, 0)]], CTX) == [1]
+        assert chain_snf([[_mono(5, 9)]], CTX) == [2]
+        assert chain_snf([[_mono(-3, 3)]], CTX) == [1]
 
     def test_zero_row_counts_full_modulus(self):
         zero = ChainScalar.zero(CTX)
@@ -373,18 +407,19 @@ class TestChainSNF:
 
     def test_unit_row_scaling_invariance(self):
         rows = [
-            [_mono(0, 3, 0), _mono(1, 9, 0)],
-            [_mono(-1, 1, 1), _mono(0, 0, 3)],
+            [_mono(0, 3), _mono(1, 9)],
+            [_mono(-1, 4), _mono(0, 6)],
         ]
         base = chain_snf([list(r) for r in rows], CTX)
-        unit = ChainScalar(CTX, {0: (2, 1), 1: (5, 0)})
+        # 2 + 3*x1 = 2*(1 + p*(x1/2)) is a unit; 2 + 5*x1, 2*(1 + x1) mod p, is not
+        unit = ChainScalar(CTX, {0: 2, 1: 3})
         scaled = [[unit * e for e in rows[0]], list(rows[1])]
         assert chain_snf(scaled, CTX) == base
 
     def test_query_below_the_pivot_valuation_is_outside(self):
         # every span element has valuation >= 1 in the pivot row; equal
         # valuation is inside, at any x1-shift
-        queries = [[_mono(0, 1)], [_mono(0, 3)], [_mono(2, 9, 3)]]
+        queries = [[_mono(0, 1)], [_mono(0, 3)], [_mono(2, 12)]]
         assert chain_snf([[_mono(0, 3)]], CTX, queries=queries) == ([1], [False, True, True])
 
     def test_query_in_a_row_without_pivot_is_outside(self):
@@ -444,8 +479,8 @@ class TestPresentation:
     def test_column_counts(self):
         ctx = ChainContext(3, 3, -6, 6)
         m = 3
-        a = [_mono(0, 1, 0, ctx) for _ in range(m)]
-        b = [_mono(1, 2, 0, ctx) for _ in range(m)]
+        a = [_mono(0, 1, ctx) for _ in range(m)]
+        b = [_mono(1, 2, ctx) for _ in range(m)]
         plain = ChainPresentation.from_corner_series(ctx, m, a, b)
         assert len(plain.columns) == 2 * m
         maximal = ChainPresentation.from_corner_series(ctx, m, a, b, maximal_multiple=True)
@@ -456,8 +491,8 @@ class TestPresentation:
     def test_presentation_length_sums_exponents(self):
         ctx = ChainContext(3, 3, -6, 6)
         m = 2
-        a = [_mono(0, 3, 0, ctx), _mono(0, 0, 0, ctx)]
-        b = [_mono(0, 9, 0, ctx), _mono(0, 3, 0, ctx)]
+        a = [_mono(0, 3, ctx), _mono(0, 0, ctx)]
+        b = [_mono(0, 9, ctx), _mono(0, 3, ctx)]
         pres = ChainPresentation.from_corner_series(ctx, m, a, b)
         total, exps = presentation_length(pres)
         assert total == sum(exps)
@@ -513,6 +548,22 @@ class TestQuotientLength:
             quotient_length_details(CaseDescriptor.unramified(3), 1, precision_scale=scale)
         with pytest.raises(ValueError, match="precision scale must be >= 1"):
             recursion_context(3, 1, precision_scale=scale)
+
+    @pytest.mark.parametrize("measure", [quotient_length_details, length_by_elimination, annihilator_report])
+    def test_series_mixing_w_free_and_w_multiple_slices_is_refused(self, monkeypatch, measure):
+        # each slice alone has a w-power, so only the check on the whole
+        # solved series sees the mix; inside the window driver its
+        # StructureViolation would read as a failed window at every radius
+        def mixed(case, k, ctx):
+            sol = solve_thickened_recursion(case, k, ctx)
+            # the ramified beta is w-free, with slices at x2^0, x2^1 and x2^2
+            coeffs = {key: (0, a) if key[1] == 1 else (a, b) for key, (a, b) in sol.beta.coeffs.items()}
+            assert {m2 for _, m2 in coeffs} == {0, 1, 2} and all(b == 0 for _, b in sol.beta.coeffs.values())
+            return dataclasses.replace(sol, beta=TruncSeries(sol.beta.ctx, coeffs))
+
+        monkeypatch.setattr(lengths, "solve_thickened_recursion", mixed)
+        with pytest.raises(StructureViolation, match="mix"):
+            measure(CaseDescriptor.from_label("ram", 3), 1)
 
     def test_pinned_radius_skips_stabilization(self, monkeypatch):
         def no_driver(*args):

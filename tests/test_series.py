@@ -186,7 +186,7 @@ def test_p_valuation_and_min_degree():
 
 # -- the shared termwise layer ----------------------------------------------
 
-# the x1 exponents of lengths.ChainScalar and the (m1, m2) keys of TruncSeries
+# the (m1, m2) keys of TruncSeries, and plain integer keys: the layer is key-agnostic
 _TERM_KEYS = [st.integers(-6, 6), st.tuples(st.integers(-6, 6), st.integers(0, 3))]
 
 
