@@ -14,11 +14,12 @@ times the row span.  Enumeration is exhaustive where the search space is a
 finite grid (rank-2 sublattices, rank-4 superlattices one step outside the
 standard lattice), visiting only the candidates that the linear conditions
 of the diagonal actions allow, each then fully checked; the deeper
-superlattice windows enumerate the eigenline-diagonal family, which is
-closed: the four residue characters of the order action are pairwise
-distinct, so a stable lattice splits into eigenlines and is diagonal.
-Anything stable found outside the expected classification raises
-ShapeViolation rather than being silently absorbed.
+superlattice windows walk the eigenline-diagonal family, which is closed
+when the basis lines have pairwise distinct residue characters: the order
+action alone is (w, w, -w, -w), the two omega actions together give four
+characters, and a stable lattice then splits into eigenlines.  Each
+operator is stated once, in its module constructor, and read from there.
+Anything stable outside the classification raises ShapeViolation.
 
 The filtration-lift census counts the lifts of the Hodge filtration to the
 dual numbers that the order and the ramified uniformizer keep.  Stability of
@@ -35,7 +36,7 @@ from .errors import (
     ShapeViolation,
     StabilityFailure,
 )
-from .witt import WittScalar, nonresidue, pair_inv, pair_mul, pair_sigma, pair_sub, pair_val
+from .witt import WittScalar, nonresidue, pair_inv, pair_mul, pair_sub, pair_val
 
 Vector = Tuple[WittScalar, ...]
 Matrix = Tuple[Vector, ...]
@@ -224,6 +225,16 @@ def operator_sanity(module: SemilinearModule) -> None:
                 raise ConsistencyFailure(f"{module.label}: {name} does not commute with F")
 
 
+def _diagonal_eigenvalues(module: SemilinearModule) -> Dict[str, Tuple[Tuple[int, int], ...]]:
+    """The diagonal, as raw pairs, of each linear action whose matrix is
+    diagonal, by action name."""
+    return {
+        name: tuple(dict(row).get(i, (0, 0)) for i, row in enumerate(sparse))
+        for name, _mat, twist, sparse in module._ops
+        if not twist and all(j == i for i, row in enumerate(sparse) for j, _x in row)
+    }
+
+
 # ---------------------------------------------------------------------------
 # Hermite bases
 
@@ -390,15 +401,14 @@ def enumerate_stable_sublattices(module: SemilinearModule, k: int) -> List[Latti
         )
     zero = WittScalar.zero(p, module.prec)
     gaps = [
-        (mat[1][1] - mat[0][0]).valuation()
-        for mat in module.actions.values()
-        if mat[0][1].is_zero() and mat[1][0].is_zero()
+        pair_val(pair_sub(m1, m0, module._mod), p, module.prec)
+        for m0, m1 in _diagonal_eigenvalues(module).values()
     ]
     found = []
     for a in range(k + 1):
         b = k - a
-        pa = module.scalar(p) ** a
-        pb = module.scalar(p) ** b
+        pa = module.scalar(p**a)
+        pb = module.scalar(p**b)
         step = p ** max([0] + [b - v for v in gaps])
         for w0 in range(0, p**b, step):
             for w1 in range(0, p**b, step):
@@ -461,26 +471,11 @@ class _ResidueField:
         return [(a, b) for a in range(self.p) for b in range(self.p)]
 
 
-# signs of the two omega actions on the residue lines (e1, e2, f1, f2); the
-# four columns of sign pairs, the residue characters, are pairwise distinct
-_RESIDUE_OMEGA_SIGNS = {"omega-order": (1, 1, -1, -1), "omega-scalar": (1, -1, 1, -1)}
-
-
-def _residue_apply(field: _ResidueField, op: str, vec):
-    """One induced operator on the one-step quotient, coordinates over
-    (e1, e2, f1, f2) residue lines.
-
-    F induces e1 -> f2, e2 -> f1, f1 -> 0, f2 -> 0, twisted by the p-power
-    map, because dividing by p turns the f -> p*e legs into integral
-    vectors.  The omega actions stay diagonal.
-    """
-    if op == "F":
-        tv = [pair_sigma(c, field.p) for c in vec]
-        return [(0, 0), (0, 0), tv[1], tv[0]]
-    signs = _RESIDUE_OMEGA_SIGNS.get(op)
-    if signs is None:
-        raise ValueError(op)
-    return [field.mul((0, s % field.p), c) for c, s in zip(vec, signs)]
+def _residue_characters(module: SemilinearModule) -> List[tuple]:
+    """Per basis line, its eigenvalues mod p under the diagonal actions."""
+    p = module.p
+    diagonals = _diagonal_eigenvalues(module).values()
+    return [tuple((d[i][0] % p, d[i][1] % p) for d in diagonals) for i in range(module.rank)]
 
 
 def _rank(field: _ResidueField, vectors) -> int:
@@ -501,30 +496,38 @@ def _rank(field: _ResidueField, vectors) -> int:
     return len(echelon)
 
 
-def _subspace_stable(field: _ResidueField, rows) -> bool:
-    """Whether F and both omega actions keep the span of the basis rows:
-    adding the images of the basis must not raise the rank.  F is
-    semilinear, so the images of a basis still span the image."""
-    return all(
-        _rank(field, rows + [_residue_apply(field, op, row) for row in rows]) == len(rows)
-        for op in ("F", "omega-order", "omega-scalar")
-    )
+def _subspace_stable(module: SemilinearModule, field: _ResidueField, rows) -> bool:
+    """Whether every operator of the module keeps the span of the residue
+    rows of the one-step quotient p^-1 L / L.  Multiplication by p
+    identifies it with L / pL, and every operator respects that, so a row
+    is sent as its lift and the image reduced mod p.  Adding the images of
+    the basis must not raise the rank; F is semilinear, so the images of a
+    basis still span the image."""
+    p = field.p
+    for _name, _mat, twist, sparse in module._ops:
+        images = [
+            [(a % p, b % p) for a, b in module._apply_pairs(sparse, row, twist)] for row in rows
+        ]
+        if _rank(field, rows + images) != len(rows):
+            return False
+    return True
 
 
-def _enumerate_subspaces(field: _ResidueField, dim: int):
+def _enumerate_subspaces(module: SemilinearModule, field: _ResidueField, dim: int):
     """Reduced row bases, one per subspace, of the subspaces of the given
-    dimension that the two omega actions keep.
+    dimension in the rank-4 residue space that the module's diagonal
+    actions keep.
 
     A diagonal action moves a reduced row into the span exactly when it
     scales the row by its pivot's eigenvalue, that is when every free entry
-    whose column eigenvalue differs from the pivot's (by the unit 2*omega)
-    is zero; so free entries run over the field only in columns with the
-    pivot's residue character.
+    whose column eigenvalue differs from the pivot's mod p is zero; so free
+    entries run over the field only in columns with the pivot's residue
+    character.
     """
     q_elems = field.elements()
     one = (1, 0)
     zero = (0, 0)
-    character = list(zip(*_RESIDUE_OMEGA_SIGNS.values()))
+    character = _residue_characters(module)
     for pivots in combinations(range(4), dim):
         free_positions = [
             (i, col)
@@ -572,7 +575,7 @@ def _family_lattice(module: SemilinearModule, a: int, b: int, delta: int, m: int
     exps = (m - a, m - b, m - (b + delta), m - (a + delta))
     if min(exps) < 0:
         raise ValueError("family member escapes the window")
-    rows = _diag(p, module.prec, tuple(module.scalar(p) ** e for e in exps))
+    rows = _diag(p, module.prec, tuple(module.scalar(p**e) for e in exps))
     return LatticeHNF(module, rows, m)
 
 
@@ -595,11 +598,13 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
     coindex p^(2s).
 
     The m = 1 window is searched exhaustively: every residue subspace of
-    dimension 2s in the one-step quotient that the omega actions keep,
-    checked under all the induced operators.  Deeper windows walk the
-    diagonal family, which is closed (module docstring).  Every survivor must classify as some
-    (a, b, delta) with a + b + delta = s; anything else raises
-    ShapeViolation.
+    dimension 2s in the one-step quotient that the diagonal actions keep,
+    checked under the module's operators mod p, and its lattice then
+    checked again under the operators themselves.  Deeper windows walk the
+    diagonal family, which is closed only when the residue characters of
+    the basis lines are pairwise distinct (module docstring); ValueError
+    otherwise.  Every survivor must classify as some (a, b, delta) with
+    a + b + delta = s; anything else raises ShapeViolation.
     """
     if module.rank != 4:
         raise ValueError("rank-4 module required")
@@ -616,35 +621,28 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
         if 2 * s > 4:
             return []
         field = _ResidueField(module.p)
-        p = module.p
-        pm = module.scalar(p)
-        for rows in _enumerate_subspaces(field, 2 * s):
-            if not _subspace_stable(field, rows):
+        standard = list(_diag(module.p, module.prec, (module.scalar(module.p),) * 4))
+        for rows in _enumerate_subspaces(module, field, 2 * s):
+            if not _subspace_stable(module, field, rows):
                 continue
-            gens = [
-                tuple(pm if i == j else WittScalar.zero(p, module.prec) for j in range(4))
-                for i in range(4)
-            ]
-            for row in rows:
-                gens.append(tuple(WittScalar(p, module.prec, c[0], c[1]) for c in row))
-            found.append(hermite_form(module, gens, scale=1))
+            lat = hermite_form(module, standard + [module._scalars(row) for row in rows], scale=1)
+            if not _stable_under_all(module, lat):
+                raise ShapeViolation("enumerated lattice fails a stability recheck")
+            found.append(lat)
     else:
+        if len(set(_residue_characters(module))) < 4:
+            raise ValueError(
+                f"{module.label}: the basis lines share a residue character, so the "
+                f"diagonal family does not hold every stable lattice at m = {m}"
+            )
         for a, b, delta in superlattice_family(s, m):
             lat = _family_lattice(module, a, b, delta, m)
             if _stable_under_all(module, lat):
                 found.append(lat)
-    unique: List[LatticeHNF] = []
-    for lat in found:
-        if lat in unique:
-            continue
-        if not _stable_under_all(module, lat):
-            raise ShapeViolation("enumerated lattice fails a stability recheck")
-        if lat.index_exponent() != -2 * s:
-            raise ConsistencyFailure("coindex bookkeeping is off")
-        classify_superlattice(lat)
-        unique.append(lat)
-    unique.sort(key=classify_superlattice)
-    return unique
+    if any(lat.index_exponent() != -2 * s for lat in found):
+        raise ConsistencyFailure("coindex bookkeeping is off")
+    found.sort(key=classify_superlattice)
+    return found
 
 
 class DescentReport:
@@ -719,8 +717,8 @@ def descend_superlattice(
 #
 #     g_j = f_j + eps*(c_j1 e1 + c_j2 e2),   j = 1, 2,
 #
-# of the 2x2 matrices c over the residue field.  The order acts by the
-# omega-order signs; both companion coefficients of the ramified uniformizer
+# of the 2x2 matrices c over the residue field.  The order acts by its
+# omega-order diagonal; both companion coefficients of the ramified uniformizer
 # have positive valuation (the Eisenstein shape), so it induces the
 # nilpotent e1 -> e2, f1 -> f2.  Each operator T keeps the e-plane and the
 # f-plane; with its blocks T_E and T_F in row convention (row i holds the
@@ -734,12 +732,13 @@ def descend_superlattice(
 
 
 def _census_blocks(field: _ResidueField):
-    """(T_E, T_F) of the order and of the uniformizer, in row convention."""
+    """(T_E, T_F) of the order and of the uniformizer, in row convention;
+    the order's diagonal is read off `tensor_rank4` mod p."""
     zero = (0, 0)
-    signs = _RESIDUE_OMEGA_SIGNS["omega-order"]
+    diagonal = _diagonal_eigenvalues(tensor_rank4(field.p, 1))["omega-order"]
     e_block, f_block = (
-        tuple(tuple((0, s % field.p) if i == j else zero for j in range(2)) for i, s in enumerate(plane))
-        for plane in (signs[:2], signs[2:])
+        tuple(tuple(diagonal[i] if i == j else zero for j in plane) for i in plane)
+        for plane in ((0, 1), (2, 3))
     )
     nilpotent = ((zero, (1, 0)), (zero, zero))
     return {"order": (e_block, f_block), "uniformizer": (nilpotent, nilpotent)}

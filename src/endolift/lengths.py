@@ -15,9 +15,9 @@ StructureViolation, raised before any window is measured.
 Elimination fills the short corner slices in to dense Laurent polynomials,
 so chain-ring products go through one kernel with two branches: a
 reduce-once loop for short operands and one Kronecker-packed big-integer
-product for dense ones.  The termwise arithmetic (add, sub, neg, integer
-scale, exact division, valuation) works on the integers directly; the pair
-layer of `series` serves `TruncSeries` alone.  The kernel serves x1-only
+product for dense ones.  The termwise arithmetic (add, sub, integer scale,
+exact division, valuation) works on the integers directly; the pair
+arithmetic of `TruncSeries` is its own.  The kernel serves x1-only
 operands alone: run per pair of x2-slices it made the series products of a
 small sweep 1.5x slower (117 ms against 78 ms), and packing both exponents
 into one key outgrows memory (see `series`).
@@ -400,20 +400,24 @@ class ChainPresentation:
 
 
 def _recenter(work: List[List[ChainScalar]], n: int) -> None:
-    """Divide rows and the first n columns by the largest x1-power dividing them.
+    """Shift rows and the first n columns so each active support starts at x1^0.
 
     Multiplying a row or a column by x1^-s is a unit operation on the
     presented module; pulling every strictly positive common support back to
     zero stops the supports from drifting upward under repeated unit scaling
-    and out of the finite window.  Only the first n (active) columns set the
-    shifts, and shifting them down is always loss-free because their
-    supports never go negative.  Passive columns past them move with their
-    rows, into the negative half of the window, and are never shifted on
-    their own.
+    and out of the finite window.  A row whose active support starts below
+    zero (only an input row can) is lifted to zero instead: left there, a
+    pivot unit of negative leading degree scales every column it clears
+    further down, until entries fall below the window and a unit reads as
+    zero.  After the first pass every active support starts at or above
+    zero and products and differences keep it there, so later passes only
+    shift down, which is loss-free.  Only the first n (active) columns set
+    the shifts.  Passive columns past them move with their rows and are
+    never shifted on their own.
     """
     for i, row in enumerate(work):
         s = min([e.min_exponent() for e in row[:n] if e.coeffs], default=0)
-        if s > 0:
+        if s:
             work[i] = [e.shift(-s) for e in row]
     for j in range(n):
         s = min([row[j].min_exponent() for row in work if row[j].coeffs], default=0)

@@ -9,22 +9,22 @@ inside the box and the box is part of the declared context.
 The Frobenius lift acts by the coefficient twist together with m -> p*m on
 exponents on both variables.
 
-The termwise arithmetic on {(m1, m2) -> (a, b)} dicts (add, sub, neg,
-integer scale, exact integer division, least p-valuation) lives in one
-section below.  The chain ring of `lengths` divides the corner series by w
-and works on integer coefficients, so it shares neither that section nor
-the products: replaying the 9,376 series products of one sweep-small
-benchmark pass, the two-variable loop here took 78 ms and one chain-ring
-kernel call per pair of x2-slices 117 ms; folding m2 into an integer key
-m1 + B*m2 makes the packed span about B*cap2 slots wide (MemoryError on the
-largest products).
+The termwise arithmetic (add, sub, neg, integer scale, exact integer
+division, least p-valuation) lives in the `TruncSeries` methods, on its
+{(m1, m2) -> (a, b)} dict.  The chain ring of `lengths` divides the corner
+series by w and works on integer coefficients, so it shares neither that
+arithmetic nor the products: replaying the 9,376 series products of one
+sweep-small benchmark pass, the two-variable loop here took 78 ms and one
+chain-ring kernel call per pair of x2-slices 117 ms; folding m2 into an
+integer key m1 + B*m2 makes the packed span about B*cap2 slots wide
+(MemoryError on the largest products).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, Hashable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import InexactDivision, NotAUnit, WindowExhausted
 from .witt import (
@@ -47,61 +47,6 @@ __all__ = [
 
 Pair = Tuple[int, int]
 Key = Tuple[int, int]
-Terms = Dict[Hashable, Pair]
-
-
-# ---------------------------------------------------------------------------
-# termwise arithmetic on {key -> (a, b)} dicts of reduced nonzero pairs; the
-# keys are the (m1, m2) exponents of TruncSeries, but any hashable key works
-
-
-def terms_add(x: Terms, y: Terms, mod: int, sign: int = 1) -> Terms:
-    """x + sign*y modulo mod; entries that cancel to 0 are dropped."""
-    out = dict(x)
-    for key, (c, d) in y.items():
-        a, b = out.get(key, (0, 0))
-        a = (a + sign * c) % mod
-        b = (b + sign * d) % mod
-        if a or b:
-            out[key] = (a, b)
-        else:
-            out.pop(key, None)
-    return out
-
-
-def terms_neg(x: Terms, mod: int) -> Terms:
-    return {key: (-a % mod, -b % mod) for key, (a, b) in x.items()}
-
-
-def terms_scale(x: Terms, n: int, mod: int) -> Terms:
-    """n*x modulo mod; entries that vanish are dropped."""
-    out = {}
-    for key, (a, b) in x.items():
-        a, b = a * n % mod, b * n % mod
-        if a or b:
-            out[key] = (a, b)
-    return out
-
-
-def terms_divide(x: Terms, q: int) -> Terms:
-    """Exact division of every stored coordinate by q; InexactDivision else."""
-    out = {}
-    for key, (a, b) in x.items():
-        if a % q or b % q:
-            raise InexactDivision(f"coefficient {(a, b)} at {key} is not divisible by {q}")
-        out[key] = (a // q, b // q)
-    return out
-
-
-def terms_valuation(x: Terms, p: int, cap: int) -> int:
-    """Least p-valuation of the coordinates, capped at cap (cap for x = {})."""
-    # the least coordinate valuation is that of the coordinates' gcd
-    g = 0
-    for a, b in x.values():
-        g = gcd(g, a, b)
-        if g % p:
-            return 0
-    return pair_val((g, 0), p, cap)
 
 
 @dataclass(frozen=True)
@@ -223,7 +168,14 @@ class TruncSeries:
 
     def p_valuation(self) -> int:
         """min over coefficients of the p-valuation; prec for the zero series."""
-        return terms_valuation(self.coeffs, self.ctx.p, self.ctx.prec)
+        p = self.ctx.p
+        # the least coordinate valuation is that of the coordinates' gcd
+        g = 0
+        for a, b in self.coeffs.values():
+            g = gcd(g, a, b)
+            if g % p:
+                return 0
+        return pair_val((g, 0), p, self.ctx.prec)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -258,26 +210,37 @@ class TruncSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
+        """self + sign*other termwise; entries that cancel to 0 are dropped."""
         if isinstance(other, (int, WittScalar)):
             other = TruncSeries.constant(self.ctx, other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check(other)
-        return TruncSeries(self.ctx, terms_add(self.coeffs, other.coeffs, self.ctx.mod), _clean=True)
+        mod = self.ctx.mod
+        out = dict(self.coeffs)
+        for key, (c, d) in other.coeffs.items():
+            a, b = out.get(key, (0, 0))
+            a = (a + sign * c) % mod
+            b = (b + sign * d) % mod
+            if a or b:
+                out[key] = (a, b)
+            else:
+                out.pop(key, None)
+        return TruncSeries(self.ctx, out, _clean=True)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.ctx, terms_neg(self.coeffs, self.ctx.mod), _clean=True)
+        mod = self.ctx.mod
+        out = {key: (-a % mod, -b % mod) for key, (a, b) in self.coeffs.items()}
+        return TruncSeries(self.ctx, out, _clean=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, WittScalar)):
-            other = TruncSeries.constant(self.ctx, other)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check(other)
-        return TruncSeries(self.ctx, terms_add(self.coeffs, other.coeffs, self.ctx.mod, -1), _clean=True)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -285,7 +248,13 @@ class TruncSeries:
     def __mul__(self, other):
         ctx = self.ctx
         if isinstance(other, int):
-            return TruncSeries(ctx, terms_scale(self.coeffs, other, ctx.mod), _clean=True)
+            mod = ctx.mod
+            out = {}
+            for key, (a, b) in self.coeffs.items():
+                a, b = a * other % mod, b * other % mod
+                if a or b:
+                    out[key] = (a, b)
+            return TruncSeries(ctx, out, _clean=True)
         if isinstance(other, WittScalar):
             return self.scale((other.a, other.b))
         if not isinstance(other, TruncSeries):
@@ -387,8 +356,14 @@ class TruncSeries:
     # -- divisibility -------------------------------------------------------
 
     def divide_exact(self, q: int) -> "TruncSeries":
-        """Exact termwise division of representatives by the integer q."""
-        return TruncSeries(self.ctx, terms_divide(self.coeffs, q), _clean=True)
+        """Exact termwise division of representatives by the integer q;
+        InexactDivision unless q divides every coordinate."""
+        out = {}
+        for key, (a, b) in self.coeffs.items():
+            if a % q or b % q:
+                raise InexactDivision(f"coefficient {(a, b)} at {key} is not divisible by {q}")
+            out[key] = (a // q, b // q)
+        return TruncSeries(self.ctx, out, _clean=True)
 
     def divisible_by(self, q: int) -> bool:
         return all(v[0] % q == 0 and v[1] % q == 0 for v in self.coeffs.values())

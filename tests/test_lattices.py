@@ -32,7 +32,6 @@ from endolift.lattices import (
     superlattice_family,
     tensor_rank4,
     _ResidueField,
-    _residue_apply,
 )
 from endolift.witt import WittScalar
 
@@ -211,21 +210,6 @@ class TestSuperlattices:
     def test_exhaustive_walk_reaches_every_subspace(self, dim):
         field = _ResidueField(3)
         assert sum(1 for _ in _exhaustive_subspaces(field, dim)) == subspace_count(3, dim)
-
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    @settings(max_examples=100)
-    @given(data=st.data())
-    def test_residue_operators_are_the_module_operators_mod_p(self, p, data):
-        # the residue layer restates F and the omega signs; reducing the
-        # module operator's image of a lift mod p must give the same map
-        module = _pair_module("rank4", p)
-        field = _ResidueField(p)
-        coord = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
-        vec = data.draw(st.lists(coord, min_size=4, max_size=4))
-        lift = tuple(WittScalar(p, module.prec, a, b) for a, b in vec)
-        for op in ("F", "omega-order", "omega-scalar"):
-            image = module.apply_F(lift) if op == "F" else module.apply(module.actions[op], lift)
-            assert [(c.a % p, c.b % p) for c in image] == _residue_apply(field, op, vec)
 
     def test_exhaustive_one_step_window(self):
         module = tensor_rank4(3)
@@ -647,6 +631,14 @@ def _exhaustive_subspaces(field, dim):
             yield rows
 
 
+def _one_step_lattice(module, rows):
+    """L + p^-1 span(rows) at scale 1, for rows of the one-step quotient."""
+    p = module.p
+    standard = [tuple(module.scalar(p * (i == j)) for j in range(4)) for i in range(4)]
+    lifts = [tuple(WittScalar(p, module.prec, a, b) for a, b in row) for row in rows]
+    return hermite_form(module, standard + lifts, scale=1)
+
+
 def _gap_module(p, first, second):
     """A synthetic rank-2 module whose F is the bare sigma-twist and
     whose one action is diag(first, second).  Its stable lattices are the
@@ -691,8 +683,49 @@ class TestConstraintFirstSearch:
     def test_one_step_window_matches_the_full_walk(self, s, monkeypatch):
         module = tensor_rank4(3)
         found = enumerate_stable_superlattices(module, s, 1)
-        monkeypatch.setattr(lattices, "_enumerate_subspaces", _exhaustive_subspaces)
+
+        def walk(_module, field, dim):
+            return _exhaustive_subspaces(field, dim)
+
+        monkeypatch.setattr(lattices, "_enumerate_subspaces", walk)
         assert found == enumerate_stable_superlattices(module, s, 1)
+
+    def test_one_step_window_matches_the_lattice_level_walk(self):
+        # no residue operator at all: every plane of the one-step quotient
+        # becomes a lattice, checked under the module's own operators
+        module = tensor_rank4(3)
+        stable = []
+        for rows in _exhaustive_subspaces(_ResidueField(3), 2):
+            lat = _one_step_lattice(module, rows)
+            if lattices._stable_under_all(module, lat):
+                stable.append(lat)
+        stable.sort(key=classify_superlattice)
+        assert enumerate_stable_superlattices(module, 1, 1) == stable
+
+
+def _rank4_without_order(p):
+    """The rank-4 module with the scalar omega action alone: e1 and f1 share
+    a residue character, and so do e2 and f2."""
+    base = tensor_rank4(p)
+    actions = {"omega-scalar": base.actions["omega-scalar"]}
+    return SemilinearModule(p, base.prec, 4, base.F, actions, "rank4-scalar-only")
+
+
+class TestWindowsOfAModuleWithoutTheOrder:
+    def test_one_step_window_raises_on_the_off_family_lattice(self):
+        module = _rank4_without_order(3)
+        # L + p^-1 span(e1 + f1, f2): stable under this module, not diagonal, coindex p^2
+        one, zero = (1, 0), (0, 0)
+        lat = _one_step_lattice(module, [[one, zero, one, zero], [zero, zero, zero, one]])
+        assert lattices._stable_under_all(module, lat)
+        assert not lat.is_diagonal() and lat.index_exponent() == -2
+        with pytest.raises(ShapeViolation):
+            enumerate_stable_superlattices(module, 1, 1)
+
+    def test_deep_window_refuses_shared_residue_characters(self):
+        module = _rank4_without_order(3)
+        with pytest.raises(ValueError, match="share a residue character"):
+            enumerate_stable_superlattices(module, 1, 2)
 
 
 class TestSearchWork:

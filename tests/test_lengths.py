@@ -405,6 +405,18 @@ class TestChainSNF:
         shuffled = [[rows[i][j] for j in cperm] for i in rperm]
         assert chain_snf(shuffled, CTX) == base
 
+    def test_negative_supports_stay_in_the_window(self):
+        # determinant x1^-3, a unit: a pivot unit of negative leading degree
+        # used to push an entry below x1^-12, where it read as zero
+        zero = ChainScalar.zero(CTX)
+        rows = [
+            [zero, _mono(-1), zero],
+            [zero, _mono(-2), _mono(-2)],
+            [_mono(0), _mono(-2), zero],
+        ]
+        assert chain_snf([list(r) for r in rows], CTX) == [0, 0, 0]
+        assert chain_snf([r[::-1] for r in rows], CTX) == [0, 0, 0]
+
     def test_unit_row_scaling_invariance(self):
         rows = [
             [_mono(0, 3), _mono(1, 9)],

@@ -10,11 +10,6 @@ from endolift.series import (
     f_series,
     g_series,
     series_invert,
-    terms_add,
-    terms_divide,
-    terms_neg,
-    terms_scale,
-    terms_valuation,
 )
 from endolift.witt import pair_add, pair_sigma, pair_sub, pair_val
 
@@ -184,30 +179,31 @@ def test_p_valuation_and_min_degree():
     assert TruncSeries.zero(ctx).min_x2_degree() is None
 
 
-# -- the shared termwise layer ----------------------------------------------
+# -- the termwise layer of TruncSeries ---------------------------------------
 
-# the (m1, m2) keys of TruncSeries, and plain integer keys: the layer is key-agnostic
-_TERM_KEYS = [st.integers(-6, 6), st.tuples(st.integers(-6, 6), st.integers(0, 3))]
+# a box that holds every drawn key, so no term is dropped on the way in
+_TERM_BOX = dict(lo1=-6, hi1=6, cap2=4)
+_TERM_KEYS = st.tuples(st.integers(-6, 6), st.integers(0, 3))
 
 
 @st.composite
 def _term_dicts(draw):
-    """(p, prec, x, y): reduced nonzero pairs on one key type; y often repeats
-    or negates some of x's entries, so sums and differences cancel there."""
+    """(ctx, x, y): reduced nonzero pairs on (m1, m2) keys inside the box; y
+    often repeats or negates some of x's entries, so sums and differences
+    cancel there."""
     p = draw(st.sampled_from([3, 5]))
     prec = draw(st.integers(1, 4))
     mod = p**prec
-    keys = draw(st.sampled_from(_TERM_KEYS))
     # p-power multiples make valuations above 0 and zero divisions common
     pair = st.builds(
         lambda e, a, b: (p**e * a % mod, p**e * b % mod),
         st.integers(0, prec - 1), st.integers(0, mod - 1), st.integers(0, mod - 1),
     ).filter(lambda v: v != (0, 0))
-    x = draw(st.dictionaries(keys, pair, max_size=8))
-    y = draw(st.dictionaries(keys, pair, max_size=8))
+    x = draw(st.dictionaries(_TERM_KEYS, pair, max_size=8))
+    y = draw(st.dictionaries(_TERM_KEYS, pair, max_size=8))
     for key in draw(st.lists(st.sampled_from(sorted(x)), max_size=4)) if x else ():
         y[key] = draw(st.sampled_from([x[key], pair_sub((0, 0), x[key], mod)]))
-    return p, prec, x, y
+    return SeriesContext(p, prec, **_TERM_BOX), x, y
 
 
 def _pairwise(x, y, mod, op):
@@ -220,33 +216,41 @@ def _pairwise(x, y, mod, op):
 
 @given(_term_dicts(), st.integers(-5, 5))
 def test_terms_layer_matches_the_pairwise_reference(data, n):
-    p, prec, x, y = data
-    mod = p**prec
-    assert terms_add(x, y, mod) == _pairwise(x, y, mod, pair_add)
-    assert terms_add(x, y, mod, -1) == _pairwise(x, y, mod, pair_sub)
-    assert terms_neg(x, mod) == _pairwise({}, x, mod, pair_sub)
+    ctx, x, y = data
+    p, prec, mod = ctx.p, ctx.prec, ctx.mod
+    sx, sy = TruncSeries(ctx, x), TruncSeries(ctx, y)
+    assert sx.coeffs == x and sy.coeffs == y
+    assert (sx + sy).coeffs == _pairwise(x, y, mod, pair_add)
+    assert (sx - sy).coeffs == _pairwise(x, y, mod, pair_sub)
+    assert (-sx).coeffs == _pairwise({}, x, mod, pair_sub)
     multiple = {}
     for _ in range(abs(n)):
         multiple = _pairwise(multiple, x, mod, pair_add if n > 0 else pair_sub)
-    assert terms_scale(x, n, mod) == multiple
+    assert (sx * n).coeffs == multiple
     want = min((pair_val(v, p, prec) for v in x.values()), default=prec)
-    assert terms_valuation(x, p, prec) == want
+    assert sx.p_valuation() == want
     for e in range(prec):
         q = p**e
-        assert terms_divide({k: (a * q, b * q) for k, (a, b) in x.items()}, q) == x
+        # the multiples of x by q fit below p^(prec + e) unreduced
+        wide = {k: (a * q, b * q) for k, (a, b) in x.items()}
+        wide = TruncSeries(ctx.weakened(prec=prec + e), wide)
+        assert wide.divide_exact(q).coeffs == x
         if want >= e:
-            assert terms_divide(x, q) == {k: (a // q, b // q) for k, (a, b) in x.items()}
+            assert sx.divide_exact(q).coeffs == {k: (a // q, b // q) for k, (a, b) in x.items()}
         else:
             with pytest.raises(InexactDivision):
-                terms_divide(x, q)
+                sx.divide_exact(q)
 
 
 def test_terms_layer_drops_cancelled_entries_and_refuses_inexact_division():
-    assert terms_add({0: (1, 2), 1: (4, 0)}, {0: (8, 7)}, 9) == {1: (4, 0)}
-    assert terms_add({(0, 1): (3, 3)}, {(0, 1): (3, 3)}, 9, -1) == {}
-    assert terms_scale({(2, 0): (3, 6)}, 3, 9) == {}
+    ctx = SeriesContext(3, 2, **_TERM_BOX)
+    x = TruncSeries(ctx, {(0, 0): (1, 2), (1, 0): (4, 0)})
+    assert (x + TruncSeries(ctx, {(0, 0): (8, 7)})).coeffs == {(1, 0): (4, 0)}
+    y = TruncSeries(ctx, {(0, 1): (3, 3)})
+    assert (y - y).coeffs == {}
+    assert (TruncSeries(ctx, {(2, 0): (3, 6)}) * 3).coeffs == {}
     with pytest.raises(InexactDivision):
-        terms_divide({(0, 1): (3, 1)}, 3)
+        TruncSeries(ctx, {(0, 1): (3, 1)}).divide_exact(3)
 
 
 # -- the two closed-form series --------------------------------------------
