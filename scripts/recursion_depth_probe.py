@@ -4,7 +4,9 @@
 The solver iterates until the window-truncated update stops moving; the
 depth at which that happens is an observation about the window, not part
 of any reported result.  This sweep records it across cases, primes, and
-window radii so the default iteration cap can be sanity-checked.
+window radii so the iteration cap (`windows._MAX_DEPTH`) can be
+sanity-checked.  At --prec 0 the solver raises PrecisionExhausted: no digit
+is left to certify a fixed point.
 """
 
 import argparse

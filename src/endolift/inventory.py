@@ -207,8 +207,9 @@ def component_inventory(case: str, p: int, c0: int = 0) -> ComponentInventory:
                 )
             )
         if label == "ram":
+            meet = intersection_number(label, "horizontal-nonstandard", s, None, p)
             records.append(
-                ComponentRecord("horizontal-nonstandard", s, None, p**s, 1, 1, True)
+                ComponentRecord("horizontal-nonstandard", s, None, p**s, 1, meet, True)
             )
     if c0 > 0:
         records.append(

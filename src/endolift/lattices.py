@@ -10,8 +10,10 @@ omega except for the ramified uniformizer.
 Lattices are held as Hermite bases over the quadratic Witt scalars: an
 upper-triangular row basis with p-power pivots, entries above a pivot
 reduced modulo it, together with a scale m meaning the lattice is p^-m
-times the row span.  Enumeration is exhaustive where the search space is a
-finite grid (rank-2 sublattices, rank-4 superlattices one step outside the
+times the row span.  The rows are stored once, as raw (a, b) pairs, which
+the enumerations build directly; `LatticeHNF.rows` reads them as
+WittScalars.  Enumeration is exhaustive where the search space is a finite
+grid (rank-2 sublattices, rank-4 superlattices one step outside the
 standard lattice), visiting only the candidates that the linear conditions
 of the diagonal actions allow, each then fully checked; the deeper
 superlattice windows walk the eigenline-diagonal family, which is closed
@@ -40,6 +42,7 @@ from .witt import WittScalar, nonresidue, pair_inv, pair_mul, pair_sub, pair_val
 
 Vector = Tuple[WittScalar, ...]
 Matrix = Tuple[Vector, ...]
+Pair = Tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +56,12 @@ class SemilinearModule:
     Operator matrices act by columns: the image of basis vector j is column
     j.  Application twists the coordinates first, then multiplies.
 
-    The operators are fixed at construction.  Internally coordinates are raw
-    (a, b) pairs reduced modulo p^prec, and each operator keeps only its
-    nonzero entries; WittScalars appear only in what the public methods take
-    and return, and every such vector is checked against the module there.
+    The operators are fixed at construction, and `apply` applies only
+    them.  Internally coordinates are raw (a, b) pairs reduced modulo
+    p^prec, and each operator keeps only its nonzero entries; WittScalar
+    vectors appear only in what `apply`, `hermite_form` and
+    `LatticeHNF.contains` take and return, and each is checked against the
+    module there.
     """
 
     __slots__ = ("p", "prec", "rank", "F", "actions", "label", "_mod", "_r", "_ops")
@@ -125,11 +130,11 @@ class SemilinearModule:
     # -- operators ----------------------------------------------------------
 
     def apply(self, matrix: Matrix, vector: Vector, twist: int = 0) -> Vector:
-        # the module's own operators carry their sparse rows; any other
-        # matrix is converted, and checked, on each call
+        """One of the module's own operators applied to a vector; ValueError
+        for any other matrix."""
         sparse = next((ops[3] for ops in self._ops if ops[1] is matrix), None)
         if sparse is None:
-            sparse = self._sparse_rows(matrix)
+            raise ValueError(f"{self.label}: the matrix is not an operator of this module")
         return self._scalars(self._apply_pairs(sparse, self._pairs(vector), twist))
 
     def apply_F(self, vector: Vector) -> Vector:
@@ -241,23 +246,28 @@ def _diagonal_eigenvalues(module: SemilinearModule) -> Dict[str, Tuple[Tuple[int
 
 class LatticeHNF:
     """Upper-triangular row basis with p-power pivots; the lattice is
-    p^-scale times the row span, sitting in the module's standard frame."""
+    p^-scale times the row span, sitting in the module's standard frame.
 
-    __slots__ = ("module", "scale", "rows", "_pair_rows", "_steps")
+    The rows are given and stored as (a, b) pairs, reduced modulo p^prec;
+    `rows` reads them as WittScalars."""
 
-    def __init__(self, module: SemilinearModule, rows: Sequence[Vector], scale: int = 0):
+    __slots__ = ("module", "scale", "pair_rows", "_steps")
+
+    def __init__(self, module: SemilinearModule, pair_rows: Sequence[Sequence[Pair]], scale: int = 0):
         self.module = module
         self.scale = scale
-        self.rows = tuple(tuple(r) for r in rows)
-        if len(self.rows) != module.rank:
-            raise ValueError(f"{len(self.rows)} rows for a rank-{module.rank} module")
-        self._pair_rows = tuple(module._pairs(row) for row in self.rows)
+        rank, mod = module.rank, module._mod
+        if len(pair_rows) != rank or any(len(row) != rank for row in pair_rows):
+            raise ValueError(
+                f"{len(pair_rows)} rows for a rank-{rank} module, each of {rank} coordinates"
+            )
+        self.pair_rows = tuple(tuple((a % mod, b % mod) for a, b in row) for row in pair_rows)
         # per row: p^d for the pivot's valuation d, the inverse of the pivot's
         # unit part (None for a zero pivot, whose d = prec rejects every
         # nonzero coordinate), and the row's nonzero entries
-        p, prec, mod, r = module.p, module.prec, module._mod, module._r
+        p, prec, r = module.p, module.prec, module._r
         steps = []
-        for i, row in enumerate(self._pair_rows):
+        for i, row in enumerate(self.pair_rows):
             a, b = row[i]
             if a or b:
                 pd = p ** pair_val((a, b), p, prec)
@@ -267,24 +277,28 @@ class LatticeHNF:
             steps.append((pd, inv, tuple((j, x) for j, x in enumerate(row) if x != (0, 0))))
         self._steps = tuple(steps)
 
+    @property
+    def rows(self) -> Matrix:
+        return tuple(self.module._scalars(row) for row in self.pair_rows)
+
+    def sort_key(self):
+        """(p, prec, scale, the row coordinates): pairs alone do not say
+        which scalars they are."""
+        module = self.module
+        return (module.p, module.prec, self.scale, tuple(x for row in self.pair_rows for x in row))
+
     def __eq__(self, other):
-        return (
-            isinstance(other, LatticeHNF)
-            and self.scale == other.scale
-            and self.rows == other.rows
-        )
+        return isinstance(other, LatticeHNF) and self.sort_key() == other.sort_key()
 
     def __hash__(self):
-        return hash((self.scale, self.rows))
+        return hash(self.sort_key())
 
     def __repr__(self):
         return f"LatticeHNF(scale={self.scale}, rows={self.rows!r})"
 
-    def sort_key(self):
-        return (self.scale, tuple(x for row in self._pair_rows for x in row))
-
     def pivot_exponents(self) -> Tuple[int, ...]:
-        return tuple(row[i].valuation() for i, row in enumerate(self.rows))
+        p, prec = self.module.p, self.module.prec
+        return tuple(pair_val(row[i], p, prec) for i, row in enumerate(self.pair_rows))
 
     def index_exponent(self) -> int:
         """Length of (standard lattice)/(this one): sum of pivot valuations
@@ -292,11 +306,9 @@ class LatticeHNF:
         return sum(self.pivot_exponents()) - self.module.rank * self.scale
 
     def is_diagonal(self) -> bool:
-        for i, row in enumerate(self.rows):
-            for j, entry in enumerate(row):
-                if i != j and not entry.is_zero():
-                    return False
-        return True
+        return all(
+            x == (0, 0) for i, row in enumerate(self.pair_rows) for j, x in enumerate(row) if i != j
+        )
 
     def contains(self, vector: Vector) -> bool:
         """Membership of a vector written in this lattice's integral frame
@@ -365,12 +377,12 @@ def hermite_form(module: SemilinearModule, rows: Sequence[Vector], scale: int = 
             for j in range(rank):
                 if pivots[i][j] != (0, 0):
                     pivots[k][j] = pair_sub(pivots[k][j], pair_mul(q, pivots[i][j], r, mod), mod)
-    return LatticeHNF(module, [module._scalars(row) for row in pivots], scale)
+    return LatticeHNF(module, pivots, scale)
 
 
 def _stable_under_all(module: SemilinearModule, lat: LatticeHNF) -> bool:
     for _name, _mat, twist, sparse in module._ops:
-        for row in lat._pair_rows:
+        for row in lat.pair_rows:
             if not lat._contains_pairs(module._apply_pairs(sparse, row, twist)):
                 return False
     return True
@@ -399,7 +411,6 @@ def enumerate_stable_sublattices(module: SemilinearModule, k: int) -> List[Latti
         raise PrecisionTooLow(
             f"index p^{k} needs at least {k + 2} digits, module has {module.prec}"
         )
-    zero = WittScalar.zero(p, module.prec)
     gaps = [
         pair_val(pair_sub(m1, m0, module._mod), p, module.prec)
         for m0, m1 in _diagonal_eigenvalues(module).values()
@@ -407,13 +418,11 @@ def enumerate_stable_sublattices(module: SemilinearModule, k: int) -> List[Latti
     found = []
     for a in range(k + 1):
         b = k - a
-        pa = module.scalar(p**a)
-        pb = module.scalar(p**b)
+        pa, pb = (p**a, 0), (p**b, 0)
         step = p ** max([0] + [b - v for v in gaps])
         for w0 in range(0, p**b, step):
             for w1 in range(0, p**b, step):
-                w = WittScalar(p, module.prec, w0, w1)
-                lat = LatticeHNF(module, ((pa, w), (zero, pb)), 0)
+                lat = LatticeHNF(module, ((pa, (w0, w1)), ((0, 0), pb)), 0)
                 if _stable_under_all(module, lat):
                     found.append(lat)
     found.sort(key=LatticeHNF.sort_key)
@@ -434,8 +443,7 @@ def lie_action_parity(lattice: LatticeHNF) -> str:
         raise ValueError("rank-2 lattice required")
     if not lattice.is_diagonal():
         raise ValueError("parity is defined here for diagonal stable lattices")
-    a = lattice.rows[0][0].valuation()
-    b = lattice.rows[1][1].valuation()
+    a, b = lattice.pivot_exponents()
     if a == b:
         return "psi"
     if a == b + 1:
@@ -575,7 +583,7 @@ def _family_lattice(module: SemilinearModule, a: int, b: int, delta: int, m: int
     exps = (m - a, m - b, m - (b + delta), m - (a + delta))
     if min(exps) < 0:
         raise ValueError("family member escapes the window")
-    rows = _diag(p, module.prec, tuple(module.scalar(p**e) for e in exps))
+    rows = [[(p**e, 0) if i == j else (0, 0) for j in range(4)] for i, e in enumerate(exps)]
     return LatticeHNF(module, rows, m)
 
 

@@ -9,33 +9,27 @@ inside the box and the box is part of the declared context.
 The Frobenius lift acts by the coefficient twist together with m -> p*m on
 exponents on both variables.
 
-The termwise arithmetic (add, sub, neg, integer scale, exact integer
-division, least p-valuation) lives in the `TruncSeries` methods, on its
-{(m1, m2) -> (a, b)} dict.  The chain ring of `lengths` divides the corner
-series by w and works on integer coefficients, so it shares neither that
-arithmetic nor the products: replaying the 9,376 series products of one
-sweep-small benchmark pass, the two-variable loop here took 78 ms and one
-chain-ring kernel call per pair of x2-slices 117 ms; folding m2 into an
-integer key m1 + B*m2 makes the packed span about B*cap2 slots wide
-(MemoryError on the largest products).
+Coefficients are raw (a, b) pairs meaning a + b*w, and nothing else enters:
+a constant is a pair or an int, a sum or difference takes another series,
+and a product takes a series or an int.  The termwise arithmetic (add,
+sub, neg, integer scale, exact integer division) lives in the `TruncSeries`
+methods, on its {(m1, m2) -> (a, b)} dict.  The chain ring of `lengths`
+divides the corner series by w and works on integer coefficients, so it
+shares neither that arithmetic nor the products: replaying the 9,376 series
+products of one sweep-small benchmark pass, the two-variable loop here took
+78 ms and one chain-ring kernel call per pair of x2-slices 117 ms; folding
+m2 into an integer key m1 + B*m2 makes the packed span about B*cap2 slots
+wide (MemoryError on the largest products).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
-from typing import Dict, Iterator, Optional, Tuple
+from operator import index
+from typing import Dict, Optional, Tuple
 
 from .errors import InexactDivision, NotAUnit, WindowExhausted
-from .witt import (
-    WittScalar,
-    nonresidue,
-    pair_add,
-    pair_inv,
-    pair_mul,
-    pair_sigma,
-    pair_val,
-)
+from .witt import nonresidue, pair_add, pair_inv, pair_mul, pair_sigma
 
 __all__ = [
     "SeriesContext",
@@ -76,13 +70,13 @@ class SeriesContext:
     def in_window(self, m1: int, m2: int) -> bool:
         return self.lo1 <= m1 <= self.hi1 and 0 <= m2 < self.cap2
 
-    def weakened(self, *, prec=None, lo1=None, hi1=None, cap2=None) -> "SeriesContext":
-        """A context with some truncation data replaced (used for reductions)."""
+    def weakened(self, *, prec=None, cap2=None) -> "SeriesContext":
+        """The same x1 window with the precision or the x2 cap replaced."""
         return SeriesContext(
             self.p,
             self.prec if prec is None else prec,
-            self.lo1 if lo1 is None else lo1,
-            self.hi1 if hi1 is None else hi1,
+            self.lo1,
+            self.hi1,
             self.cap2 if cap2 is None else cap2,
         )
 
@@ -122,22 +116,15 @@ class TruncSeries:
 
     @classmethod
     def constant(cls, ctx: SeriesContext, value) -> "TruncSeries":
-        """Constant series from a WittScalar, an (a, b) pair, or an int."""
-        if isinstance(value, WittScalar):
-            pair = (value.a, value.b)
-        elif isinstance(value, tuple):
-            pair = value
-        else:
-            pair = (int(value), 0)
-        return cls(ctx, {(0, 0): pair})
+        """Constant series from an (a, b) pair or an int; TypeError for any
+        other coefficient."""
+        a, b = value if isinstance(value, tuple) else (value, 0)
+        return cls(ctx, {(0, 0): (index(a), index(b))})
 
     @classmethod
-    def variable(cls, ctx: SeriesContext, name: str, exponent: int = 1) -> "TruncSeries":
-        if name == "x1":
-            key = (exponent, 0)
-        elif name == "x2":
-            key = (0, exponent)
-        else:
+    def variable(cls, ctx: SeriesContext, name: str) -> "TruncSeries":
+        key = {"x1": (1, 0), "x2": (0, 1)}.get(name)
+        if key is None:
             raise ValueError(f"unknown variable {name!r}")
         return cls(ctx, {key: (1, 0)})
 
@@ -150,32 +137,10 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support(self):
-        return sorted(self.coeffs)
-
-    def coefficient(self, m1: int, m2: int) -> WittScalar:
-        a, b = self.coeffs.get((m1, m2), (0, 0))
-        return WittScalar(self.ctx.p, self.ctx.prec, a, b)
-
-    def items(self) -> Iterator[Tuple[Key, WittScalar]]:
-        for key in self.support():
-            yield key, self.coefficient(*key)
-
     def min_x2_degree(self) -> Optional[int]:
         if not self.coeffs:
             return None
         return min(m2 for (_, m2) in self.coeffs)
-
-    def p_valuation(self) -> int:
-        """min over coefficients of the p-valuation; prec for the zero series."""
-        p = self.ctx.p
-        # the least coordinate valuation is that of the coordinates' gcd
-        g = 0
-        for a, b in self.coeffs.values():
-            g = gcd(g, a, b)
-            if g % p:
-                return 0
-        return pair_val((g, 0), p, self.ctx.prec)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -211,9 +176,8 @@ class TruncSeries:
     # -- ring operations ----------------------------------------------------
 
     def _add(self, other, sign: int):
-        """self + sign*other termwise; entries that cancel to 0 are dropped."""
-        if isinstance(other, (int, WittScalar)):
-            other = TruncSeries.constant(self.ctx, other)
+        """self + sign*other termwise for a series `other`; entries that
+        cancel to 0 are dropped."""
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check(other)
@@ -232,8 +196,6 @@ class TruncSeries:
     def __add__(self, other):
         return self._add(other, 1)
 
-    __radd__ = __add__
-
     def __neg__(self):
         mod = self.ctx.mod
         out = {key: (-a % mod, -b % mod) for key, (a, b) in self.coeffs.items()}
@@ -241,9 +203,6 @@ class TruncSeries:
 
     def __sub__(self, other):
         return self._add(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         ctx = self.ctx
@@ -255,8 +214,6 @@ class TruncSeries:
                 if a or b:
                     out[key] = (a, b)
             return TruncSeries(ctx, out, _clean=True)
-        if isinstance(other, WittScalar):
-            return self.scale((other.a, other.b))
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check(other)
@@ -285,16 +242,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def scale(self, pair: Pair) -> "TruncSeries":
-        ctx = self.ctx
-        mod, r = ctx.mod, ctx.r
-        out = {}
-        for k, v in self.coeffs.items():
-            s = pair_mul(v, pair, r, mod)
-            if s != (0, 0):
-                out[k] = s
-        return TruncSeries(ctx, out, _clean=True)
-
     def mul_monomial(self, d1: int, d2: int) -> "TruncSeries":
         """Multiply by x1^d1 * x2^d2 (window-filtered)."""
         ctx = self.ctx
@@ -304,18 +251,6 @@ class TruncSeries:
             if ctx.in_window(n1, n2):
                 out[(n1, n2)] = v
         return TruncSeries(ctx, out, _clean=True)
-
-    def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            raise ValueError("negative powers go through series_invert")
-        out = TruncSeries.one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- twists, substitutions, reductions ----------------------------------
 
@@ -372,42 +307,31 @@ class TruncSeries:
         return self.with_context(self.ctx.weakened(prec=1))
 
 
-def _f_bound(ctx: SeriesContext, var: str) -> int:
-    if var == "x1":
-        return ctx.hi1
-    if var == "x2":
-        return ctx.cap2 - 1
-    raise ValueError(f"unknown variable {var!r}")
+def f_series(ctx: SeriesContext, power: int = 1) -> TruncSeries:
+    """Sum of x1^(power * p^(2i)) over i >= 0, truncated to the window.
 
-
-def f_series(ctx: SeriesContext, var: str = "x1", power: int = 1) -> TruncSeries:
-    """Sum of x^(power * p^(2i)) over i >= 0, truncated to the window.
-
-    `power` composes with a monomial substitution x -> x^power, which is how
-    the twisted argument x1^p enters the closed forms.
+    `power` composes with a monomial substitution x1 -> x1^power, which is
+    how the twisted argument x1^p enters the closed forms.
     """
-    bound = _f_bound(ctx, var)
     coeffs: Dict[Key, Pair] = {}
-    q = 1  # p^(2i)
+    e = power  # power * p^(2i)
     step = ctx.p * ctx.p
-    while power * q <= bound:
-        e = power * q
-        key = (e, 0) if var == "x1" else (0, e)
-        coeffs[key] = (1, 0)
-        q *= step
+    while e <= ctx.hi1:
+        coeffs[(e, 0)] = (1, 0)
+        e *= step
     return TruncSeries(ctx, coeffs)
 
 
-def g_series(ctx: SeriesContext, var: str = "x1", power: int = 1) -> TruncSeries:
-    """The square companion of f: sum over i of x^(power*p^(2i)) times
-    (2 * sum_{j<i} x^(power*p^(2j)) + x^(power*p^(2i))), window-truncated.
+def g_series(ctx: SeriesContext, power: int = 1) -> TruncSeries:
+    """The square companion of f: sum over i of x1^(power*p^(2i)) times
+    (2 * sum_{j<i} x1^(power*p^(2j)) + x1^(power*p^(2i))), window-truncated.
 
     This is exactly the in-window part of f^2, computed as the windowed
     product: exponents only grow, so the product loses no in-window term,
     and the cross exponents p^(2i) + p^(2j) are pairwise distinct, so each
     cross coefficient is 2.
     """
-    f = f_series(ctx, var, power)
+    f = f_series(ctx, power)
     return f * f
 
 

@@ -84,7 +84,7 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 
 def mat_scale(A: Mat, c) -> Mat:
-    """Scale by an int, a WittScalar or a TruncSeries."""
+    """Scale by an int or a TruncSeries."""
     return tuple(tuple(a * c for a in row) for row in A)
 
 
@@ -114,10 +114,6 @@ def mat_divide_exact(A: Mat, q: int) -> Mat:
 
 def mat_with_context(A: Mat, ctx: SeriesContext) -> Mat:
     return mat_map(A, lambda a: a.with_context(ctx))
-
-
-def _const(ctx: SeriesContext, pair: Pair) -> TruncSeries:
-    return TruncSeries.constant(ctx, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +149,6 @@ class CaseDescriptor:
     @classmethod
     def from_label(cls, label: str, p: int) -> "CaseDescriptor":
         return cls.ramified_case(p) if _label(label, p) == "ram" else cls.unramified(p)
-
-    @property
-    def label(self) -> str:
-        return "ram" if self.ramified else "unr"
 
     def with_gamma(self, s: int, t: int) -> "CaseDescriptor":
         """Parameters of s + t * generator in the same setting."""
@@ -238,14 +230,14 @@ def gamma_matrix(case: CaseDescriptor, ctx: SeriesContext) -> QuasiEndoPair:
     sig = lambda q: (q[0], -q[1])
     Y = mat_from_rows(
         [
-            [_const(ctx, a), _const(ctx, (p * b[0], p * b[1]))],
-            [_const(ctx, c), _const(ctx, d)],
+            [TruncSeries.constant(ctx, a), TruncSeries.constant(ctx, (p * b[0], p * b[1]))],
+            [TruncSeries.constant(ctx, c), TruncSeries.constant(ctx, d)],
         ]
     )
     Z = mat_from_rows(
         [
-            [_const(ctx, sig(d)), _const(ctx, (p * c[0], -p * c[1]))],
-            [_const(ctx, sig(b)), _const(ctx, sig(a))],
+            [TruncSeries.constant(ctx, sig(d)), TruncSeries.constant(ctx, (p * c[0], -p * c[1]))],
+            [TruncSeries.constant(ctx, sig(b)), TruncSeries.constant(ctx, sig(a))],
         ]
     )
     return QuasiEndoPair(Y, Z, 0)
@@ -357,10 +349,10 @@ def closed_form_vertical_pair(case: CaseDescriptor, ctx: SeriesContext) -> Quasi
     a, b, c, d = case.a, case.b, case.c, case.d
     sig = lambda q: (q[0], -q[1])
     d_minus_a = (d[0] - a[0], d[1] - a[1])
-    f1 = f_series(ctx, "x1", 1)
-    g1 = g_series(ctx, "x1", 1)
-    fp = f_series(ctx, "x1", p)
-    gp = g_series(ctx, "x1", p)
+    f1 = f_series(ctx, 1)
+    g1 = g_series(ctx, 1)
+    fp = f_series(ctx, p)
+    gp = g_series(ctx, p)
 
     base = gamma_matrix(case, ctx)
     pY = mat_scale(base.Y, p)
@@ -370,13 +362,16 @@ def closed_form_vertical_pair(case: CaseDescriptor, ctx: SeriesContext) -> Quasi
     # p * (f-correction of the plain side)
     corr_y_f = mat_from_rows(
         [
-            [_const(ctx, (p * c[0], p * c[1])), _const(ctx, (p * d_minus_a[0], p * d_minus_a[1]))],
-            [zero, _const(ctx, (-p * c[0], -p * c[1]))],
+            [
+                TruncSeries.constant(ctx, (p * c[0], p * c[1])),
+                TruncSeries.constant(ctx, (p * d_minus_a[0], p * d_minus_a[1])),
+            ],
+            [zero, TruncSeries.constant(ctx, (-p * c[0], -p * c[1]))],
         ]
     )
     corr_y_g = mat_from_rows(
         [
-            [zero, _const(ctx, (p * c[0], p * c[1]))],
+            [zero, TruncSeries.constant(ctx, (p * c[0], p * c[1]))],
             [zero, zero],
         ]
     )
@@ -384,14 +379,14 @@ def closed_form_vertical_pair(case: CaseDescriptor, ctx: SeriesContext) -> Quasi
     sdma = sig(d_minus_a)
     corr_z_f = mat_from_rows(
         [
-            [_const(ctx, (-p * sc[0], -p * sc[1])), zero],
-            [_const(ctx, sdma), _const(ctx, (p * sc[0], p * sc[1]))],
+            [TruncSeries.constant(ctx, (-p * sc[0], -p * sc[1])), zero],
+            [TruncSeries.constant(ctx, sdma), TruncSeries.constant(ctx, (p * sc[0], p * sc[1]))],
         ]
     )
     corr_z_g = mat_from_rows(
         [
             [zero, zero],
-            [_const(ctx, sc), zero],
+            [TruncSeries.constant(ctx, sc), zero],
         ]
     )
     Y = mat_add(pY, mat_sub(mat_scale(corr_y_f, f1), mat_scale(corr_y_g, g1)))
@@ -399,28 +394,28 @@ def closed_form_vertical_pair(case: CaseDescriptor, ctx: SeriesContext) -> Quasi
     return QuasiEndoPair(Y, Z, 1)
 
 
-def solve_vertical_recursion(
-    case: CaseDescriptor,
-    ctx: Optional[SeriesContext] = None,
-    *,
-    max_depth: int = 24,
-) -> VerticalSolution:
+# steps the one-variable iteration may take before it must have stabilized
+_MAX_DEPTH = 24
+
+
+def solve_vertical_recursion(case: CaseDescriptor, ctx: SeriesContext) -> VerticalSolution:
     """Iterate the one-variable update from the undeformed pair to a fixed point.
 
     The iteration runs on the scaled pair (p*Y, p*Z); each step performs one
     checked exact division by p, which costs one trustworthy digit, so the
-    whole loop is carried at `max_depth` guard digits and compared at the
+    whole loop is carried at `_MAX_DEPTH` guard digits and compared at the
     declared precision.  Exact stabilization there is required — hitting
-    max_depth first raises.
+    `_MAX_DEPTH` first raises.  At precision 0 every pair is the zero pair,
+    so nothing is certified: PrecisionExhausted.
     """
-    if ctx is None:
-        ctx = one_variable_context(case.p)
+    if ctx.prec == 0:
+        raise PrecisionExhausted("no digits left to certify a fixed point")
     p = case.p
-    work = ctx.weakened(prec=ctx.prec + max_depth)
+    work = ctx.weakened(prec=ctx.prec + _MAX_DEPTH)
     base = gamma_matrix(case, work)
     Ys, Zs = mat_scale(base.Y, p), mat_scale(base.Z, p)
     seen = QuasiEndoPair(Ys, Zs, 1).with_context(ctx)
-    for depth in range(1, max_depth + 1):
+    for depth in range(1, _MAX_DEPTH + 1):
         nY = mat_divide_exact(_lift(Zs, "x1"), p)
         nZ = mat_divide_exact(_lift(Ys, None), p)
         candidate = QuasiEndoPair(nY, nZ, 1).with_context(ctx)
@@ -429,7 +424,7 @@ def solve_vertical_recursion(
         Ys, Zs = nY, nZ
         seen = candidate
     raise InexactDivision(
-        f"one-variable iteration did not stabilize within {max_depth} steps"
+        f"one-variable iteration did not stabilize within {_MAX_DEPTH} steps"
     )
 
 

@@ -7,11 +7,15 @@ identity, and induces the p-power map on residues.
 
 Two layers live here:
 
-* raw "pair" helpers operating on (a, b) integer tuples — used by the series
-  hot loops and by the lattice layer's operator application,
-  membership test and Hermite elimination, where attribute dispatch and a
-  wrapper per operation would dominate;
-* the `WittScalar` wrapper, the type that appears in public signatures.
+* raw "pair" helpers operating on (a, b) integer tuples — the coefficients
+  of every series term (which `lengths` reads as they are), and the lattice
+  layer's own storage: its
+  operator application, membership test, Hermite elimination and lattice
+  rows all run on pairs, where attribute dispatch and a wrapper per
+  operation would dominate;
+* the `WittScalar` wrapper, the type of the vectors and matrices the
+  lattice layer takes and returns, and of the structural parameters of a
+  case.  Its coefficients must be integers: anything else is a TypeError.
 
 Only odd primes p are supported: `nonresidue` raises on any other p, and every
 check of p in the package goes through it.
@@ -20,6 +24,7 @@ check of p in the package goes through it.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 from .errors import InexactDivision, NotAUnit, PrecisionExhausted
 
@@ -124,6 +129,8 @@ class WittScalar:
             mod = _MODULI[p, prec]
         except KeyError:
             mod = _checked_modulus(p, prec)
+        if a.__class__ is not int or b.__class__ is not int:
+            a, b = index(a), index(b)  # TypeError for a float or any non-integer
         _setattr(self, "p", p)
         _setattr(self, "prec", prec)
         _setattr(self, "a", a % mod)
@@ -211,9 +218,6 @@ class WittScalar:
         self._check(other)
         return WittScalar(self.p, self.prec, self.a - other.a, self.b - other.b)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return WittScalar(self.p, self.prec, self.a * other, self.b * other)
@@ -226,31 +230,11 @@ class WittScalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = WittScalar.one(self.p, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- structure maps -----------------------------------------------------
 
     def sigma(self) -> "WittScalar":
         """The nontrivial twist over the prime subring: w -> -w."""
         return WittScalar(self.p, self.prec, self.a, -self.b)
-
-    def norm(self) -> "WittScalar":
-        """self * sigma(self); lands in the prime subring (b = 0)."""
-        r = nonresidue(self.p)
-        return WittScalar(self.p, self.prec, self.a * self.a - self.b * self.b * r, 0)
-
-    def trace(self) -> "WittScalar":
-        return WittScalar(self.p, self.prec, 2 * self.a, 0)
 
     # -- valuation and units ------------------------------------------------
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from endolift import inventory
 from endolift.errors import NotAnOrder
 from endolift.inventory import (
     component_inventory,
@@ -126,6 +127,17 @@ class TestIntersectionNumber:
         assert intersection_number("ram", "horizontal-nonstandard", 2, None, 3) == 1
         with pytest.raises(ValueError):
             intersection_number("unr", "horizontal-nonstandard", 2, None, 3)
+
+    def test_inventory_reads_every_intersection_from_here(self, monkeypatch):
+        # the transversality rule has one owner: a changed value shows in the inventory
+        real = inventory.intersection_number
+
+        def changed(case, kind, s, t, p):
+            return 7 if kind == "horizontal-nonstandard" else real(case, kind, s, t, p)
+
+        monkeypatch.setattr(inventory, "intersection_number", changed)
+        records = component_inventory("ram", 3, 2).records
+        assert {r.intersection for r in records if r.kind == "horizontal-nonstandard"} == {7}
 
     def test_validation(self):
         with pytest.raises(ValueError):

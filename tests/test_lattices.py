@@ -444,8 +444,7 @@ class TestPairKernels:
     def test_apply_matches_the_reference(self, label, p, data):
         module = _pair_module(label, p)
         v = data.draw(_vectors(module))
-        other = tuple(data.draw(_vectors(module)) for _ in range(module.rank))
-        for mat in [mat for _name, mat, _twist in module.operator_list()] + [other]:
+        for _name, mat, _twist in module.operator_list():
             for twist in (0, 1):
                 assert module.apply(mat, v, twist) == _apply_reference(module, mat, v, twist)
 
@@ -508,7 +507,7 @@ class TestPairKernels:
                 pivot if j == i else (data.draw(_coords(module)) if j > i else module.scalar(0))
                 for j in range(rank)
             ))
-        lat = LatticeHNF(module, rows, data.draw(st.integers(0, 2)))
+        lat = LatticeHNF(module, [[c.pair() for c in row] for row in rows], data.draw(st.integers(0, 2)))
         unit = WittScalar(p, prec, 1 + p * data.draw(digits), data.draw(digits))
         member = tuple(unit * c for c in rows[-1])
         for v in (data.draw(_vectors(module)), member):
@@ -522,14 +521,12 @@ class TestPairKernels:
         # the grid candidates are upper triangular but not reduced, and
         # their pivots are non-units once k > 0
         module = _pair_module(label, p)
-        zero = module.scalar(0)
         for k in range(kmax + 1):
             for a in range(k + 1):
-                pa, pb = module.scalar(p**a), module.scalar(p ** (k - a))
+                pa, pb = (p**a, 0), (p ** (k - a), 0)
                 for w0 in range(p ** (k - a)):
                     for w1 in range(p ** (k - a)):
-                        w = WittScalar(p, module.prec, w0, w1)
-                        lat = LatticeHNF(module, ((pa, w), (zero, pb)), 0)
+                        lat = LatticeHNF(module, ((pa, (w0, w1)), ((0, 0), pb)), 0)
                         assert lattices._stable_under_all(module, lat) == _stable_reference(module, lat)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -579,10 +576,27 @@ class TestVectorChecks:
 
     def test_lattice_rows_are_checked(self):
         module = standard_rank2(3)
+        one, zero = (1, 0), (0, 0)
         with pytest.raises(ValueError, match="3 rows"):
-            LatticeHNF(module, [_vec(module, 1, 0), _vec(module, 0, 1), _vec(module, 1, 1)])
-        with pytest.raises(ValueError, match="not a scalar"):
-            LatticeHNF(module, [(WittScalar(5, 8, 1), module.scalar(0)), _vec(module, 0, 1)])
+            LatticeHNF(module, [(one, zero), (zero, one), (one, one)])
+        with pytest.raises(ValueError, match="each of 2 coordinates"):
+            LatticeHNF(module, [(one,), (zero, one)])
+
+    def test_apply_rejects_a_matrix_that_is_not_an_operator_of_the_module(self):
+        module = standard_rank2(3)
+        # equal to F, but not the module's own matrix
+        copy = tuple(tuple(row) for row in module.F)
+        with pytest.raises(ValueError, match="not an operator of this module"):
+            module.apply(copy, _vec(module, 1, 0), twist=1)
+
+    def test_lattices_of_different_scalars_differ(self):
+        # pairs alone do not carry (p, prec): equal integer rows over 3 and
+        # over 5 are different lattices
+        one, zero = (1, 0), (0, 0)
+        lats = [LatticeHNF(module, [(one, zero), (zero, one)]) for module in
+                (standard_rank2(3), standard_rank2(5), standard_rank2(3, prec=9))]
+        assert len({lat.sort_key() for lat in lats}) == len(set(lats)) == 3
+        assert lats[0] == LatticeHNF(standard_rank2(3), [(one, zero), (zero, one)])
 
 
 # ---------------------------------------------------------------------------
@@ -593,16 +607,13 @@ def _exhaustive_sublattices(module, k):
     """Every point of the Hermite grid (p^a, w; 0, p^b), w over all residues
     modulo p^b, through the full stability check."""
     p = module.p
-    zero = WittScalar.zero(p, module.prec)
     found = []
     for a in range(k + 1):
         b = k - a
-        pa = module.scalar(p) ** a
-        pb = module.scalar(p) ** b
+        pa, pb = module.scalar(p**a).pair(), module.scalar(p**b).pair()
         for w0 in range(p**b):
             for w1 in range(p**b):
-                w = WittScalar(p, module.prec, w0, w1)
-                lat = LatticeHNF(module, ((pa, w), (zero, pb)), 0)
+                lat = LatticeHNF(module, ((pa, (w0, w1)), ((0, 0), pb)), 0)
                 if lattices._stable_under_all(module, lat):
                     found.append(lat)
     found.sort(key=LatticeHNF.sort_key)

@@ -69,6 +69,13 @@ def test_each_input_rule_is_stated_once():
     assert [name for name, source in sources.items() if "is_odd_prime" in source] == ["witt.py"]
 
 
+def test_series_and_lengths_speak_pairs():
+    # the WittScalar wrapper is the lattice layer's and the case parameters'
+    # type; series and lengths take and return raw (a, b) pairs only
+    named = [path.name for path in sorted(SRC.glob("*.py")) if "WittScalar" in path.read_text(encoding="utf-8")]
+    assert named == ["__init__.py", "lattices.py", "windows.py", "witt.py"]
+
+
 def test_no_unused_imports():
     found = []
     for path in sorted(SRC.glob("*.py")) + sorted(Path(__file__).resolve().parent.glob("*.py")):

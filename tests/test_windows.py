@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from endolift.errors import PrecisionExhausted
 from endolift.series import SeriesContext, TruncSeries
 from endolift.windows import (
     CaseDescriptor,
@@ -110,7 +111,7 @@ class TestCaseDescriptor:
     def test_labels_roundtrip(self):
         for lab in CASES:
             for p in (3, 5, 7):
-                assert CaseDescriptor.from_label(lab, p).label == lab
+                assert CaseDescriptor.from_label(lab, p).ramified == (lab == "ram")
 
     def test_unknown_label(self):
         with pytest.raises(ValueError):
@@ -176,7 +177,7 @@ class TestVerticalRecursion:
     @pytest.mark.parametrize("lab", CASES)
     def test_fixed_point_matches_closed_form(self, lab, p):
         case = CaseDescriptor.from_label(lab, p)
-        vert = solve_vertical_recursion(case)
+        vert = solve_vertical_recursion(case, one_variable_context(p))
         assert vert.stabilized
         closed = closed_form_vertical_pair(case, one_variable_context(p))
         assert vert.pair == closed.normalized()
@@ -194,12 +195,12 @@ class TestVerticalRecursion:
 
     def test_one_variable_commutation(self):
         case = CaseDescriptor.from_label("unr", 3)
-        vert = solve_vertical_recursion(case)
+        vert = solve_vertical_recursion(case, one_variable_context(3))
         assert check_phi_commutation(vert.pair, two_variable=False)
 
     def test_commutation_rejects_perturbed_pair(self):
         case = CaseDescriptor.from_label("unr", 3)
-        vert = solve_vertical_recursion(case)
+        vert = solve_vertical_recursion(case, one_variable_context(3))
         ctx = vert.pair.ctx
         bump = TruncSeries.one(ctx)
         Y = vert.pair.Y
@@ -207,6 +208,14 @@ class TestVerticalRecursion:
         assert not check_phi_commutation(
             QuasiEndoPair(Y2, vert.pair.Z, vert.pair.denom_exp), two_variable=False
         )
+
+
+    @pytest.mark.parametrize("lab", CASES)
+    def test_precision_zero_certifies_nothing(self, lab):
+        # every pair is the zero pair there, which would read as a fixed point at depth 0
+        case = CaseDescriptor.from_label(lab, 3)
+        with pytest.raises(PrecisionExhausted):
+            solve_vertical_recursion(case, one_variable_context(3, prec=0))
 
 
 class TestThickenedTower:
@@ -268,8 +277,7 @@ class TestThickenedTower:
     def test_known_leading_corner_coefficient(self):
         # at depth 1 the plain corner's x2-linear coefficient is -2p*w
         sol = solve_thickened_recursion(CaseDescriptor.from_label("unr", 3), 1)
-        got = sol.beta.coefficient(0, 1)
-        assert got == WittScalar(3, sol.ctx.prec, 0, -6)
+        assert sol.beta.coeffs[(0, 1)] == (0, -6 % sol.ctx.mod)
 
 
 class TestStructureReport:

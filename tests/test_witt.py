@@ -74,6 +74,13 @@ def test_constructor_validates():
     assert WittScalar(3, 0, 5, 7).pair() == (0, 0)
 
 
+def test_coefficients_must_be_integers():
+    assert WittScalar(3, 2, True, 10).pair() == (1, 1)
+    for a, b in ((1.5, 0), (1, 2.0), ("1", 0)):
+        with pytest.raises(TypeError):
+            WittScalar(3, 2, a, b)
+
+
 def test_immutability():
     x = WittScalar(3, 4, 1, 2)
     with pytest.raises(AttributeError):
@@ -147,14 +154,6 @@ def test_sigma_fixes_prime_subring(x):
 
 
 @given(scalars())
-def test_norm_and_trace_land_downstairs(x):
-    assert x.norm().b == 0
-    assert x.trace().b == 0
-    assert x.norm() == x * x.sigma()
-    assert x.trace() == x + x.sigma()
-
-
-@given(scalars())
 def test_valuation_zero_iff_unit(x):
     if x.is_zero():
         assert x.valuation() == x.prec
@@ -206,14 +205,6 @@ def test_reduce_precision_truncates(x, new_prec):
     assert y.prec == new_prec
     mod = x.p**new_prec
     assert y.a == x.a % mod and y.b == x.b % mod
-
-
-@given(scalars(), st.integers(min_value=1, max_value=10))
-def test_pow_matches_repeated_multiplication(x, n):
-    out = WittScalar.one(x.p, x.prec)
-    for _ in range(n):
-        out = out * x
-    assert x**n == out
 
 
 def test_mixed_context_arithmetic_is_rejected():
