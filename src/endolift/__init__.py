@@ -60,7 +60,6 @@ from .inventory import (
     vertical_multiplicity_closed_form,
 )
 from .lattices import (
-    count_hodge_lifts,
     descend_superlattice,
     enumerate_stable_sublattices,
     enumerate_stable_superlattices,
@@ -114,7 +113,6 @@ __all__ = [
     "lie_action_parity",
     "enumerate_stable_superlattices",
     "descend_superlattice",
-    "count_hodge_lifts",
     "hodge_lift_census",
     "EndoliftError",
     "InexactDivision",

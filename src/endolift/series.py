@@ -95,11 +95,13 @@ class TruncSeries:
         else:
             mod = ctx.mod
             clean: Dict[Key, Pair] = {}
-            for (m1, m2), pair in coeffs.items():
+            for (m1, m2), (a, b) in coeffs.items():
+                if a.__class__ is not int or b.__class__ is not int:
+                    a, b = index(a), index(b)  # TypeError for a float or any non-integer
                 if not ctx.in_window(m1, m2):
                     continue
-                a = pair[0] % mod
-                b = pair[1] % mod
+                a %= mod
+                b %= mod
                 if a or b:
                     clean[(m1, m2)] = (a, b)
             self.coeffs = clean
@@ -118,8 +120,7 @@ class TruncSeries:
     def constant(cls, ctx: SeriesContext, value) -> "TruncSeries":
         """Constant series from an (a, b) pair or an int; TypeError for any
         other coefficient."""
-        a, b = value if isinstance(value, tuple) else (value, 0)
-        return cls(ctx, {(0, 0): (index(a), index(b))})
+        return cls(ctx, {(0, 0): value if isinstance(value, tuple) else (value, 0)})
 
     @classmethod
     def variable(cls, ctx: SeriesContext, name: str) -> "TruncSeries":

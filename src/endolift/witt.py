@@ -8,14 +8,13 @@ identity, and induces the p-power map on residues.
 Two layers live here:
 
 * raw "pair" helpers operating on (a, b) integer tuples — the coefficients
-  of every series term (which `lengths` reads as they are), and the lattice
-  layer's own storage: its
-  operator application, membership test, Hermite elimination and lattice
-  rows all run on pairs, where attribute dispatch and a wrapper per
-  operation would dominate;
-* the `WittScalar` wrapper, the type of the vectors and matrices the
-  lattice layer takes and returns, and of the structural parameters of a
-  case.  Its coefficients must be integers: anything else is a TypeError.
+  of every series term (which `lengths` reads as they are), and the only
+  scalars of the lattice layer: its operator matrices, vectors and lattice
+  rows are all pairs, where attribute dispatch and a wrapper per operation
+  would dominate;
+* the `WittScalar` wrapper, the type of the structural parameters of a
+  case, and the reference arithmetic the tests check the pair kernels
+  against.  Its coefficients must be integers: anything else is a TypeError.
 
 Only odd primes p are supported: `nonresidue` raises on any other p, and every
 check of p in the package goes through it.

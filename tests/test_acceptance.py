@@ -25,10 +25,10 @@ from endolift.inventory import (
 )
 from endolift.lattices import (
     classify_superlattice,
-    count_hodge_lifts,
     descend_superlattice,
     enumerate_stable_sublattices,
     enumerate_stable_superlattices,
+    hodge_lift_census,
     lie_action_parity,
     standard_rank2,
     superlattice_family,
@@ -277,7 +277,7 @@ def test_criterion_08_lattice_suites():
 def test_criterion_09_unique_filtration_lift():
     failures = []
     for p in (3, 5):
-        got = count_hodge_lifts(p)
+        got = hodge_lift_census(p)["both_stable"]
         if got != 1:
             failures.append((p, got))
     _verdict("joint-stable filtration lift is unique", failures)

@@ -19,7 +19,6 @@ from endolift.lattices import (
     LatticeHNF,
     SemilinearModule,
     classify_superlattice,
-    count_hodge_lifts,
     descend_superlattice,
     enumerate_stable_sublattices,
     enumerate_stable_superlattices,
@@ -48,8 +47,22 @@ def subspace_count(p: int, dim: int) -> int:
     return num // den
 
 
-def _vec(module, *ints):
-    return tuple(module.scalar(n) for n in ints)
+def _vec(*ints):
+    return tuple((n, 0) for n in ints)
+
+
+def _scalars(module, pairs):
+    """The WittScalar reading of a pair vector, the tests' reference."""
+    return tuple(WittScalar(module.p, module.prec, a, b) for a, b in pairs)
+
+
+def _pairs(scalars):
+    return tuple(c.pair() for c in scalars)
+
+
+def _operator(module, name):
+    """(matrix, twist) of a module operator, as stated in its constructor."""
+    return (module.F, 1) if name == "F" else (module.actions[name], 0)
 
 
 class TestSemilinearModules:
@@ -62,7 +75,7 @@ class TestSemilinearModules:
 
     def test_sanity_rejects_corrupted_operators(self):
         module = standard_rank2(3)
-        one = module.scalar(1)
+        one = (1, 0)
         broken = SemilinearModule(
             module.p,
             module.prec,
@@ -78,66 +91,68 @@ class TestSemilinearModules:
     def test_fv_is_multiplication_by_p(self, x, y, c):
         # V = F (module docstring), so FV = p reads F F = p
         module = standard_rank2(3)
-        v = _vec(module, x, y)
-        assert module.apply_F(module.apply_F(v)) == tuple(e * 3 for e in v)
+        v = _vec(x, y)
+        ffv = module.apply("F", module.apply("F", v))
+        assert _scalars(module, ffv) == tuple(e * 3 for e in _scalars(module, v))
 
-    @given(st.integers(-20, 20), st.integers(-20, 20))
-    def test_frobenius_is_sigma_semilinear(self, x, y):
+    @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
+    def test_frobenius_is_sigma_semilinear(self, x, y, c, d):
+        # F(c v) = sigma(c) F(v) for every scalar c, omega among them
         module = standard_rank2(3)
-        w = WittScalar.omega(3, module.prec)
-        v = _vec(module, x, y)
-        wv = tuple(w * e for e in v)
-        lhs = module.apply_F(wv)
-        rhs = tuple(w.sigma() * e for e in module.apply_F(v))
-        assert lhs == rhs
+        scalar = WittScalar(3, module.prec, c, d)
+        v = ((x, y), (y, x))
+        cv = _pairs(scalar * e for e in _scalars(module, v))
+        fv = _scalars(module, module.apply("F", v))
+        assert module.apply("F", cv) == _pairs(scalar.sigma() * e for e in fv)
+
+    def test_frobenius_twists_omega(self):
+        # F e0 = f0 twisted: (w, 0) goes to (0, -w), not to the linear image (0, w)
+        module = standard_rank2(3)
+        assert module.apply("F", ((0, 1), (0, 0))) == ((0, 0), (0, 3**8 - 1))
 
     def test_linear_actions_commute_with_scalars(self):
         module = tensor_rank4(3)
         w = WittScalar.omega(3, module.prec)
-        v = _vec(module, 1, 2, 3, 4)
-        for name, matrix, twist in module.operator_list():
-            if twist:
-                continue
-            wv = tuple(w * e for e in v)
-            assert module.apply(matrix, wv) == tuple(
-                w * e for e in module.apply(matrix, v)
-            )
+        v = _vec(1, 2, 3, 4)
+        wv = _pairs(w * e for e in _scalars(module, v))
+        for name in module.actions:
+            assert module.apply(name, wv) == _pairs(w * e for e in _scalars(module, module.apply(name, v)))
 
     def test_rank4_action_labels(self):
         module = tensor_rank4(3)
         assert set(module.actions) == {"omega-order", "omega-scalar"}
 
     def test_operators_are_the_actions_then_f(self):
-        assert [name for name, _, _ in standard_rank2(3).operator_list()] == ["omega", "F"]
-        assert [name for name, _, _ in ramified_rank2(3).operator_list()] == ["uniformizer", "F"]
-        assert [name for name, _, _ in tensor_rank4(3).operator_list()] == ["omega-order", "omega-scalar", "F"]
+        assert list(standard_rank2(3)._ops) == ["omega", "F"]
+        assert list(ramified_rank2(3)._ops) == ["uniformizer", "F"]
+        assert list(tensor_rank4(3)._ops) == ["omega-order", "omega-scalar", "F"]
 
 
 class TestHermiteForm:
     def test_idempotent(self):
         module = standard_rank2(3)
-        lat = hermite_form(module, [_vec(module, 3, 5), _vec(module, 0, 9)])
-        again = hermite_form(module, lat.rows, lat.scale)
-        assert again.rows == lat.rows
+        lat = hermite_form(module, [_vec(3, 5), _vec(0, 9)])
+        again = hermite_form(module, lat.pair_rows, lat.scale)
+        assert again.pair_rows == lat.pair_rows
 
     def test_contains_its_rows_and_multiples(self):
         module = standard_rank2(3)
-        lat = hermite_form(module, [_vec(module, 9, 1), _vec(module, 0, 27)])
-        for row in lat.rows:
+        lat = hermite_form(module, [_vec(9, 1), _vec(0, 27)])
+        for row in lat.pair_rows:
             assert lat.contains(row)
-            assert lat.contains(tuple(e * 7 for e in row))
-        combo = tuple(x + y for x, y in zip(lat.rows[0], lat.rows[1]))
+            assert lat.contains(tuple((7 * a, 7 * b) for a, b in row))
+        combo = tuple((a + c, b + d) for (a, b), (c, d) in zip(*lat.pair_rows))
         assert lat.contains(combo)
 
     def test_contains_rejects_outside_vectors(self):
         module = standard_rank2(3)
-        lat = hermite_form(module, [_vec(module, 3, 0), _vec(module, 0, 3)])
-        assert not lat.contains(_vec(module, 1, 0))
-        assert not lat.contains(_vec(module, 0, 1))
+        lat = hermite_form(module, [_vec(3, 0), _vec(0, 3)])
+        assert not lat.contains(_vec(1, 0))
+        assert not lat.contains(_vec(0, 1))
 
     def test_pivot_and_index_exponents(self):
         module = standard_rank2(3)
-        lat = hermite_form(module, [_vec(module, 3, 1), _vec(module, 0, 9)])
+        lat = hermite_form(module, [_vec(3, 1), _vec(0, 9)])
         assert lat.pivot_exponents() == (1, 2)
         assert lat.index_exponent() == 3
         assert not lat.is_diagonal()
@@ -145,7 +160,7 @@ class TestHermiteForm:
     def test_scale_shifts_index(self):
         module = standard_rank2(3)
         # the same integral rows viewed at scale 1 (rows are p^-1 times these)
-        lat = hermite_form(module, [_vec(module, 3, 0), _vec(module, 0, 3)], scale=1)
+        lat = hermite_form(module, [_vec(3, 0), _vec(0, 3)], scale=1)
         assert lat.index_exponent() == 0
 
 
@@ -182,10 +197,10 @@ class TestStableSublattices:
 
     def test_parity_validation(self):
         module = standard_rank2(3)
-        bad = hermite_form(module, [_vec(module, 9, 0), _vec(module, 0, 1)])
+        bad = hermite_form(module, [_vec(9, 0), _vec(0, 1)])
         with pytest.raises(ShapeViolation):
             lie_action_parity(bad)
-        nondiag = hermite_form(module, [_vec(module, 3, 1), _vec(module, 0, 3)])
+        nondiag = hermite_form(module, [_vec(3, 1), _vec(0, 3)])
         with pytest.raises(ValueError):
             lie_action_parity(nondiag)
 
@@ -232,10 +247,10 @@ class TestSuperlattices:
     def test_classify_rejects_off_family_shapes(self):
         module = tensor_rank4(3)
         rows = [
-            _vec(module, 1, 0, 0, 0),
-            _vec(module, 0, 3, 0, 0),
-            _vec(module, 0, 0, 1, 0),
-            _vec(module, 0, 0, 0, 1),
+            _vec(1, 0, 0, 0),
+            _vec(0, 3, 0, 0),
+            _vec(0, 0, 1, 0),
+            _vec(0, 0, 0, 1),
         ]
         lat = hermite_form(module, rows)
         with pytest.raises(ShapeViolation):
@@ -290,12 +305,12 @@ class TestDescent:
             module = real(p, prec)
             F, actions = module.F, dict(module.actions)
             if corrupt == "F":
-                F = tuple(tuple(c * 2 for c in row) for row in F)
+                F = tuple(tuple((2 * a, 2 * b) for a, b in row) for row in F)
             elif corrupt == "omega-order":
                 actions[corrupt] = actions["omega-scalar"]
             else:
                 # full rank, but p times too small on the translates
-                actions[corrupt] = tuple(tuple(c * p for c in row) for row in actions[corrupt])
+                actions[corrupt] = tuple(tuple((p * a, p * b) for a, b in row) for row in actions[corrupt])
             return SemilinearModule(p, prec, 4, F, actions, module.label)
 
         monkeypatch.setattr(lattices, "tensor_rank4", corrupted)
@@ -306,25 +321,28 @@ class TestDescent:
 # ---------------------------------------------------------------------------
 # the WittScalar references for the pair kernels: operator application,
 # membership and Hermite elimination written on WittScalar arithmetic, with
-# its per-operation context checks
+# its per-operation context checks.  They take and return pairs, read as
+# WittScalars of the module's (p, prec) inside.
 
 
-def _apply_reference(module, matrix, vector, twist=0):
+def _apply_reference(module, name, vector):
+    matrix, twist = _operator(module, name)
+    vector = _scalars(module, vector)
     if twist:
         vector = tuple(c.sigma() for c in vector)
     out = []
-    for i in range(module.rank):
+    for row in matrix:
         acc = WittScalar.zero(module.p, module.prec)
-        for j in range(module.rank):
-            acc = acc + matrix[i][j] * vector[j]
+        for entry, c in zip(_scalars(module, row), vector):
+            acc = acc + entry * c
         out.append(acc)
-    return tuple(out)
+    return _pairs(out)
 
 
 def _contains_reference(lat, vector):
     p = lat.module.p
-    v = list(vector)
-    for i, row in enumerate(lat.rows):
+    v = list(_scalars(lat.module, vector))
+    for i, row in enumerate(_scalars(lat.module, row) for row in lat.pair_rows):
         x = v[i]
         if x.is_zero():
             continue
@@ -345,7 +363,7 @@ def _contains_reference(lat, vector):
 def _hermite_reference(module, rows):
     """The Hermite rows of a full-rank span; ValueError otherwise."""
     p, prec, rank = module.p, module.prec, module.rank
-    work = [list(r) for r in rows]
+    work = [list(_scalars(module, r)) for r in rows]
     pivots = []
     for col in range(rank):
         best = None
@@ -381,14 +399,14 @@ def _hermite_reference(module, rows):
             q = WittScalar(p, prec, a // pd, b // pd)
             for j in range(rank):
                 pivots[k][j] = pivots[k][j] - q * pivots[i][j]
-    return tuple(tuple(r) for r in pivots)
+    return tuple(_pairs(r) for r in pivots)
 
 
 def _stable_reference(module, lat):
     return all(
-        _contains_reference(lat, _apply_reference(module, mat, row, twist))
-        for _name, mat, twist in module.operator_list()
-        for row in lat.rows
+        _contains_reference(lat, _apply_reference(module, name, row))
+        for name in module._ops
+        for row in lat.pair_rows
     )
 
 
@@ -406,14 +424,13 @@ def _pair_module(label, p):
 
 
 def _coords(module):
-    """Scalars of every valuation up to the precision, zero half the time,
-    so that zero entries and non-unit pivots are common."""
+    """Pairs of every valuation up to the precision, zero half the time, so
+    that zero entries and non-unit pivots are common; they are reduced mod
+    p^prec only by the code under test."""
     p, prec = module.p, module.prec
     digits = st.integers(0, p**prec - 1)
-    scaled = st.builds(
-        lambda e, a, b: WittScalar(p, prec, p**e * a, p**e * b), st.integers(0, prec), digits, digits
-    )
-    return st.one_of(st.just(WittScalar.zero(p, prec)), scaled)
+    scaled = st.builds(lambda e, a, b: (p**e * a, p**e * b), st.integers(0, prec), digits, digits)
+    return st.one_of(st.just((0, 0)), scaled)
 
 
 def _vectors(module):
@@ -423,12 +440,12 @@ def _vectors(module):
 def _full_rank_rows(data, module):
     """Drawn rows whose span has full rank: p-power multiples of the basis
     under drawn rows, so that the elimination meets non-unit pivots."""
-    p, prec, rank = module.p, module.prec, module.rank
+    p, rank = module.p, module.rank
     rows = [data.draw(_vectors(module)) for _ in range(data.draw(st.integers(0, 2)))]
     for i in range(rank):
         e = data.draw(st.integers(0, 3))
         rows.append(tuple(
-            WittScalar(p, prec, p**e) if j == i else (data.draw(_coords(module)) if j > i else module.scalar(0))
+            (p**e, 0) if j == i else (data.draw(_coords(module)) if j > i else (0, 0))
             for j in range(rank)
         ))
     return data.draw(st.permutations(rows))
@@ -444,9 +461,8 @@ class TestPairKernels:
     def test_apply_matches_the_reference(self, label, p, data):
         module = _pair_module(label, p)
         v = data.draw(_vectors(module))
-        for _name, mat, _twist in module.operator_list():
-            for twist in (0, 1):
-                assert module.apply(mat, v, twist) == _apply_reference(module, mat, v, twist)
+        for name in module._ops:
+            assert module.apply(name, v) == _apply_reference(module, name, v)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("rank_label", ["normalized", "rank4"])
@@ -467,7 +483,7 @@ class TestPairKernels:
                 hermite_form(module, rows, scale)
             return
         lat = hermite_form(module, rows, scale)
-        assert (lat.rows, lat.scale) == (want, scale)
+        assert (lat.pair_rows, lat.scale) == (want, scale)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("label", sorted(PAIR_MODULES))
@@ -476,14 +492,13 @@ class TestPairKernels:
     def test_contains_matches_the_reference(self, label, p, data):
         module = _pair_module(label, p)
         lat = hermite_form(module, _full_rank_rows(data, module), data.draw(st.integers(0, 3)))
-        coeffs = data.draw(_vectors(module))
-        member = tuple(
-            sum((c * row[j] for c, row in zip(coeffs, lat.rows)), module.scalar(0))
+        coeffs = _scalars(module, data.draw(_vectors(module)))
+        rows = [_scalars(module, row) for row in lat.pair_rows]
+        member = _pairs(
+            sum((c * row[j] for c, row in zip(coeffs, rows)), WittScalar.zero(p, module.prec))
             for j in range(module.rank)
         )
-        images = [
-            module.apply(mat, row, twist) for _name, mat, twist in module.operator_list() for row in lat.rows
-        ]
+        images = [module.apply(name, row) for name in module._ops for row in lat.pair_rows]
         for v in [data.draw(_vectors(module)), member] + images:
             assert lat.contains(v) == _contains_reference(lat, v)
         assert lat.contains(member)
@@ -502,14 +517,14 @@ class TestPairKernels:
         rows = []
         for i in range(rank):
             e, a, b = data.draw(st.integers(0, 3)), data.draw(digits), data.draw(digits)
-            pivot = WittScalar(p, prec, p**e * (1 + p * a), p**e * b)
+            pivot = (p**e * (1 + p * a), p**e * b)
             rows.append(tuple(
-                pivot if j == i else (data.draw(_coords(module)) if j > i else module.scalar(0))
+                pivot if j == i else (data.draw(_coords(module)) if j > i else (0, 0))
                 for j in range(rank)
             ))
-        lat = LatticeHNF(module, [[c.pair() for c in row] for row in rows], data.draw(st.integers(0, 2)))
+        lat = LatticeHNF(module, rows, data.draw(st.integers(0, 2)))
         unit = WittScalar(p, prec, 1 + p * data.draw(digits), data.draw(digits))
-        member = tuple(unit * c for c in rows[-1])
+        member = _pairs(unit * c for c in _scalars(module, rows[-1]))
         for v in (data.draw(_vectors(module)), member):
             assert lat.contains(v) == _contains_reference(lat, v)
         assert lat.contains(member)
@@ -542,52 +557,52 @@ class TestPairKernels:
             assert lat.contains(v) == _contains_reference(lat, v)
 
 
+_E0, _F0 = ((1, 0), (0, 0)), ((0, 0), (1, 0))
+
+ENTRY_POINTS = {
+    "apply": lambda module, v: module.apply("F", v),
+    "hermite_form": lambda module, v: hermite_form(module, [v, _F0]),
+    "contains": lambda module, v: hermite_form(module, [_E0, _F0]).contains(v),
+    "LatticeHNF": lambda module, v: LatticeHNF(module, [v, _F0]),
+}
+
+BAD_VECTORS = {
+    "wittscalar": (TypeError, "not a vector of integer pairs", (WittScalar(3, 8, 1), (0, 0))),
+    "float": (TypeError, "not a vector of integer pairs", ((1, 0), (0.5, 0))),
+    "bare-float": (TypeError, "not a vector of integer pairs", ((1, 0), 0.5)),
+    "wrong-length": (ValueError, "3 coordinates for a rank-2 module", ((1, 0), (0, 0), (0, 0))),
+}
+
+
 class TestVectorChecks:
-    """Mixed input is a ValueError at the public boundary, not a silent
-    truncation or a verdict."""
+    """A vector that is not `rank` pairs of integers is refused wherever
+    one comes in, not truncated or turned into a verdict."""
 
-    def test_apply_rejects_a_vector_of_the_wrong_length(self):
-        module = standard_rank2(3)
-        with pytest.raises(ValueError, match="3 coordinates"):
-            module.apply(module.F, _vec(module, 1, 2, 3), twist=1)
-
-    def test_contains_rejects_a_vector_of_the_wrong_length(self):
-        module = standard_rank2(3)
-        lat = hermite_form(module, [_vec(module, 1, 0), _vec(module, 0, 1)])
-        with pytest.raises(ValueError, match="3 coordinates"):
-            lat.contains(_vec(module, 1, 0, 0))
-
-    @pytest.mark.parametrize("p, prec", [(5, 8), (3, 9)], ids=["other-prime", "other-precision"])
-    def test_contains_rejects_a_foreign_scalar(self, p, prec):
-        module = standard_rank2(3)
-        lat = hermite_form(module, [_vec(module, 1, 0), _vec(module, 0, 1)])
-        foreign = (WittScalar(p, prec, 1), WittScalar(p, prec, 0))
-        with pytest.raises(ValueError, match="not a scalar mod 3\\^8"):
-            lat.contains(foreign)
-
-    @pytest.mark.parametrize("p, prec", [(5, 8), (3, 9)], ids=["other-prime", "other-precision"])
-    def test_apply_and_hermite_form_reject_a_foreign_scalar(self, p, prec):
-        module = standard_rank2(3)
-        foreign = (WittScalar(p, prec, 1), module.scalar(0))
-        with pytest.raises(ValueError, match="not a scalar mod 3\\^8"):
-            module.apply_F(foreign)
-        with pytest.raises(ValueError, match="not a scalar mod 3\\^8"):
-            hermite_form(module, [foreign, _vec(module, 0, 1)])
+    @pytest.mark.parametrize("bad", sorted(BAD_VECTORS))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_entry_points_refuse_a_bad_vector(self, entry, bad):
+        error, message, vector = BAD_VECTORS[bad]
+        with pytest.raises(error, match=message):
+            ENTRY_POINTS[entry](standard_rank2(3), vector)
 
     def test_lattice_rows_are_checked(self):
         module = standard_rank2(3)
         one, zero = (1, 0), (0, 0)
         with pytest.raises(ValueError, match="3 rows"):
             LatticeHNF(module, [(one, zero), (zero, one), (one, one)])
-        with pytest.raises(ValueError, match="each of 2 coordinates"):
+        with pytest.raises(ValueError, match="1 coordinates for a rank-2 module"):
             LatticeHNF(module, [(one,), (zero, one)])
 
-    def test_apply_rejects_a_matrix_that_is_not_an_operator_of_the_module(self):
+    def test_apply_rejects_a_name_that_is_not_an_operator_of_the_module(self):
         module = standard_rank2(3)
-        # equal to F, but not the module's own matrix
-        copy = tuple(tuple(row) for row in module.F)
-        with pytest.raises(ValueError, match="not an operator of this module"):
-            module.apply(copy, _vec(module, 1, 0), twist=1)
+        for name in ("V", "uniformizer", module.F):
+            with pytest.raises(ValueError, match="not an operator of this module"):
+                module.apply(name, _vec(1, 0))
+
+    def test_an_action_may_not_be_named_f(self):
+        module = standard_rank2(3)
+        with pytest.raises(ValueError, match="may not be named F"):
+            SemilinearModule(3, 8, 2, module.F, {"F": module.F}, "rank2-shadowed")
 
     def test_lattices_of_different_scalars_differ(self):
         # pairs alone do not carry (p, prec): equal integer rows over 3 and
@@ -610,7 +625,7 @@ def _exhaustive_sublattices(module, k):
     found = []
     for a in range(k + 1):
         b = k - a
-        pa, pb = module.scalar(p**a).pair(), module.scalar(p**b).pair()
+        pa, pb = (p**a, 0), (p**b, 0)
         for w0 in range(p**b):
             for w1 in range(p**b):
                 lat = LatticeHNF(module, ((pa, (w0, w1)), ((0, 0), pb)), 0)
@@ -645,9 +660,8 @@ def _exhaustive_subspaces(field, dim):
 def _one_step_lattice(module, rows):
     """L + p^-1 span(rows) at scale 1, for rows of the one-step quotient."""
     p = module.p
-    standard = [tuple(module.scalar(p * (i == j)) for j in range(4)) for i in range(4)]
-    lifts = [tuple(WittScalar(p, module.prec, a, b) for a, b in row) for row in rows]
-    return hermite_form(module, standard + lifts, scale=1)
+    standard = [tuple((p * (i == j), 0) for j in range(4)) for i in range(4)]
+    return hermite_form(module, standard + rows, scale=1)
 
 
 def _gap_module(p, first, second):
@@ -657,7 +671,7 @@ def _gap_module(p, first, second):
     (second - first) w: more than w = 0 once the gap has positive
     valuation, so the enumerator's coset step is exercised."""
     base = standard_rank2(p)
-    one, zero = base.scalar(1), base.scalar(0)
+    one, zero = (1, 0), (0, 0)
     identity = ((one, zero), (zero, one))
     action = ((first, zero), (zero, second))
     return SemilinearModule(p, base.prec, 2, identity, {"gap": action}, "rank2-gap")
@@ -681,9 +695,7 @@ class TestConstraintFirstSearch:
     @pytest.mark.parametrize("gap", ["1,1+p", "w,w+p^2"])
     def test_gap_of_positive_valuation_keeps_a_coset(self, gap):
         p = 3
-        one = WittScalar.one(p, 8)
-        w = WittScalar.omega(p, 8)
-        first, second = (one, one + p) if gap == "1,1+p" else (w, w + p * p)
+        first, second = ((1, 0), (1 + p, 0)) if gap == "1,1+p" else ((0, 1), (p * p, 1))
         module = _gap_module(p, first, second)
         for k in range(5):
             found = enumerate_stable_sublattices(module, k)
@@ -880,7 +892,7 @@ class TestHodgeLiftCensus:
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_unique_joint_lift(self, p):
-        assert count_hodge_lifts(p) == 1
+        assert hodge_lift_census(p)["both_stable"] == 1
 
     @pytest.mark.parametrize("op", sorted(DUAL_OPERATORS))
     @settings(max_examples=60)

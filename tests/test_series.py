@@ -73,6 +73,23 @@ def test_constant_takes_integers_only():
         TruncSeries.one(ctx) + 1
 
 
+@pytest.mark.parametrize("pair", [(1.5, 0), (0, 0.5), (2.0, 1), ("1", 0)])
+def test_constructor_takes_integers_only(pair):
+    ctx = SeriesContext(3, 2, 0, 4, 2)
+    with pytest.raises(TypeError):
+        TruncSeries(ctx, {(0, 0): pair})
+    # also outside the window, where the term would be dropped
+    with pytest.raises(TypeError):
+        TruncSeries(ctx, {(9, 0): pair})
+
+
+def test_monomial_takes_integers_only():
+    ctx = SeriesContext(3, 2, 0, 4, 2)
+    assert TruncSeries.monomial(ctx, 1, 0, (10, 1)).coeffs == {(1, 0): (1, 1)}
+    with pytest.raises(TypeError):
+        TruncSeries.monomial(ctx, 1, 0, (2.5, 1))
+
+
 def test_variable_and_monomial():
     ctx = QUOTIENT_CTX[0]
     x1 = TruncSeries.variable(ctx, "x1")
