@@ -612,17 +612,13 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
 class DescentReport:
     """Outcome of pushing a classified superlattice down to rank 2."""
 
-    __slots__ = ("p", "a", "b", "delta", "scale", "module", "e_star", "f_star", "span")
+    __slots__ = ("a", "b", "delta", "scale", "span")
 
-    def __init__(self, p, a, b, delta, scale, module, e_star, f_star, span):
-        self.p = p
+    def __init__(self, a, b, delta, scale, span):
         self.a = a
         self.b = b
         self.delta = delta
         self.scale = scale
-        self.module = module
-        self.e_star = e_star
-        self.f_star = f_star
         self.span = span
 
 
@@ -670,7 +666,7 @@ def descend_superlattice(
     span = hermite_form(module, gens, scale=m)
     if span != expected:
         raise StabilityFailure("scalar extension of the descent misses the superlattice")
-    return DescentReport(p, a, b, delta, m, module, e_star, f_star, span)
+    return DescentReport(a, b, delta, m, span)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ Elimination fills the short corner slices in to dense Laurent polynomials,
 so chain-ring products go through one kernel with two branches: a
 reduce-once loop for short operands and one Kronecker-packed big-integer
 product for dense ones.  The termwise arithmetic (add, sub, integer scale,
-exact division, valuation) works on the integers directly; the pair
-arithmetic of `TruncSeries` is its own.  The kernel serves x1-only
-operands alone: run per pair of x2-slices it made the series products of a
-small sweep 1.5x slower (117 ms against 78 ms), and packing both exponents
-into one key outgrows memory (see `series`).
+exact division, valuation) works on the integers directly.  The kernel
+serves x1-only operands alone: per pair of x2-slices it made a small sweep
+1.5x slower (see `series`).  A `ChainScalar` keeps its terms relative to an
+x1 offset: products add the offsets, and a shift that keeps every term in
+[lo, hi] moves the offset and shares the terms, so recentering costs
+nothing per entry; only a shift that pushes a term out filters.
 
 Two independent length oracles live here:
 
@@ -195,20 +196,26 @@ def _w_power(pairs: Iterable[Tuple[int, int]]) -> int:
 
 
 class ChainScalar:
-    """An element of the chain ring: {x1 exponent -> coefficient mod p^M}."""
+    """An element of the chain ring: x1^off times {x1 exponent -> coefficient
+    mod p^M}.  A stored key e stands for the exponent e + off; `coeffs` is
+    the absolute view, built on demand.  The cached pivot key and least
+    exponent are relative, so a loss-free `shift` keeps them."""
 
-    __slots__ = ("ctx", "coeffs", "_pivot_key")
+    __slots__ = ("ctx", "_terms", "_off", "_pivot_key", "_min")
 
-    def __init__(self, ctx: ChainContext, coeffs: Optional[Terms] = None, *, _clean: bool = False):
+    def __init__(self, ctx: ChainContext, coeffs: Optional[Terms] = None, *,
+                 _clean: bool = False, _off: int = 0):
         self.ctx = ctx
+        self._off = _off
         self._pivot_key: Optional[Tuple[int, Optional[int]]] = None
+        self._min: Optional[int] = None
         if coeffs is None:
-            self.coeffs = {}
+            self._terms = {}
         elif _clean:
-            self.coeffs = coeffs
+            self._terms = coeffs
         else:
             mod = ctx.mod
-            self.coeffs = {e: c % mod for e, c in coeffs.items()
+            self._terms = {e: c % mod for e, c in coeffs.items()
                            if ctx.lo <= e <= ctx.hi and c % mod}
 
     @classmethod
@@ -230,17 +237,23 @@ class ChainScalar:
 
     # -- views ---------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> Terms:
+        """{absolute x1 exponent -> coefficient}."""
+        off = self._off
+        return {e + off: c for e, c in self._terms.items()} if off else self._terms
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
 
     def p_valuation(self) -> int:
         """Least p-valuation of the coefficients (the modulus for zero)."""
         ctx = self.ctx
-        if not self.coeffs:
+        if not self._terms:
             return ctx.modulus
         # the least coefficient valuation is that of the coefficients' gcd,
         # which is below p^modulus as every stored coefficient is
-        g, v = gcd(*self.coeffs.values()), 0
+        g, v = gcd(*self._terms.values()), 0
         while g % ctx.p == 0:
             g //= ctx.p
             v += 1
@@ -252,30 +265,34 @@ class ChainScalar:
         if not 0 <= at_val < ctx.modulus:  # stored coefficients are nonzero
             return None
         low, high = ctx.p**at_val, ctx.p ** (at_val + 1)
-        return min((e for e, c in self.coeffs.items() if not c % low and c % high), default=None)
+        e = min((e for e, c in self._terms.items() if not c % low and c % high), default=None)
+        return None if e is None else e + self._off
 
     def pivot_key(self) -> Tuple[int, Optional[int]]:
-        """(p_valuation, leading_degree at it), computed once per scalar."""
-        key = self._pivot_key
+        """(p_valuation, leading_degree at it), computed once per term dict."""
+        key, off = self._pivot_key, self._off
         if key is None:
             v = self.p_valuation()
-            key = self._pivot_key = (v, self.leading_degree(v))
-        return key
+            e = self.leading_degree(v)
+            key = self._pivot_key = (v, None if e is None else e - off)
+        v, e = key
+        return (v, None if e is None else e + off)
+
+    def min_exponent(self) -> Optional[int]:
+        if self._min is None and self._terms:
+            self._min = min(self._terms)
+        return None if self._min is None else self._min + self._off
 
     def __eq__(self, other):
         if not isinstance(other, ChainScalar):
             return NotImplemented
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.coeffs.items()))))
-
     def __repr__(self):
-        n = len(self.coeffs)
+        n = len(self._terms)
         if n == 0:
             return "ChainScalar(0)"
-        lead = min(self.coeffs)
-        return f"ChainScalar({n} terms, lead x1^{lead}, val {self.p_valuation()})"
+        return f"ChainScalar({n} terms, lead x1^{self.min_exponent()}, val {self.p_valuation()})"
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -287,54 +304,70 @@ class ChainScalar:
         return self - other.scale_int(-1)
 
     def __sub__(self, other: "ChainScalar") -> "ChainScalar":
-        """Coefficients that cancel are dropped."""
+        """Cancelled coefficients drop; other's terms are re-keyed only at another offset."""
         self._check(other)
-        if not other.coeffs:
+        mine, theirs, off = self._terms, other._terms, self._off
+        if not theirs:
             return self
+        if not mine:
+            off = other._off
+        elif other._off != off:
+            d = other._off - off
+            theirs = {e + d: c for e, c in theirs.items()}
         mod = self.ctx.mod
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        out = dict(mine)
+        for e, c in theirs.items():
             c = (out.get(e, 0) - c) % mod
             if c:
                 out[e] = c
             else:
                 out.pop(e, None)
-        return ChainScalar(self.ctx, out, _clean=True)
+        return ChainScalar(self.ctx, out, _clean=True, _off=off)
 
     def __mul__(self, other: "ChainScalar") -> "ChainScalar":
+        """The offsets add; the kernel sees the window moved by their sum."""
         self._check(other)
         ctx = self.ctx
-        left, right = self.coeffs, other.coeffs
+        left, right = self._terms, other._terms
         # a zero operand is its own product
         if not left:
             return self
         if not right:
             return other
+        off = self._off + other._off
         mul = _mul_packed if len(left) * len(right) >= PACK_MIN_TERM_PRODUCTS else _mul_short
-        return ChainScalar(ctx, mul(left, right, ctx.mod, ctx.lo, ctx.hi), _clean=True)
+        return ChainScalar(ctx, mul(left, right, ctx.mod, ctx.lo - off, ctx.hi - off),
+                           _clean=True, _off=off)
 
     def scale_int(self, n: int) -> "ChainScalar":
-        return ChainScalar(self.ctx, {e: c * n for e, c in self.coeffs.items()})
+        mod = self.ctx.mod
+        out = {e: r for e, c in self._terms.items() if (r := c * n % mod)}
+        return ChainScalar(self.ctx, out, _clean=True, _off=self._off)
 
     def shift(self, d: int) -> "ChainScalar":
-        """Multiply by x1^d (window-filtered)."""
-        if d == 0:
+        """Multiply by x1^d by moving the offset.  The term dict is shared
+        unless a term leaves [lo, hi] (a shift down checks only the least
+        exponent, a shift up only the greatest); then it is filtered."""
+        terms = self._terms
+        if d == 0 or not terms:
             return self
-        ctx = self.ctx
-        out = {e + d: c for e, c in self.coeffs.items() if ctx.lo <= e + d <= ctx.hi}
-        return ChainScalar(ctx, out, _clean=True)
-
-    def min_exponent(self):
-        return min(self.coeffs) if self.coeffs else None
+        ctx, off = self.ctx, self._off + d
+        if self.min_exponent() + d >= ctx.lo if d < 0 else max(terms) + off <= ctx.hi:
+            out = ChainScalar(ctx, terms, _clean=True, _off=off)
+            out._pivot_key, out._min = self._pivot_key, self._min
+            return out
+        lo, hi = ctx.lo - off, ctx.hi - off
+        return ChainScalar(ctx, {e: c for e, c in terms.items() if lo <= e <= hi}, _clean=True, _off=off)
 
     def divide_p_power(self, k: int) -> "ChainScalar":
         """Exact division of every stored coefficient by p^k."""
         if k == 0:
             return self
         q = self.ctx.p**k
-        if any(c % q for c in self.coeffs.values()):
+        if any(c % q for c in self._terms.values()):
             raise InexactDivision(f"a coefficient is not divisible by {q}")
-        return ChainScalar(self.ctx, {e: c // q for e, c in self.coeffs.items()}, _clean=True)
+        return ChainScalar(self.ctx, {e: c // q for e, c in self._terms.items()},
+                           _clean=True, _off=self._off)
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +444,21 @@ def _recenter(work: List[List[ChainScalar]], n: int) -> None:
     further down, until entries fall below the window and a unit reads as
     zero.  After the first pass every active support starts at or above
     zero and products and differences keep it there, so later passes only
-    shift down, which is loss-free.  Only the first n (active) columns set
-    the shifts.  Passive columns past them move with their rows and are
-    never shifted on their own.
+    shift down, which is loss-free and moves only the offset of each
+    nonzero entry (read off its cached minimum; zero entries are skipped).
+    Only the first n (active) columns set the shifts; passive columns past
+    them move with their rows and are never shifted on their own.
     """
     for i, row in enumerate(work):
-        s = min([e.min_exponent() for e in row[:n] if e.coeffs], default=0)
+        s = min([e.min_exponent() for e in row[:n] if e._terms], default=0)
         if s:
-            work[i] = [e.shift(-s) for e in row]
+            work[i] = [e.shift(-s) if e._terms else e for e in row]
     for j in range(n):
-        s = min([row[j].min_exponent() for row in work if row[j].coeffs], default=0)
+        s = min([row[j].min_exponent() for row in work if row[j]._terms], default=0)
         if s > 0:
             for row in work:
-                row[j] = row[j].shift(-s)
+                if row[j]._terms:
+                    row[j] = row[j].shift(-s)
 
 
 def chain_snf(
@@ -469,7 +504,7 @@ def chain_snf(
         best = None
         for i, row in enumerate(work):
             for j, entry in enumerate(row[:n]):
-                if not entry.coeffs:
+                if not entry._terms:
                     continue
                 key = (*entry.pivot_key(), i, j)
                 if best is None or key < best[0]:
@@ -478,7 +513,7 @@ def chain_snf(
             exps.extend([M] * len(work))
             for row in work:
                 for q, entry in enumerate(row[n:]):
-                    if not entry.is_zero():
+                    if entry._terms:
                         inside[q] = False
             break
         (e, _, _, _), pi, pj = best
@@ -495,18 +530,18 @@ def chain_snf(
         # sums over the same window, and their difference is exactly zero
         for i in range(1, len(work)):
             t = work[i][0]
-            if t.is_zero():
+            if not t._terms:
                 continue
             tq = t.divide_p_power(e)
             # a zero entry on either side contributes nothing to its product
-            work[i] = [zero] + [(unit * a if a.coeffs else a) - (tq * b if b.coeffs else b)
+            work[i] = [zero] + [(unit * a if a._terms else a) - (tq * b if b._terms else b)
                                 for a, b in zip(work[i][1:], row0[1:])]
         # the column pass clears the pivot row, which is dropped below, so its
         # entries are never built; below it column 0 is now zero, so the
         # column operation u*col_j - (t/p^e)*col_0 is the unit scaling alone
         for j in range(1, len(row0)):
             t = row0[j]
-            if t.is_zero():
+            if not t._terms:
                 # keep the column untouched: scaling by u is only needed
                 # when something is actually cleared against the pivot
                 continue
@@ -520,7 +555,7 @@ def chain_snf(
             # and so has a query that passed the test above: t/p^e exists,
             # and the pivot-row entry u*t - (t/p^e)*pivot it clears is zero
             for i in range(1, len(work)):
-                if work[i][j].coeffs:
+                if work[i][j]._terms:
                     work[i][j] = unit * work[i][j]
         exps.append(min(e, M))
         n -= 1
@@ -727,7 +762,7 @@ def _peel_at_radius(
         width = 2 * p**j
         for d in range(min(width, len(O))):
             t = O[d]
-            if t.is_zero():
+            if not t._terms:
                 continue
             # fraction-free elimination: O <- u*O - (t/p^v) * x2^d * P keeps
             # every product a single multiplication, hence an exact zero at
@@ -737,10 +772,10 @@ def _peel_at_radius(
             # every slice just picked up the same unit factor; pull the common
             # x1-power back out so supports cannot drift through the window
             # (a single monomial unit on the whole series, not per slice)
-            common = min([s.min_exponent() for s in O if s.coeffs], default=0)
+            common = min([s.min_exponent() for s in O if s._terms], default=0)
             if common > 0:
                 O = [s.shift(-common) for s in O]
-        if any(not s.is_zero() for s in O[:width]):
+        if any(s._terms for s in O[:width]):
             raise StructureViolation(f"peel step {j}: low slices survived elimination")
         # one annulus chunk: the carrying side alone over 2*p^j generators
         cols = [_shift_column(P, t, width) for t in range(width)]

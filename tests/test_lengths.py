@@ -85,6 +85,48 @@ class TestChainScalar:
         x = ChainScalar(CTX, {0: 2, 2: 5})
         assert x.shift(3) == x * _mono(3)
 
+    def test_loss_free_shift_shares_the_terms_and_a_lossy_one_filters(self):
+        x = ChainScalar(CTX, {0: 3, 2: 5, 10: 1})
+        assert x.pivot_key() == (0, 2)
+        down = x.shift(-4)
+        assert down._terms is x._terms and down._pivot_key is x._pivot_key
+        assert down.pivot_key() == (0, -2) and down.min_exponent() == -4
+        up = x.shift(2)
+        assert up._terms is x._terms and up.coeffs == {2: 3, 4: 5, 12: 1}
+        # past hi and past lo, exactly the terms outside [-12, 12] go
+        assert x.shift(3).coeffs == {3: 3, 5: 5}
+        assert x.shift(-13).coeffs == {-11: 5, -3: 1}
+        assert x.shift(-25).is_zero()
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_shifted_scalars_match_their_materialized_copies(self, data):
+        ctx = ChainContext(3, 3, -10, 10)
+        terms = st.dictionaries(st.integers(-10, 10), st.integers(0, 26), max_size=6)
+
+        def drawn():
+            # random shifts, some crossing lo or hi; caches filled on the way
+            x = ChainScalar(ctx, data.draw(terms))
+            want = x.coeffs
+            for d in data.draw(st.lists(st.integers(-14, 14), max_size=4)):
+                if data.draw(st.booleans()):
+                    x.pivot_key(), x.min_exponent()
+                x = x.shift(d)
+                want = {e + d: c for e, c in want.items() if -10 <= e + d <= 10}
+                assert x.coeffs == want
+            return x, ChainScalar(ctx, want)
+
+        (x, mx), (y, my) = drawn(), drawn()
+        for a, b, ma, mb in ((x, y, mx, my), (x, x.shift(1), mx, mx.shift(1))):
+            assert (a * b).coeffs == (ma * mb).coeffs
+            assert (a - b).coeffs == (ma - mb).coeffs
+            assert (a == b) == (ma == mb)
+        v = x.p_valuation()
+        assert v == mx.p_valuation() and x.pivot_key() == mx.pivot_key()
+        assert x.min_exponent() == mx.min_exponent() and x == mx
+        if v < ctx.modulus:
+            assert x.divide_p_power(v).coeffs == mx.divide_p_power(v).coeffs
+
     def test_divide_p_power(self):
         x = ChainScalar(CTX, {1: 9, 2: 18})
         assert x.divide_p_power(2) == ChainScalar(CTX, {1: 1, 2: 2})
@@ -277,11 +319,30 @@ def _corner_presentation(lab, p, k, radius):
     return pres, queries
 
 
+def _recenter_reference(work, n, ctx):
+    """chain_snf's recentering on absolute exponents: a row (set by its
+    first n entries), then each active column whose support starts above
+    x1^0, is multiplied by x1^-s through a rebuilt, window-filtered dict."""
+    def shifted(x, s):
+        return ChainScalar(ctx, {e - s: c for e, c in x.coeffs.items()})
+
+    for i, row in enumerate(work):
+        s = min((min(x.coeffs) for x in row[:n] if x.coeffs), default=0)
+        if s:
+            work[i] = [shifted(x, s) for x in row]
+    for j in range(n):
+        s = min((min(row[j].coeffs) for row in work if row[j].coeffs), default=0)
+        if s > 0:
+            for row in work:
+                row[j] = shifted(row[j], s)
+
+
 def _chain_snf_reference(rows, ctx, queries=None):
     """chain_snf with every entry of a pivot step built: the pivot-column
     entry of each cleared row and the pivot-row entry of each cleared
     column are computed as u*t - (t/p^e)*pivot and checked to be zero.  The
-    slow reference for the elimination."""
+    slow reference for the elimination; it recenters on its own, without
+    `ChainScalar.shift`."""
     M = ctx.modulus
     n = len(rows[0]) if rows else 0
     qs = list(queries or ())
@@ -290,7 +351,7 @@ def _chain_snf_reference(rows, ctx, queries=None):
     zero = ChainScalar.zero(ctx)
     exps = []
     while work:
-        lengths._recenter(work, n)
+        _recenter_reference(work, n, ctx)
         best = None
         for i, row in enumerate(work):
             for j, entry in enumerate(row[:n]):
