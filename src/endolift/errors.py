@@ -22,9 +22,13 @@ class PrecisionExhausted(EndoliftError):
 
 
 class WindowExhausted(EndoliftError):
-    """A required series inverse could not be represented inside the x1 window.
+    """A truncated window gave no trustworthy answer.
 
-    Callers are expected to widen the window and retry.
+    Raised when `lengths._stabilize` finds no two doubled x1-window radii
+    that agree below its ceiling, when `windows.solve_vertical_recursion`
+    reaches no fixed point within `_MAX_DEPTH` steps, and when
+    `series.series_invert` cannot represent a required inverse inside the x1
+    window.
     """
 
 

@@ -250,12 +250,11 @@ def total_proper_intersection(case: str, p: int, c0: int = 0) -> int:
 def per_level_proper_sum(case: str, s: int, p: int) -> int:
     """Sum of intersection numbers over the proper standard orbits at one
     level, straight from the inventory rows."""
-    label = _label(case, p)
-    total = 0
-    for t in range(s):
-        count = unit_index(label, t, s, p) - unit_index(label, t + 1, s, p)
-        total += count * intersection_number(label, "horizontal-standard", s, t, p)
-    return total
+    return sum(
+        r.count * r.intersection
+        for r in component_inventory(case, p, s).proper_records()
+        if r.kind == "horizontal-standard" and r.level == s
+    )
 
 
 def per_level_proper_sum_closed_form(case: str, s: int, p: int) -> int:

@@ -40,13 +40,13 @@ Two independent length oracles live here:
 per presentation model.
 
 Every window-dependent number here (the lengths from both oracles and the
-annihilator membership table) goes through one driver, `_stabilize`: it
-measures at the default x1-window radius and at successive doublings, and a
-value counts only once two consecutive radii agree.  A radius whose
-measurement runs out of window or reads as a structure violation gives no
-answer.  Past the ceiling max(p^(2k+2), 8*base) the driver raises
-WindowExhausted; no unconfirmed value is ever returned.  A pinned
-chain_radius skips the driver and measures that one window.
+annihilator membership table) is one path: solve the corner once, then
+`_stabilize` one per-radius measure (`_measure_at_radius`, `_peel_at_radius`,
+`_table_at_radius`).  The driver measures at the default x1-window radius and
+at successive doublings, and a value counts only once two consecutive radii
+agree.  A radius whose measurement runs out of window or reads as a
+structure violation gives no answer.  Past the ceiling max(p^(2k+2), 8*base)
+the driver raises WindowExhausted; no unconfirmed value is ever returned.
 
 `quotient_length` drives the window engine at defaults and runs the first
 oracle; `vertical_multiplicity` additionally insists the result matches the
@@ -243,9 +243,6 @@ class ChainScalar:
         off = self._off
         return {e + off: c for e, c in self._terms.items()} if off else self._terms
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def p_valuation(self) -> int:
         """Least p-valuation of the coefficients (the modulus for zero)."""
         ctx = self.ctx
@@ -299,9 +296,6 @@ class ChainScalar:
     def _check(self, other: "ChainScalar"):
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mixed chain contexts")
-
-    def __add__(self, other: "ChainScalar") -> "ChainScalar":
-        return self - other.scale_int(-1)
 
     def __sub__(self, other: "ChainScalar") -> "ChainScalar":
         """Cancelled coefficients drop; other's terms are re-keyed only at another offset."""
@@ -564,11 +558,6 @@ def chain_snf(
     return exps if queries is None else (exps, inside)
 
 
-def presentation_length(pres: ChainPresentation) -> Tuple[int, List[int]]:
-    exps = chain_snf(pres.rows(), pres.ctx)
-    return sum(exps), exps
-
-
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -579,8 +568,8 @@ def chain_default_radius(p: int, k: int) -> int:
     The valuation-minimal coefficients of the deepest corner slices sit at
     x1-degree 2*(p^k + p^(k-2) + ...); a window inside that horizon cuts
     units off and measures the wrong module.  The horizon is not enough,
-    though: at (unr, 3, 3) pinned radii 83-94 and 135-143, all above it,
-    give wrong lengths.  The default, one factor of p past p^k, is only
+    though: at (unr, 3, 3) the radii 83-94 and 135-143, all above it, give
+    wrong lengths.  The default, one factor of p past p^k, is only
     where `_stabilize` starts; what guards a value is its confirmation at
     two consecutive radii.
     """
@@ -637,55 +626,46 @@ def _solve_corner(case: CaseDescriptor, k: int, ctx: SeriesContext) -> Thickened
     return sol
 
 
-def _corner_slices(series: TruncSeries, cap: int, chain_ctx: ChainContext) -> List[ChainScalar]:
-    return [ChainScalar.from_series(chain_ctx, series.x2_slice(j)) for j in range(cap)]
+def _chain_corner(
+    sol: ThickenedSolution, radius: int, cap: int, modulus: int
+) -> Tuple[ChainContext, List[ChainScalar], List[ChainScalar]]:
+    """The chain ring at one x1-window radius and the first cap x2-slices of
+    each corner series (alpha, then beta) reduced into it."""
+    ctx = ChainContext(sol.case.p, modulus, -radius, radius)
+    alpha, beta = (
+        [ChainScalar.from_series(ctx, series.x2_slice(j)) for j in range(cap)]
+        for series in (sol.alpha, sol.beta)
+    )
+    return ctx, alpha, beta
 
 
-def _measure_at_radius(
-    alpha: TruncSeries, beta: TruncSeries, p: int, k: int, radius: int
-) -> Tuple[int, Tuple[int, ...]]:
-    chain_ctx = ChainContext(p, 2 * k + 1, -radius, radius)
-    a_slices = _corner_slices(alpha, p**k, chain_ctx)
-    b_slices = _corner_slices(beta, p**k, chain_ctx)
-    pres = ChainPresentation.from_corner_series(chain_ctx, p**k, a_slices, b_slices)
-    total, exps = presentation_length(pres)
-    return total, tuple(exps)
+def _measure_at_radius(sol: ThickenedSolution, radius: int) -> Tuple[int, Tuple[int, ...]]:
+    """(length, exponents) of the quotient module in one x1-window."""
+    cap = sol.case.p**sol.k
+    ctx, alpha, beta = _chain_corner(sol, radius, cap, 2 * sol.k + 1)
+    exps = chain_snf(ChainPresentation.from_corner_series(ctx, cap, alpha, beta).rows(), ctx)
+    return sum(exps), tuple(exps)
 
 
-def quotient_length_details(
-    case: CaseDescriptor,
-    k: int,
-    *,
-    chain_radius: Optional[int] = None,
-    precision_scale: int = 1,
-) -> LengthReport:
+def quotient_length_details(case: CaseDescriptor, k: int, *, precision_scale: int = 1) -> LengthReport:
     """Resolve the depth-k corner pair and measure the quotient module.
 
     The window truncation is a model artifact, so the measurement goes
     through `_stabilize`: it is repeated at doubled radii until two
     consecutive answers agree, and the confirmed answer is reported together
     with the radius that confirmed it (WindowExhausted past the ceiling).
-    Passing chain_radius pins a single window instead (no stabilization
-    loop) for probing.
     """
-    p = case.p
-    ctx = recursion_context(p, k, precision_scale=precision_scale)
-    sol = _solve_corner(case, k, ctx)
-    if chain_radius is not None:
-        total, exps = _measure_at_radius(sol.alpha, sol.beta, p, k, chain_radius)
-        return LengthReport(case, k, total, exps, chain_radius, False)
-    base = chain_default_radius(p, k)
-    radius, (total, exps) = _stabilize(
-        lambda r: _measure_at_radius(sol.alpha, sol.beta, p, k, r), base, p, k
-    )
+    sol = _solve_corner(case, k, recursion_context(case.p, k, precision_scale=precision_scale))
+    base = chain_default_radius(case.p, k)
+    radius, (total, exps) = _stabilize(lambda r: _measure_at_radius(sol, r), base, case.p, k)
     return LengthReport(case, k, total, exps, radius, radius > 2 * base)
 
 
-def quotient_length(case: CaseDescriptor, k: int, **kwargs) -> int:
-    return quotient_length_details(case, k, **kwargs).length
+def quotient_length(case: CaseDescriptor, k: int) -> int:
+    return quotient_length_details(case, k).length
 
 
-def vertical_multiplicity(case: str, p: int, c0: int, **kwargs) -> int:
+def vertical_multiplicity(case: str, p: int, c0: int) -> int:
     """Length of the special-fiber quotient on the vertical piece of case "unr" or "ram".
 
     Zero when c0 = 0 (no vertical piece); otherwise the measured quotient
@@ -694,7 +674,7 @@ def vertical_multiplicity(case: str, p: int, c0: int, **kwargs) -> int:
     label = _label(case, p, c0)
     if c0 == 0:
         return 0
-    measured = quotient_length(CaseDescriptor.from_label(label, p), c0, **kwargs)
+    measured = quotient_length(CaseDescriptor.from_label(label, p), c0)
     expected = vertical_multiplicity_closed_form(p, c0)
     if measured != expected:
         raise ConsistencyFailure(
@@ -708,12 +688,7 @@ def vertical_multiplicity(case: str, p: int, c0: int, **kwargs) -> int:
 # the structure-guided second oracle
 
 
-def length_by_elimination(
-    case: CaseDescriptor,
-    k: int,
-    *,
-    chain_radius: Optional[int] = None,
-) -> int:
+def length_by_elimination(case: CaseDescriptor, k: int) -> int:
     """Measure the quotient by peeling annulus chunks off the corner pair.
 
     At step j (starting from 0) the carrying side must have x2-degree-0
@@ -723,31 +698,21 @@ def length_by_elimination(
     measured, and the cleared side is shifted down and becomes the carrier.
     After k steps the remaining corner must be an outright unit.
 
-    Without an explicit chain_radius the measurement goes through the same
-    confirm-or-raise driver as quotient_length_details; small windows can
-    distort valuations enough to read as structure violations, so those also
-    trigger a wider retry, and WindowExhausted is raised if no two radii
-    agree below the ceiling.
+    The measurement goes through the same confirm-or-raise driver as
+    quotient_length_details; small windows can distort valuations enough to
+    read as structure violations, so those also trigger a wider retry, and
+    WindowExhausted is raised if no two radii agree below the ceiling.
     """
-    p = case.p
-    ctx = recursion_context(p, k)
-    sol = _solve_corner(case, k, ctx)
-    if chain_radius is not None:
-        return _peel_at_radius(case, sol, k, chain_radius)
-    _, total = _stabilize(
-        lambda r: _peel_at_radius(case, sol, k, r), chain_default_radius(p, k), p, k
-    )
-    return total
+    sol = _solve_corner(case, k, recursion_context(case.p, k))
+    return _stabilize(lambda r: _peel_at_radius(sol, r), chain_default_radius(case.p, k), case.p, k)[1]
 
 
-def _peel_at_radius(
-    case: CaseDescriptor, sol: ThickenedSolution, k: int, radius: int
-) -> int:
-    p = case.p
-    chain_ctx = ChainContext(p, 2 * k + 1, -radius, radius)
-    cap = p**k
+def _peel_at_radius(sol: ThickenedSolution, radius: int) -> int:
+    """The peeled length in one x1-window (see length_by_elimination)."""
+    p, k = sol.case.p, sol.k
+    chain_ctx, alpha, beta = _chain_corner(sol, radius, p**k, 2 * k + 1)
     # the plain side (alpha) carries at even steps, the twisted side (beta) at odd ones
-    sides = [_corner_slices(sol.alpha, cap, chain_ctx), _corner_slices(sol.beta, cap, chain_ctx)]
+    sides = [alpha, beta]
     total = 0
     for j in range(k):
         P, O = sides[j % 2], sides[1 - j % 2]
@@ -798,12 +763,44 @@ def _monomial_column(ctx: ChainContext, m: int, x2_exp: int, p_exp: int) -> List
     return col
 
 
-def annihilator_report(
-    case: CaseDescriptor,
-    k: int,
-    *,
-    chain_radius: Optional[int] = None,
-) -> Dict[str, bool]:
+def _membership_model(
+    sol: ThickenedSolution, radius: int, cap: int, modulus: int, maximal_multiple: bool,
+    queries: List[Tuple[int, int]],
+) -> Tuple[List[int], List[bool]]:
+    """Exponents of one presentation model in one x1-window and the
+    memberships of the monomials x2^i * p^j, one (i, j) per query."""
+    ctx, alpha, beta = _chain_corner(sol, radius, cap, modulus)
+    pres = ChainPresentation.from_corner_series(ctx, cap, alpha, beta, maximal_multiple=maximal_multiple)
+    cols = [_monomial_column(ctx, cap, x2_exp, p_exp) for x2_exp, p_exp in queries]
+    return chain_snf(pres.rows(), ctx, queries=cols)
+
+
+def _official_model(sol: ThickenedSolution, radius: int) -> Tuple[List[int], List[bool]]:
+    """The official model (cap p^k, modulus 2k+1) with the balanced x2-power,
+    p^(2k) and, at k = 1, the bare x2 as queries."""
+    p, k = sol.case.p, sol.k
+    balanced = sum(2 * p**i for i in range(k))
+    queries = [(balanced, 0), (0, 2 * k)] + ([(1, 0)] if k == 1 else [])
+    return _membership_model(sol, radius, p**k, 2 * k + 1, False, queries)
+
+
+def _table_at_radius(sol: ThickenedSolution, radius: int, inside: Sequence[bool]) -> Dict[str, bool]:
+    """The membership table in one x1-window, given the official model's
+    memberships there.  Below the anchor // 2 of annihilator_report this is
+    a table of the truncated model, not of the module: there the passive
+    decision and a comparison of lengths can differ."""
+    p, k = sol.case.p, sol.k
+    out = {"balanced_x2_power_in_ideal": inside[0], "p_to_2k_in_ideal": inside[1]}
+    if k == 1:
+        out["bare_x2_outside_ideal"] = not inside[2]
+    # enlarged model: one more x2 slice, one more digit
+    enlarged = _membership_model(sol, radius, p**k + 1, 2 * k + 2, True, [(0, 2 * k + 1), (p**k, 0)])[1]
+    out["p_to_2k_plus_1_in_max_multiple"] = enlarged[0]
+    out["x2_to_p_k_in_max_multiple"] = enlarged[1]
+    return out
+
+
+def annihilator_report(case: CaseDescriptor, k: int) -> Dict[str, bool]:
     """Membership table around the annihilator of the quotient module.
 
     In the official model (cap p^k, modulus 2k+1): the balanced x2-power and
@@ -813,66 +810,28 @@ def annihilator_report(
     must stay outside the ideal.
 
     Each model is eliminated once, with its monomials as passive query
-    columns of `chain_snf`.  Without an explicit chain_radius the whole
-    table goes through the same confirm-or-raise window driver as the
-    lengths: it is recomputed at doubled radii until it repeats, and raises
-    WindowExhausted if no two radii agree below the ceiling.  The anchor is
-    the radius at which the plain length of the official model stabilizes;
-    smaller windows can agree with each other while both are still
-    distorted.  The table loop starts at anchor // 2: the anchor is a
-    confirming radius, so anchor // 2 is never below the default radius and
-    its official exponents are the stable ones.  The table is thus confirmed
-    at the anchor by two consecutive radii that both carry the stable
-    official exponents.  A pinned chain_radius below anchor // 2 is a probe
-    of the truncated model, not a table of the module: there the passive
-    decision and a comparison of lengths can differ.
+    columns of `chain_snf`.  The whole table goes through the same
+    confirm-or-raise window driver as the lengths: it is recomputed at
+    doubled radii until it repeats, and raises WindowExhausted if no two
+    radii agree below the ceiling.  The anchor is the radius at which the
+    plain length of the official model stabilizes; smaller windows can agree
+    with each other while both are still distorted.  The table loop starts
+    at anchor // 2: the anchor is a confirming radius, so anchor // 2 is
+    never below the default radius and its official exponents are the
+    stable ones.  The table is thus confirmed at the anchor by two
+    consecutive radii that both carry the stable official exponents.
     """
     p = case.p
     # one tower solve serves both models: the official one (cap p^k) reads
     # only the x2-slices below p^k, which the one extra slice never changes
-    ctx = recursion_context(p, k).weakened(cap2=p**k + 1)
-    sol = _solve_corner(case, k, ctx)
-    alpha, beta = sol.alpha, sol.beta
-
-    def model(radius: int, cap: int, modulus: int, maximal_multiple: bool, queries: List[Tuple[int, int]]):
-        """Exponents and memberships of the monomials x2^i * p^j, one (i, j) per query."""
-        chain = ChainContext(p, modulus, -radius, radius)
-        pres = ChainPresentation.from_corner_series(
-            chain, cap, _corner_slices(alpha, cap, chain),
-            _corner_slices(beta, cap, chain), maximal_multiple=maximal_multiple,
-        )
-        cols = [_monomial_column(chain, cap, x2_exp, p_exp) for x2_exp, p_exp in queries]
-        return chain_snf(pres.rows(), chain, queries=cols)
-
-    balanced = sum(2 * p**i for i in range(k))
-    official_queries = [(balanced, 0), (0, 2 * k)] + ([(1, 0)] if k == 1 else [])
-
-    @lru_cache(maxsize=None)
-    def official(radius: int):
-        return model(radius, p**k, 2 * k + 1, False, official_queries)
-
-    def table_at(radius: int) -> Dict[str, bool]:
-        inside = official(radius)[1]
-        out = {
-            "balanced_x2_power_in_ideal": inside[0],
-            "p_to_2k_in_ideal": inside[1],
-        }
-        if k == 1:
-            out["bare_x2_outside_ideal"] = not inside[2]
-        # enlarged model: one more x2 slice, one more digit
-        enlarged = model(radius, p**k + 1, 2 * k + 2, True, [(0, 2 * k + 1), (p**k, 0)])[1]
-        out["p_to_2k_plus_1_in_max_multiple"] = enlarged[0]
-        out["x2_to_p_k_in_max_multiple"] = enlarged[1]
-        return out
-
-    if chain_radius is not None:
-        return table_at(chain_radius)
+    sol = _solve_corner(case, k, recursion_context(p, k).weakened(cap2=p**k + 1))
     # passive queries never move the active pivots, and the cache hands the
     # official eliminations at anchor // 2 and anchor on to the table loop
+    official = lru_cache(maxsize=None)(lambda r: _official_model(sol, r))
     anchor, _ = _stabilize(lambda r: official(r)[0], chain_default_radius(p, k), p, k)
-    return _stabilize(table_at, anchor // 2, p, k)[1]
+    return _stabilize(lambda r: _table_at_radius(sol, r, official(r)[1]), anchor // 2, p, k)[1]
 
 
-def annihilator_check(case: CaseDescriptor, k: int, **kwargs) -> bool:
+def annihilator_check(case: CaseDescriptor, k: int) -> bool:
     """All annihilator memberships hold (see annihilator_report)."""
-    return all(annihilator_report(case, k, **kwargs).values())
+    return all(annihilator_report(case, k).values())

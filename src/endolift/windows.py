@@ -21,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import (
-    InexactDivision,
-    PrecisionExhausted,
-    StructureViolation,
-)
+from .errors import PrecisionExhausted, StructureViolation, WindowExhausted
 from .inventory import _label
 from .series import SeriesContext, TruncSeries, f_series, g_series
 from .witt import WittScalar
@@ -405,8 +401,8 @@ def solve_vertical_recursion(case: CaseDescriptor, ctx: SeriesContext) -> Vertic
     checked exact division by p, which costs one trustworthy digit, so the
     whole loop is carried at `_MAX_DEPTH` guard digits and compared at the
     declared precision.  Exact stabilization there is required — hitting
-    `_MAX_DEPTH` first raises.  At precision 0 every pair is the zero pair,
-    so nothing is certified: PrecisionExhausted.
+    `_MAX_DEPTH` first raises WindowExhausted.  At precision 0 every pair is
+    the zero pair, so nothing is certified: PrecisionExhausted.
     """
     if ctx.prec == 0:
         raise PrecisionExhausted("no digits left to certify a fixed point")
@@ -423,7 +419,7 @@ def solve_vertical_recursion(case: CaseDescriptor, ctx: SeriesContext) -> Vertic
             return VerticalSolution(candidate.normalized(), depth - 1, True)
         Ys, Zs = nY, nZ
         seen = candidate
-    raise InexactDivision(
+    raise WindowExhausted(
         f"one-variable iteration did not stabilize within {_MAX_DEPTH} steps"
     )
 

@@ -105,6 +105,15 @@ class TestRecursion:
         assert rc == rc2 == 0
         assert len(dumped["rows"]) > len(plain["rows"])
 
+    def test_one_variable_cap_maps_to_exit_three(self, outdir, capsys, monkeypatch):
+        # (unr, 3) reaches its fixed point at depth 5; under a cap of 3 steps
+        # no division fails, the window runs out
+        monkeypatch.setattr(win, "_MAX_DEPTH", 3)
+        case = win.CaseDescriptor.from_label("unr", 3)
+        with pytest.raises(WindowExhausted, match="within 3 steps"):
+            win.solve_vertical_recursion(case, win.one_variable_context(3))
+        assert main(["recursion", "--case", "unr", "--p", "3"]) == 3
+
 
 class TestMultiplicity:
     def test_grid_row_content(self, outdir, capsys):

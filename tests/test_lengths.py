@@ -1,6 +1,7 @@
 """Tests for chain-ring arithmetic, SNF measurement, and quotient lengths."""
 
 import dataclasses
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,6 @@ from endolift.lengths import (
     chain_snf,
     length_by_elimination,
     _stabilize,
-    presentation_length,
     quotient_length,
     quotient_length_details,
     vertical_multiplicity,
@@ -65,8 +65,8 @@ class TestChainScalar:
     def test_add_sub_roundtrip(self):
         x = ChainScalar(CTX, {0: 2, 3: 5})
         y = ChainScalar(CTX, {-1: 1, 3: 76})
-        assert (x + y) - y == x
-        assert (x - x).is_zero()
+        assert (x - y.scale_int(-1)) - y == x
+        assert (x - x).coeffs == {}
 
     def test_mul_commutes(self):
         x = ChainScalar(CTX, {0: 2, 2: 5})
@@ -96,7 +96,7 @@ class TestChainScalar:
         # past hi and past lo, exactly the terms outside [-12, 12] go
         assert x.shift(3).coeffs == {3: 3, 5: 5}
         assert x.shift(-13).coeffs == {-11: 5, -3: 1}
-        assert x.shift(-25).is_zero()
+        assert x.shift(-25).coeffs == {}
 
     @settings(max_examples=200)
     @given(st.data())
@@ -265,7 +265,7 @@ class TestProductKernel:
             monkeypatch.setattr(lengths, name, spy)
         short = ChainScalar(CTX, {0: 1, 3: 2})
         dense = ChainScalar(CTX, {e: e % 7 + 1 for e in range(-12, 13)})
-        assert (short * ChainScalar.zero(CTX)).is_zero() and used == []
+        assert (short * ChainScalar.zero(CTX)).coeffs == {} and used == []
         short * dense
         dense * dense
         assert used == ["_mul_short", "_mul_packed"]
@@ -296,11 +296,12 @@ def _small_presentations(draw):
     queries = []
     for _ in range(draw(st.integers(1, 3))):
         coeffs = [scalar(draw(small)) for _ in range(n)]
-        q = [sum((c * col[i] for c, col in zip(coeffs, columns)), ChainScalar.zero(ctx))
-             for i in range(m)]
+        # x + y is x - (-1)*y: the chain ring keeps no addition of its own
+        q = [reduce(lambda x, y: x - y.scale_int(-1), (c * col[i] for c, col in zip(coeffs, columns)),
+                    ChainScalar.zero(ctx)) for i in range(m)]
         if draw(st.booleans()):
             i = draw(st.integers(0, m - 1))
-            q[i] = q[i] + scalar(draw(small))
+            q[i] = q[i] - scalar(draw(small)).scale_int(-1)
         queries.append(q)
     return ChainPresentation(ctx, m, columns), queries
 
@@ -309,11 +310,9 @@ def _corner_presentation(lab, p, k, radius):
     """The depth-k corner presentation at one x1 window, with the official
     annihilator monomials and the bare x2 as query columns."""
     sol = solve_thickened_recursion(CaseDescriptor.from_label(lab, p), k, recursion_context(p, k))
-    ctx = ChainContext(p, 2 * k + 1, -radius, radius)
     cap = p**k
-    pres = ChainPresentation.from_corner_series(
-        ctx, cap, lengths._corner_slices(sol.alpha, cap, ctx), lengths._corner_slices(sol.beta, cap, ctx)
-    )
+    ctx, alpha, beta = lengths._chain_corner(sol, radius, cap, 2 * k + 1)
+    pres = ChainPresentation.from_corner_series(ctx, cap, alpha, beta)
     balanced = sum(2 * p**i for i in range(k))
     queries = [lengths._monomial_column(ctx, cap, i, j) for i, j in ((balanced, 0), (0, 2 * k), (1, 0))]
     return pres, queries
@@ -363,7 +362,7 @@ def _chain_snf_reference(rows, ctx, queries=None):
             exps.extend([M] * len(work))
             for row in work:
                 for q, entry in enumerate(row[n:]):
-                    if not entry.is_zero():
+                    if entry.coeffs:
                         inside[q] = False
             break
         (e, _, _, _), pi, pj = best
@@ -373,15 +372,15 @@ def _chain_snf_reference(rows, ctx, queries=None):
         unit = work[0][0].divide_p_power(e)
         for i in range(1, len(work)):
             t = work[i][0]
-            if not t.is_zero():
+            if t.coeffs:
                 tq = t.divide_p_power(e)
                 work[i] = [unit * a - tq * b for a, b in zip(work[i], work[0])]
-                if not work[i][0].is_zero():
+                if work[i][0].coeffs:
                     raise ConsistencyFailure(f"row {i} survived clearing against the pivot")
         row0 = work[0]
         for j in range(1, len(row0)):
             t = row0[j]
-            if t.is_zero():
+            if not t.coeffs:
                 continue
             if j >= n and t.p_valuation() < e:
                 inside[j - n] = False
@@ -391,7 +390,7 @@ def _chain_snf_reference(rows, ctx, queries=None):
             tq = t.divide_p_power(e)
             for i in range(len(work)):
                 work[i][j] = unit * work[i][j] - tq * work[i][0]
-            if not row0[j].is_zero():
+            if row0[j].coeffs:
                 raise ConsistencyFailure(f"column {j} survived clearing against the pivot")
         exps.append(min(e, M))
         n -= 1
@@ -508,7 +507,8 @@ class TestChainSNF:
     @given(_small_presentations())
     def test_passive_queries_match_the_length_comparison(self, drawn):
         pres, queries = drawn
-        base_len, exps = presentation_length(pres)
+        exps = chain_snf(pres.rows(), pres.ctx)
+        base_len = sum(exps)
         got_exps, inside = chain_snf(pres.rows(), pres.ctx, queries=queries)
         assert got_exps == exps
         assert inside == [_membership(pres, base_len, q) for q in queries]
@@ -561,15 +561,14 @@ class TestPresentation:
         rows = plain.rows()
         assert len(rows) == m and len(rows[0]) == 2 * m
 
-    def test_presentation_length_sums_exponents(self):
+    def test_one_exponent_per_generator(self):
         ctx = ChainContext(3, 3, -6, 6)
         m = 2
         a = [_mono(0, 3, ctx), _mono(0, 0, ctx)]
         b = [_mono(0, 9, ctx), _mono(0, 3, ctx)]
         pres = ChainPresentation.from_corner_series(ctx, m, a, b)
-        total, exps = presentation_length(pres)
-        assert total == sum(exps)
-        assert len(exps) == m
+        # 3 and 9 + 3*x2 over the generators 1 and x2: the quotient is (Z/3)^2
+        assert chain_snf(pres.rows(), ctx) == [1, 1]
 
 
 class TestQuotientLength:
@@ -638,18 +637,6 @@ class TestQuotientLength:
         with pytest.raises(StructureViolation, match="mix"):
             measure(CaseDescriptor.from_label("ram", 3), 1)
 
-    def test_pinned_radius_skips_stabilization(self, monkeypatch):
-        def no_driver(*args):
-            raise AssertionError("the stabilization driver ran")
-
-        monkeypatch.setattr(lengths, "_stabilize", no_driver)
-        case = CaseDescriptor.from_label("unr", 3)
-        report = quotient_length_details(case, 1, chain_radius=36)
-        assert report.chain_radius == 36
-        assert not report.retried
-        assert length_by_elimination(case, 1, chain_radius=36) == 2
-        assert all(annihilator_report(case, 1, chain_radius=72).values())
-
 
 class TestStabilize:
     # at p = 3, k = 1 from base 18 the ceiling is max(3^4, 8*18) = 144, so
@@ -690,7 +677,7 @@ class TestStabilize:
 
     def test_elimination_raises_when_radii_keep_disagreeing(self, monkeypatch):
         monkeypatch.setattr(
-            lengths, "_peel_at_radius", lambda case, sol, k, radius: radius.bit_length() % 2
+            lengths, "_peel_at_radius", lambda sol, radius: radius.bit_length() % 2
         )
         with pytest.raises(WindowExhausted):
             length_by_elimination(CaseDescriptor.from_label("unr", 3), 1)
@@ -799,10 +786,11 @@ class TestAnnihilator:
     def test_passive_tables_match_the_length_comparison(self, monkeypatch, lab, p, k):
         case = CaseDescriptor.from_label(lab, p)
         anchor = quotient_length_details(case, k).chain_radius
+        sol = _annihilator_corner(case, k)
         radii = (anchor // 2, anchor)
-        passive = [annihilator_report(case, k, chain_radius=r) for r in radii]
+        passive = [_table_at_radius(sol, r) for r in radii]
         monkeypatch.setattr(lengths, "chain_snf", _snf_by_length_comparison)
-        assert [annihilator_report(case, k, chain_radius=r) for r in radii] == passive
+        assert [_table_at_radius(sol, r) for r in radii] == passive
 
     @pytest.mark.parametrize("lab, p, k", [
         ("unr", 3, 1), ("ram", 3, 1), ("unr", 5, 1), ("ram", 5, 1), ("unr", 3, 2),
@@ -812,7 +800,17 @@ class TestAnnihilator:
         # out the table is the same
         case = CaseDescriptor.from_label(lab, p)
         anchor = quotient_length_details(case, k).chain_radius
-        assert annihilator_report(case, k) == annihilator_report(case, k, chain_radius=2 * anchor)
+        assert annihilator_report(case, k) == _table_at_radius(_annihilator_corner(case, k), 2 * anchor)
+
+
+def _annihilator_corner(case, k):
+    """The corner pair annihilator_report solves: one x2 slice past p^k."""
+    return solve_thickened_recursion(case, k, recursion_context(case.p, k).weakened(cap2=case.p**k + 1))
+
+
+def _table_at_radius(sol, radius):
+    """The annihilator table in one x1-window, with no window driver."""
+    return lengths._table_at_radius(sol, radius, lengths._official_model(sol, radius)[1])
 
 
 def _membership(pres, base_len, zeta_col):
@@ -820,7 +818,7 @@ def _membership(pres, base_len, zeta_col):
     base_len, the length of pres itself: the slow reference for the passive
     query columns of chain_snf, one more full elimination per query."""
     aug = ChainPresentation(pres.ctx, pres.m, pres.columns + [zeta_col])
-    return presentation_length(aug)[0] == base_len
+    return sum(chain_snf(aug.rows(), aug.ctx)) == base_len
 
 
 def _snf_by_length_comparison(rows, ctx, queries=None):

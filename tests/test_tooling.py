@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -133,6 +134,18 @@ def test_benchmark_probes_resolve_in_the_package():
         if not found:
             missing.append(f"{module}.{target}")
     assert not missing, f"benchmark probes with no target: {missing}"
+
+
+@pytest.mark.parametrize("name", [
+    "quotient_length_details", "quotient_length", "length_by_elimination",
+    "annihilator_report", "annihilator_check", "vertical_multiplicity",
+])
+def test_windowed_numbers_have_one_path(name):
+    # every windowed number goes through the stabilization driver: no entry
+    # point pins a radius or forwards options it does not name
+    params = inspect.signature(getattr(endolift.lengths, name)).parameters.values()
+    assert "chain_radius" not in [param.name for param in params]
+    assert all(param.kind is not param.VAR_KEYWORD for param in params)
 
 
 def test_every_all_entry_resolves():
