@@ -123,13 +123,6 @@ class TruncSeries:
         return cls(ctx, {(0, 0): value if isinstance(value, tuple) else (value, 0)})
 
     @classmethod
-    def variable(cls, ctx: SeriesContext, name: str) -> "TruncSeries":
-        key = {"x1": (1, 0), "x2": (0, 1)}.get(name)
-        if key is None:
-            raise ValueError(f"unknown variable {name!r}")
-        return cls(ctx, {key: (1, 0)})
-
-    @classmethod
     def monomial(cls, ctx: SeriesContext, m1: int, m2: int, pair: Pair = (1, 0)) -> "TruncSeries":
         return cls(ctx, {(m1, m2): pair})
 
@@ -246,10 +239,11 @@ class TruncSeries:
     def mul_monomial(self, d1: int, d2: int) -> "TruncSeries":
         """Multiply by x1^d1 * x2^d2 (window-filtered)."""
         ctx = self.ctx
+        lo1, hi1, cap2 = ctx.lo1, ctx.hi1, ctx.cap2
         out = {}
         for (m1, m2), v in self.coeffs.items():
             n1, n2 = m1 + d1, m2 + d2
-            if ctx.in_window(n1, n2):
+            if lo1 <= n1 <= hi1 and 0 <= n2 < cap2:
                 out[(n1, n2)] = v
         return TruncSeries(ctx, out, _clean=True)
 
@@ -259,10 +253,11 @@ class TruncSeries:
         """Coefficient twist together with exponent dilation m -> p*m."""
         ctx = self.ctx
         p, mod = ctx.p, ctx.mod
+        lo1, hi1, cap2 = ctx.lo1, ctx.hi1, ctx.cap2
         out = {}
         for (m1, m2), v in self.coeffs.items():
             n1, n2 = m1 * p, m2 * p
-            if ctx.in_window(n1, n2):
+            if lo1 <= n1 <= hi1 and 0 <= n2 < cap2:
                 out[(n1, n2)] = pair_sigma(v, mod)
         return TruncSeries(ctx, out, _clean=True)
 
@@ -282,12 +277,24 @@ class TruncSeries:
         )
 
     def with_context(self, new_ctx: SeriesContext) -> "TruncSeries":
-        """Reduce into a weaker context (smaller precision and/or box)."""
-        if new_ctx.p != self.ctx.p:
+        """Reduce into a weaker context: no more precision and a box inside
+        this one (ValueError otherwise: products in a wider box would meet
+        terms this box has dropped).  In the same box only the coefficients
+        are reduced, since the stored terms are integral and inside it."""
+        ctx = self.ctx
+        if new_ctx.p != ctx.p:
             raise ValueError("cannot change p")
-        if new_ctx.prec > self.ctx.prec:
-            raise ValueError("cannot raise precision by reduction")
-        return TruncSeries(new_ctx, self.coeffs)
+        if new_ctx.prec > ctx.prec or new_ctx.lo1 < ctx.lo1 or new_ctx.hi1 > ctx.hi1 or new_ctx.cap2 > ctx.cap2:
+            raise ValueError("cannot raise precision or widen the box by reduction")
+        if (new_ctx.lo1, new_ctx.hi1, new_ctx.cap2) != (ctx.lo1, ctx.hi1, ctx.cap2):
+            return TruncSeries(new_ctx, self.coeffs)
+        mod = new_ctx.mod
+        out = {}
+        for key, (a, b) in self.coeffs.items():
+            a, b = a % mod, b % mod
+            if a or b:
+                out[key] = (a, b)
+        return TruncSeries(new_ctx, out, _clean=True)
 
     # -- divisibility -------------------------------------------------------
 

@@ -6,8 +6,11 @@ The moving parts:
 * `CaseDescriptor` — which quadratic setting we are in (inert or ramified
   generator), together with the four structural parameters (a, b, c, d) kept
   as exact integer pairs so they materialize at any precision;
-* one lifting step, M(x) * sigma(X) * adj M(x) with M(x) = [[x, p], [1, 0]],
-  shared by the one-variable fixed-point solve and the two-variable tower;
+* the products of a display with M(x) = [[x, p], [1, 0]] and with its
+  adjugate, written once as monomial shifts, integer scalings and additions,
+  and shared by the lifting step and the commutation check;
+* one lifting step, M(x) * sigma(X) * adj M(x), shared by the one-variable
+  fixed-point solve and the two-variable tower;
 * the closed form of the one-variable solve, and the tower, which stores its
   scaled pairs only and derives increments from them for the structure report.
 
@@ -61,22 +64,6 @@ def mat_add(A: Mat, B: Mat) -> Mat:
 
 def mat_sub(A: Mat, B: Mat) -> Mat:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_mul(A: Mat, B: Mat) -> Mat:
-    n = len(A)
-    m = len(B[0])
-    inner = len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = A[i][0] * B[0][j]
-            for t in range(1, inner):
-                s = s + A[i][t] * B[t][j]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def mat_scale(A: Mat, c) -> Mat:
@@ -278,50 +265,52 @@ def recursion_context(p: int, k: int, *, precision_scale: int = 1) -> SeriesCont
     return SeriesContext(p, prec, -radius, radius, p**k)
 
 
-def _m_matrix(ctx: SeriesContext, var: Optional[str]) -> Mat:
-    x = TruncSeries.variable(ctx, var) if var else TruncSeries.zero(ctx)
-    p = TruncSeries.constant(ctx, ctx.p)
-    return mat_from_rows([[x, p], [TruncSeries.one(ctx), TruncSeries.zero(ctx)]])
+def _m_product(A: Mat, var: Optional[str], side: str) -> Mat:
+    """A display A = [[a, b], [c, d]] times M(x) = [[x, p], [1, 0]] or times
+    adj M(x) = [[0, p], [1, -x]], with x the variable `var` (None for x = 0)
+    and M(x) * adj M(x) = p * identity:
+
+        side "left":  M(x) * A     = [[x*a + p*c, x*b + p*d], [a, b]]
+        side "right": A * M(x)     = [[x*a + b, p*a], [x*c + d, p*c]]
+        side "adj":   A * adj M(x) = [[b, p*a - x*b], [d, p*c - x*d]]
+
+    Every factor is a monomial shift or an integer scaling.  A shift only
+    raises exponents, so a term it pushes out of the window never returns,
+    and the generic matrix product drops exactly the same terms.
+    """
+    (a, b), (c, d) = A
+    p = a.ctx.p
+    if var is None:  # x = 0, where "right" and "adj" agree
+        return ((c * p, d * p), (a, b)) if side == "left" else ((b, a * p), (d, c * p))
+    d1, d2 = {"x1": (1, 0), "x2": (0, 1)}[var]
+    x = lambda s: s.mul_monomial(d1, d2)
+    if side == "left":
+        return ((x(a) + c * p, x(b) + d * p), (a, b))
+    if side == "right":
+        return ((x(a) + b, a * p), (x(c) + d, c * p))
+    return ((b, a * p - x(b)), (d, c * p - x(d)))
 
 
 def _lift(X: Mat, var: Optional[str]) -> Mat:
     """One lifting step: M(x) * sigma(X) * adj M(x), with x the variable `var`
-    (None for x = 0) and M(x) * adj M(x) = p * identity.
-
-    Written out with sigma(X) = [[a, b], [c, d]] and u = x*b + p*d, the
-    product is [[u, p*(x*a + p*c) - x*u], [b, p*a - x*b]], so every factor is
-    a monomial shift or an integer scaling.  A shift only raises exponents,
-    so a term it pushes out of the window never returns, and the generic
-    matrix product drops exactly the same terms.
-    """
-    (a, b), (c, d) = mat_frobenius(X)
-    p = a.ctx.p
-    if var is None:
-        return ((d * p, c * (p * p)), (b, a * p))
-    d1, d2 = {"x1": (1, 0), "x2": (0, 1)}[var]
-    x = lambda s: s.mul_monomial(d1, d2)
-    u = x(b) + d * p
-    return ((u, (x(a) + c * p) * p - x(u)), (b, a * p - x(b)))
+    (None for x = 0)."""
+    return _m_product(_m_product(mat_frobenius(X), var, "left"), var, "adj")
 
 
 def check_phi_commutation(pair: QuasiEndoPair, *, two_variable: bool) -> bool:
-    """Both intertwining identities for the stored (scaled) pair.
+    """Both intertwining identities for the stored (scaled) pair:
+    Y * M(x1) = M(x1) * sigma(Z) and Z * M(x2) = M(x2) * sigma(Y), with x2
+    set to 0 when `two_variable` is false.
 
     Scaling by p^e is invisible here: the twist fixes p, so both sides pick
     up the same factor.
     """
-    ctx = pair.ctx
-    if ctx.prec == 0:
+    if pair.ctx.prec == 0:
         raise PrecisionExhausted("no digits left to certify commutation")
-    M1 = _m_matrix(ctx, "x1")
-    M2 = _m_matrix(ctx, "x2" if two_variable else None)
-    lhs1 = mat_mul(pair.Y, M1)
-    rhs1 = mat_mul(M1, mat_frobenius(pair.Z))
-    if not mat_eq(lhs1, rhs1):
-        return False
-    lhs2 = mat_mul(pair.Z, M2)
-    rhs2 = mat_mul(M2, mat_frobenius(pair.Y))
-    return mat_eq(lhs2, rhs2)
+    x2 = "x2" if two_variable else None
+    return mat_eq(
+        _m_product(pair.Y, "x1", "right"), _m_product(mat_frobenius(pair.Z), "x1", "left")
+    ) and mat_eq(_m_product(pair.Z, x2, "right"), _m_product(mat_frobenius(pair.Y), x2, "left"))
 
 
 # ---------------------------------------------------------------------------

@@ -90,14 +90,12 @@ def test_monomial_takes_integers_only():
         TruncSeries.monomial(ctx, 1, 0, (2.5, 1))
 
 
-def test_variable_and_monomial():
+def test_monomials_multiply_by_adding_exponents():
     ctx = QUOTIENT_CTX[0]
-    x1 = TruncSeries.variable(ctx, "x1")
-    x2 = TruncSeries.variable(ctx, "x2")
+    x1 = TruncSeries.monomial(ctx, 1, 0)
+    x2 = TruncSeries.monomial(ctx, 0, 1)
     assert (x1 * x2).coeffs == {(1, 1): (1, 0)}
     assert TruncSeries.monomial(ctx, 2, 1, (3, 4)).coeffs[(2, 1)] == (3, 4)
-    with pytest.raises(ValueError):
-        TruncSeries.variable(ctx, "x3")
 
 
 @given(any_pairs())
@@ -197,6 +195,33 @@ def test_with_context_refuses_precision_raise():
     s = TruncSeries.one(ctx)
     with pytest.raises(ValueError):
         s.with_context(ctx.weakened(prec=ctx.prec).__class__(ctx.p, ctx.prec + 1, ctx.lo1, ctx.hi1, ctx.cap2))
+
+
+def test_with_context_refuses_a_wider_box():
+    # the product below is 0 in the old box; a wider one would invent x1^8 * x2^2
+    ctx = SeriesContext(3, 2, -4, 4, 2)
+    s = TruncSeries.monomial(ctx, 4, 1)
+    assert (s * s).is_zero()
+    for wider in (
+        SeriesContext(3, 2, -40, 40, 5),
+        SeriesContext(3, 2, -5, 4, 2),
+        SeriesContext(3, 2, -4, 5, 2),
+        SeriesContext(3, 1, -4, 4, 3),
+    ):
+        with pytest.raises(ValueError):
+            s.with_context(wider)
+
+
+@given(any_pairs(), st.data())
+def test_same_box_reduction_matches_the_constructor(sts, data):
+    s, _ = sts
+    ctx = s.ctx
+    for prec in range(ctx.prec + 1):
+        new_ctx = ctx.weakened(prec=prec)
+        assert s.with_context(new_ctx) == TruncSeries(new_ctx, s.coeffs)
+    # a narrower box still filters through the constructor
+    narrow = SeriesContext(ctx.p, data.draw(st.integers(0, ctx.prec)), ctx.lo1 // 2, ctx.hi1 // 2, 1)
+    assert s.with_context(narrow) == TruncSeries(narrow, s.coeffs)
 
 
 def test_min_x2_degree():
@@ -329,7 +354,7 @@ def test_series_invert_units():
 
 def test_series_invert_rejects_nonunit():
     ctx = SeriesContext(3, 4, 0, 8, 3)
-    x1 = TruncSeries.variable(ctx, "x1")
+    x1 = TruncSeries.monomial(ctx, 1, 0)
     with pytest.raises(Exception):
         series_invert(x1)
 

@@ -1,5 +1,7 @@
 """Tests for case descriptors and the lifting recursions."""
 
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +11,7 @@ from endolift.windows import (
     CaseDescriptor,
     QuasiEndoPair,
     _lift,
-    _m_matrix,
+    _m_product,
     check_phi_commutation,
     closed_form_vertical_pair,
     gamma_matrix,
@@ -19,7 +21,6 @@ from endolift.windows import (
     mat_frobenius,
     mat_from_rows,
     mat_map,
-    mat_mul,
     mat_scale,
     mat_sub,
     mat_with_context,
@@ -46,11 +47,48 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def mat_mul(A, B):
+    """The generic matrix product, the reference for the written-out
+    products by M(x) and its adjugate."""
+    n = len(A)
+    m = len(B[0])
+    inner = len(B)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            s = A[i][0] * B[0][j]
+            for t in range(1, inner):
+                s = s + A[i][t] * B[t][j]
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _x(ctx, var):
+    # the variable `var` as a series, 0 for None
+    return TruncSeries.monomial(ctx, *{"x1": (1, 0), "x2": (0, 1)}[var]) if var else TruncSeries.zero(ctx)
+
+
+def _m_matrix(ctx, var):
+    # M(x) = [[x, p], [1, 0]]
+    p = TruncSeries.constant(ctx, ctx.p)
+    return mat_from_rows([[_x(ctx, var), p], [TruncSeries.one(ctx), TruncSeries.zero(ctx)]])
+
+
 def _m_adjoint(ctx, var):
     # the complementary factor: M(x) * M_adj(x) = p * identity
-    x = TruncSeries.variable(ctx, var) if var else TruncSeries.zero(ctx)
     p = TruncSeries.constant(ctx, ctx.p)
-    return mat_from_rows([[TruncSeries.zero(ctx), p], [TruncSeries.one(ctx), -x]])
+    return mat_from_rows([[TruncSeries.zero(ctx), p], [TruncSeries.one(ctx), -_x(ctx, var)]])
+
+
+def _commutes_reference(pair, two_variable):
+    """Both intertwining identities through the generic product."""
+    M1 = _m_matrix(pair.ctx, "x1")
+    M2 = _m_matrix(pair.ctx, "x2" if two_variable else None)
+    return mat_eq(mat_mul(pair.Y, M1), mat_mul(M1, mat_frobenius(pair.Z))) and mat_eq(
+        mat_mul(pair.Z, M2), mat_mul(M2, mat_frobenius(pair.Y))
+    )
 
 
 def _lift_reference(X, var):
@@ -74,16 +112,10 @@ def _reference_tower(case, k):
     return pairs
 
 
-@st.composite
-def _edge_matrices(draw):
-    """A context whose window edges hi1 and cap2 - 1 are images of the
-    Frobenius dilation, and a 2x2 matrix with a term twisted onto the
-    corner (hi1, cap2 - 1), so that the shifts in the step push terms
-    out of the window."""
-    p = draw(st.sampled_from([3, 5]))
-    h = draw(st.integers(1, 2))
-    c2 = draw(st.integers(0, 2))
-    ctx = SeriesContext(p, draw(st.integers(1, 3)), -p * h, p * h, p * c2 + 1)
+def _draw_edge_matrix(draw, ctx):
+    """A 2x2 matrix in an edge context (see `_edge_matrices`) with a term
+    twisted onto the corner (hi1, cap2 - 1)."""
+    h, c2 = ctx.hi1 // ctx.p, (ctx.cap2 - 1) // ctx.p
     coeff = st.tuples(st.integers(0, ctx.mod - 1), st.integers(0, ctx.mod - 1))
     key = st.tuples(st.integers(-h, h), st.integers(0, c2))
     entries = [dict(draw(st.dictionaries(key, coeff, max_size=4))) for _ in range(4)]
@@ -92,10 +124,58 @@ def _edge_matrices(draw):
     return mat_from_rows([series[:2], series[2:]])
 
 
+def _edge_context(draw):
+    p = draw(st.sampled_from([3, 5]))
+    h = draw(st.integers(1, 2))
+    c2 = draw(st.integers(0, 2))
+    return SeriesContext(p, draw(st.integers(1, 3)), -p * h, p * h, p * c2 + 1)
+
+
+@st.composite
+def _edge_matrices(draw):
+    """A context whose window edges hi1 and cap2 - 1 are images of the
+    Frobenius dilation, and a 2x2 matrix with a term twisted onto the
+    corner (hi1, cap2 - 1), so that the shifts in the step push terms
+    out of the window."""
+    return _draw_edge_matrix(draw, _edge_context(draw))
+
+
+@st.composite
+def _edge_pairs(draw):
+    """A scaled pair of edge matrices in one context.  One draw in four is
+    the pair (c * identity, c * identity) for an integer c, which the twist
+    fixes, so both identities hold and the check answers True."""
+    ctx = _edge_context(draw)
+    if draw(st.integers(0, 3)) == 0:
+        c = draw(st.integers(0, ctx.mod - 1))
+        I = mat_from_rows([[TruncSeries.constant(ctx, c), TruncSeries.zero(ctx)],
+                           [TruncSeries.zero(ctx), TruncSeries.constant(ctx, c)]])
+        return QuasiEndoPair(I, I, 0)
+    return QuasiEndoPair(_draw_edge_matrix(draw, ctx), _draw_edge_matrix(draw, ctx), draw(st.integers(0, 2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _tower_pair(lab, p, k):
+    """The top pair of the depth-k tower (k >= 1) or the one-variable
+    solution (k = 0)."""
+    case = CaseDescriptor.from_label(lab, p)
+    if k == 0:
+        return solve_vertical_recursion(case, one_variable_context(p)).pair
+    return solve_thickened_recursion(case, k).pairs[k]
+
+
 class TestLiftStep:
     @given(_edge_matrices(), st.sampled_from(["x1", "x2", None]))
     def test_step_matches_the_generic_product(self, X, var):
         assert mat_eq(_lift(X, var), _lift_reference(X, var))
+
+    @given(_edge_matrices(), st.sampled_from(["x1", "x2", None]))
+    def test_m_products_match_the_generic_product(self, X, var):
+        ctx = X[0][0].ctx
+        M, adj = _m_matrix(ctx, var), _m_adjoint(ctx, var)
+        assert mat_eq(_m_product(X, var, "left"), mat_mul(M, X))
+        assert mat_eq(_m_product(X, var, "right"), mat_mul(X, M))
+        assert mat_eq(_m_product(X, var, "adj"), mat_mul(X, adj))
 
     @pytest.mark.parametrize("lab", CASES)
     @pytest.mark.parametrize("p, kmax", [(3, 3), (5, 2)])
@@ -197,6 +277,35 @@ class TestVerticalRecursion:
         case = CaseDescriptor.from_label("unr", 3)
         vert = solve_vertical_recursion(case, one_variable_context(3))
         assert check_phi_commutation(vert.pair, two_variable=False)
+
+    @given(_edge_pairs(), st.booleans())
+    def test_commutation_matches_the_generic_product(self, pair, two_variable):
+        assert check_phi_commutation(pair, two_variable=two_variable) == _commutes_reference(pair, two_variable)
+
+    @given(
+        st.sampled_from([("unr", 3, 0), ("ram", 5, 0), ("unr", 3, 1), ("ram", 3, 2), ("unr", 5, 1)]),
+        st.sampled_from("YZ"),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        st.integers(-9, 9),
+        st.integers(0, 2),
+        st.sampled_from([(1, 0), (0, 1), (2, 7)]),
+    )
+    def test_commutation_rejects_perturbed_tower_pairs(self, cell, side, i, j, m1, m2, unit):
+        # a unit monomial added to one entry breaks an identity: Y * M(x)
+        # carries every entry of Y unshifted or times p, and so does Z * M(x)
+        lab, p, k = cell
+        pair = _tower_pair(lab, p, k)
+        two_variable = k > 0
+        assert check_phi_commutation(pair, two_variable=two_variable)
+        ctx = pair.ctx
+        bump = TruncSeries.monomial(ctx, m1, m2 if two_variable else 0, unit)
+        rows = [list(row) for row in getattr(pair, side)]
+        rows[i][j] = rows[i][j] + bump
+        Y, Z = (mat_from_rows(rows), pair.Z) if side == "Y" else (pair.Y, mat_from_rows(rows))
+        bumped = QuasiEndoPair(Y, Z, pair.denom_exp)
+        assert not check_phi_commutation(bumped, two_variable=two_variable)
+        assert not _commutes_reference(bumped, two_variable)
 
     def test_commutation_rejects_perturbed_pair(self):
         case = CaseDescriptor.from_label("unr", 3)
