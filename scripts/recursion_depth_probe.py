@@ -11,7 +11,8 @@ is left to certify a fixed point.
 
 import argparse
 
-from endolift.windows import CaseDescriptor, one_variable_context, solve_vertical_recursion
+from endolift.series import SeriesContext
+from endolift.windows import CaseDescriptor, solve_vertical_recursion
 
 
 def main() -> None:
@@ -28,7 +29,8 @@ def main() -> None:
         for p in primes:
             case = CaseDescriptor.from_label(label, p)
             for e in powers:
-                ctx = one_variable_context(p, prec=args.prec, radius=p**e)
+                r = p**e  # the one-variable box of `one_variable_context`, at radius r
+                ctx = SeriesContext(p, args.prec, -r, r, 1)
                 sol = solve_vertical_recursion(case, ctx)
                 print(f"{label:<5} {p:>3} {p**e:>8} {sol.depth:>6} {sol.stabilized}")
 

@@ -32,7 +32,7 @@ the rank of that system over the residue field (see the census section).
 
 from itertools import combinations, product
 from operator import index
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     ConsistencyFailure,
@@ -138,17 +138,11 @@ def _rank2_F(p) -> Matrix:
     return (((0, 0), (p, 0)), ((1, 0), (0, 0)))
 
 
-def standard_rank2(p: int, prec: int = 8, action: str = "normalized") -> SemilinearModule:
+def standard_rank2(p: int, prec: int = 8) -> SemilinearModule:
     """The rank-2 module with the omega action scaled into the basis lines:
-    omega on e0, minus omega on f0 (or the reverse)."""
-    w, minus_w = (0, 1), (0, -1)
-    if action == "normalized":
-        eta = _diag((w, minus_w))
-    elif action == "anti-normalized":
-        eta = _diag((minus_w, w))
-    else:
-        raise ValueError(f"unknown action {action!r}")
-    return SemilinearModule(p, prec, 2, _rank2_F(p), {"omega": eta}, f"rank2-{action}")
+    omega on e0, minus omega on f0."""
+    eta = _diag(((0, 1), (0, -1)))
+    return SemilinearModule(p, prec, 2, _rank2_F(p), {"omega": eta}, "rank2-normalized")
 
 
 def ramified_rank2(p: int, prec: int = 8) -> SemilinearModule:
@@ -212,7 +206,9 @@ class LatticeHNF:
     """Upper-triangular row basis with p-power pivots; the lattice is
     p^-scale times the row span, sitting in the module's standard frame.
 
-    The rows are given and stored as (a, b) pairs, reduced modulo p^prec."""
+    The rows are given and stored as (a, b) pairs, reduced modulo p^prec.
+    A nonzero entry below the diagonal is a ValueError: membership walks
+    the rows as a triangular system."""
 
     __slots__ = ("module", "scale", "pair_rows", "_steps")
 
@@ -228,13 +224,16 @@ class LatticeHNF:
         p, prec, r, mod = module.p, module.prec, module._r, module._mod
         steps = []
         for i, row in enumerate(self.pair_rows):
+            entries = tuple((j, x) for j, x in enumerate(row) if x != (0, 0))
+            if entries and entries[0][0] < i:
+                raise ValueError(f"{module.label}: row {i} has an entry below the diagonal")
             a, b = row[i]
             if a or b:
                 pd = p ** pair_val((a, b), p, prec)
                 inv = pair_inv((a // pd, b // pd), p, r, mod)
             else:
                 pd, inv = mod, None
-            steps.append((pd, inv, tuple((j, x) for j, x in enumerate(row) if x != (0, 0))))
+            steps.append((pd, inv, entries))
         self._steps = tuple(steps)
 
     def sort_key(self):
@@ -622,9 +621,7 @@ class DescentReport:
         self.span = span
 
 
-def descend_superlattice(
-    a: int, b: int, delta: int, p: int, prec: Optional[int] = None
-) -> DescentReport:
+def descend_superlattice(a: int, b: int, delta: int, p: int) -> DescentReport:
     """Push a classified superlattice down to a rank-2 frame.
 
     Reads e* = p^-a e1 + p^-b e2 and f* = p^-(b+delta) f1 + p^-(a+delta) f2
@@ -633,18 +630,14 @@ def descend_superlattice(
     order omega acts by omega on e* and by -omega on f*, and checks that the
     scalar-omega translates of the pair span the family lattice, which is
     its own Hermite basis (diagonal, unit-normalized p-power pivots).
-    StabilityFailure on any miss; PrecisionTooLow below the precision of
-    the superlattice search at the same (s, m).
+    StabilityFailure on any miss.  The module is built two digits above
+    the precision the superlattice search needs at the same (s, m).
     """
     if delta not in (0, 1) or a < 0 or b < 0:
         raise ValueError("need a, b >= 0 and delta in {0, 1}")
     s = a + b + delta
     m = max(a, b, b + delta, a + delta)
-    floor = 2 * (s + max(m, 1)) + 2
-    prec = floor + 2 if prec is None else prec
-    if prec < floor:
-        raise PrecisionTooLow(f"descent of ({a}, {b}, {delta}) wants precision {floor}, got {prec}")
-    module = tensor_rank4(p, prec)
+    module = tensor_rank4(p, 2 * (s + max(m, 1)) + 4)
     expected = _family_lattice(module, a, b, delta, m)
     pe1, pe2, pf1, pf2 = (row[i] for i, row in enumerate(expected.pair_rows))
     zero = (0, 0)

@@ -10,16 +10,17 @@ The Frobenius lift acts by the coefficient twist together with m -> p*m on
 exponents on both variables.
 
 Coefficients are raw (a, b) pairs meaning a + b*w, and nothing else enters:
-a constant is a pair or an int, a sum or difference takes another series,
-and a product takes a series or an int.  The termwise arithmetic (add,
-sub, neg, integer scale, exact integer division) lives in the `TruncSeries`
-methods, on its {(m1, m2) -> (a, b)} dict.  The chain ring of `lengths`
-divides the corner series by w and works on integer coefficients, so it
-shares neither that arithmetic nor the products: replaying the 9,376 series
-products of one sweep-small benchmark pass, the two-variable loop here took
-78 ms and one chain-ring kernel call per pair of x2-slices 117 ms; folding
-m2 into an integer key m1 + B*m2 makes the packed span about B*cap2 slots
-wide (MemoryError on the largest products).
+a constant is a pair or an int, a sum, difference or product takes another
+series, and an int scales through `scale_int` (`s * 3` is a TypeError).
+The termwise arithmetic (add, sub, neg, integer scale, exact integer
+division) lives in the `TruncSeries` methods, on its {(m1, m2) -> (a, b)}
+dict.  The chain ring of `lengths` divides the corner series by w and works
+on integer coefficients, so it shares neither that arithmetic nor the
+products: replaying the 9,376 series products of one sweep-small benchmark
+pass, the two-variable loop here took 78 ms and one chain-ring kernel call
+per pair of x2-slices 117 ms; folding m2 into an integer key m1 + B*m2
+makes the packed span about B*cap2 slots wide (MemoryError on the largest
+products).
 """
 
 from __future__ import annotations
@@ -198,19 +199,22 @@ class TruncSeries:
     def __sub__(self, other):
         return self._add(other, -1)
 
+    def scale_int(self, n: int) -> "TruncSeries":
+        """Multiply every coefficient by the integer n."""
+        mod = self.ctx.mod
+        out = {}
+        for key, (a, b) in self.coeffs.items():
+            a, b = a * n % mod, b * n % mod
+            if a or b:
+                out[key] = (a, b)
+        return TruncSeries(self.ctx, out, _clean=True)
+
     def __mul__(self, other):
-        ctx = self.ctx
-        if isinstance(other, int):
-            mod = ctx.mod
-            out = {}
-            for key, (a, b) in self.coeffs.items():
-                a, b = a * other % mod, b * other % mod
-                if a or b:
-                    out[key] = (a, b)
-            return TruncSeries(ctx, out, _clean=True)
+        """The windowed product of two series (ints go through `scale_int`)."""
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check(other)
+        ctx = self.ctx
         mod, r = ctx.mod, ctx.r
         lo1, hi1, cap2 = ctx.lo1, ctx.hi1, ctx.cap2
         acc: Dict[Key, Pair] = {}
@@ -233,8 +237,6 @@ class TruncSeries:
                 else:
                     acc[key] = w
         return TruncSeries(ctx, {k: v for k, v in acc.items() if v != (0, 0)}, _clean=True)
-
-    __rmul__ = __mul__
 
     def mul_monomial(self, d1: int, d2: int) -> "TruncSeries":
         """Multiply by x1^d1 * x2^d2 (window-filtered)."""

@@ -2,7 +2,7 @@
 
 The moving parts:
 
-* small matrix helpers over `TruncSeries` (tuples of tuples, any square size);
+* helpers on 2x2 displays over `TruncSeries`, stored as pairs of rows;
 * `CaseDescriptor` — which quadratic setting we are in (inert or ramified
   generator), together with the four structural parameters (a, b, c, d) kept
   as exact integer pairs so they materialize at any precision;
@@ -54,21 +54,12 @@ Pair = Tuple[int, int]
 # matrix helpers
 
 
-def mat_from_rows(rows) -> Mat:
-    return tuple(tuple(row) for row in rows)
-
-
-def mat_add(A: Mat, B: Mat) -> Mat:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_sub(A: Mat, B: Mat) -> Mat:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def mat_scale(A: Mat, c) -> Mat:
-    """Scale by an int or a TruncSeries."""
-    return tuple(tuple(a * c for a in row) for row in A)
+def mat_scale(A: Mat, n: int) -> Mat:
+    return mat_map(A, lambda a: a.scale_int(n))
 
 
 def mat_frobenius(A: Mat) -> Mat:
@@ -83,20 +74,8 @@ def mat_eq(A: Mat, B: Mat) -> bool:
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def mat_is_zero(A: Mat) -> bool:
-    return all(a.is_zero() for row in A for a in row)
-
-
-def mat_divisible_by(A: Mat, q: int) -> bool:
-    return all(a.divisible_by(q) for row in A for a in row)
-
-
 def mat_divide_exact(A: Mat, q: int) -> Mat:
     return mat_map(A, lambda a: a.divide_exact(q))
-
-
-def mat_with_context(A: Mat, ctx: SeriesContext) -> Mat:
-    return mat_map(A, lambda a: a.with_context(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +156,14 @@ class QuasiEndoPair:
         return self.Y[0][0].ctx
 
     def with_context(self, ctx: SeriesContext) -> "QuasiEndoPair":
-        return QuasiEndoPair(
-            mat_with_context(self.Y, ctx), mat_with_context(self.Z, ctx), self.denom_exp
-        )
+        reduce = lambda a: a.with_context(ctx)
+        return QuasiEndoPair(mat_map(self.Y, reduce), mat_map(self.Z, reduce), self.denom_exp)
 
     def normalized(self) -> "QuasiEndoPair":
         """Strip common p factors out of the stored scale."""
         Y, Z, e = self.Y, self.Z, self.denom_exp
         p = self.ctx.p
-        while e > 0 and mat_divisible_by(Y, p) and mat_divisible_by(Z, p):
+        while e > 0 and all(a.divisible_by(p) for M in (Y, Z) for row in M for a in row):
             Y = mat_divide_exact(Y, p)
             Z = mat_divide_exact(Z, p)
             e -= 1
@@ -204,25 +182,26 @@ class QuasiEndoPair:
         )
 
 
-def gamma_matrix(case: CaseDescriptor, ctx: SeriesContext) -> QuasiEndoPair:
-    """The undeformed pair of the generator: constant displays, no denominator."""
+def _constants(case: CaseDescriptor, ctx: SeriesContext):
+    """`k(n, q)`, the constant series n*q, and `s`, the twist on a pair q."""
     if ctx.p != case.p:
         raise ValueError("context prime differs from case prime")
-    p = case.p
-    a, b, c, d = case.a, case.b, case.c, case.d
-    sig = lambda q: (q[0], -q[1])
-    Y = mat_from_rows(
-        [
-            [TruncSeries.constant(ctx, a), TruncSeries.constant(ctx, (p * b[0], p * b[1]))],
-            [TruncSeries.constant(ctx, c), TruncSeries.constant(ctx, d)],
-        ]
-    )
-    Z = mat_from_rows(
-        [
-            [TruncSeries.constant(ctx, sig(d)), TruncSeries.constant(ctx, (p * c[0], -p * c[1]))],
-            [TruncSeries.constant(ctx, sig(b)), TruncSeries.constant(ctx, sig(a))],
-        ]
-    )
+    k = lambda n, q: TruncSeries.constant(ctx, (n * q[0], n * q[1]))
+    s = lambda q: (q[0], -q[1])
+    return k, s
+
+
+def gamma_matrix(case: CaseDescriptor, ctx: SeriesContext) -> QuasiEndoPair:
+    """The undeformed pair of the generator: constant displays, no denominator,
+
+        Y = [[a, p*b], [c, d]],   Z = [[s(d), p*s(c)], [s(b), s(a)]],
+
+    with s the twist.
+    """
+    k, s = _constants(case, ctx)
+    p, a, b, c, d = case.p, case.a, case.b, case.c, case.d
+    Y = ((k(1, a), k(p, b)), (k(1, c), k(1, d)))
+    Z = ((k(1, s(d)), k(p, s(c))), (k(1, s(b)), k(1, s(a))))
     return QuasiEndoPair(Y, Z, 0)
 
 
@@ -238,10 +217,8 @@ def integrality_predicate(a: WittScalar, b: WittScalar, c: WittScalar, d: WittSc
 # recursion contexts
 
 
-def one_variable_context(p: int, *, prec: int = 8, radius: Optional[int] = None) -> SeriesContext:
-    if radius is None:
-        radius = p**4
-    return SeriesContext(p, prec, -radius, radius, 1)
+def one_variable_context(p: int, *, prec: int = 8) -> SeriesContext:
+    return SeriesContext(p, prec, -(p**4), p**4, 1)
 
 
 def _check_depth(k: int) -> None:
@@ -281,14 +258,16 @@ def _m_product(A: Mat, var: Optional[str], side: str) -> Mat:
     (a, b), (c, d) = A
     p = a.ctx.p
     if var is None:  # x = 0, where "right" and "adj" agree
-        return ((c * p, d * p), (a, b)) if side == "left" else ((b, a * p), (d, c * p))
+        if side == "left":
+            return ((c.scale_int(p), d.scale_int(p)), (a, b))
+        return ((b, a.scale_int(p)), (d, c.scale_int(p)))
     d1, d2 = {"x1": (1, 0), "x2": (0, 1)}[var]
     x = lambda s: s.mul_monomial(d1, d2)
     if side == "left":
-        return ((x(a) + c * p, x(b) + d * p), (a, b))
+        return ((x(a) + c.scale_int(p), x(b) + d.scale_int(p)), (a, b))
     if side == "right":
-        return ((x(a) + b, a * p), (x(c) + d, c * p))
-    return ((b, a * p - x(b)), (d, c * p - x(d)))
+        return ((x(a) + b, a.scale_int(p)), (x(c) + d, c.scale_int(p)))
+    return ((b, a.scale_int(p) - x(b)), (d, c.scale_int(p) - x(d)))
 
 
 def _lift(X: Mat, var: Optional[str]) -> Mat:
@@ -328,54 +307,29 @@ def closed_form_vertical_pair(case: CaseDescriptor, ctx: SeriesContext) -> Quasi
     """The one-variable solution in closed form, stored at denominator 1.
 
     Stored matrices are p times the true pair; every entry below is integral
-    even when the true lower-left of the twisted side is not.
+    even when the true lower-left of the twisted side is not.  With s the
+    twist, f = f(x1), g = g(x1), f' = f(x1^p) and g' = g(x1^p):
+
+        Y = [[p*a + p*c*f,  p^2*b + p*(d-a)*f - p*c*g],
+             [p*c,          p*d - p*c*f]]
+        Z = [[p*s(d) - p*s(c)*f',                    p^2*s(c)],
+             [p*s(b) + s(d-a)*f' - s(c)*g',          p*s(a) + p*s(c)*f']]
     """
-    p = case.p
-    a, b, c, d = case.a, case.b, case.c, case.d
-    sig = lambda q: (q[0], -q[1])
+    k, s = _constants(case, ctx)
+    p, a, b, c, d = case.p, case.a, case.b, case.c, case.d
     d_minus_a = (d[0] - a[0], d[1] - a[1])
-    f1 = f_series(ctx, 1)
-    g1 = g_series(ctx, 1)
-    fp = f_series(ctx, p)
-    gp = g_series(ctx, p)
-
-    base = gamma_matrix(case, ctx)
-    pY = mat_scale(base.Y, p)
-    pZ = mat_scale(base.Z, p)
-
-    zero = TruncSeries.zero(ctx)
-    # p * (f-correction of the plain side)
-    corr_y_f = mat_from_rows(
-        [
-            [
-                TruncSeries.constant(ctx, (p * c[0], p * c[1])),
-                TruncSeries.constant(ctx, (p * d_minus_a[0], p * d_minus_a[1])),
-            ],
-            [zero, TruncSeries.constant(ctx, (-p * c[0], -p * c[1]))],
-        ]
+    f, g = f_series(ctx, 1), g_series(ctx, 1)
+    fp, gp = f_series(ctx, p), g_series(ctx, p)
+    pcf = k(p, c) * f
+    pscfp = k(p, s(c)) * fp
+    Y = (
+        (k(p, a) + pcf, k(p * p, b) + k(p, d_minus_a) * f - k(p, c) * g),
+        (k(p, c), k(p, d) - pcf),
     )
-    corr_y_g = mat_from_rows(
-        [
-            [zero, TruncSeries.constant(ctx, (p * c[0], p * c[1]))],
-            [zero, zero],
-        ]
+    Z = (
+        (k(p, s(d)) - pscfp, k(p * p, s(c))),
+        (k(p, s(b)) + k(1, s(d_minus_a)) * fp - k(1, s(c)) * gp, k(p, s(a)) + pscfp),
     )
-    sc = sig(c)
-    sdma = sig(d_minus_a)
-    corr_z_f = mat_from_rows(
-        [
-            [TruncSeries.constant(ctx, (-p * sc[0], -p * sc[1])), zero],
-            [TruncSeries.constant(ctx, sdma), TruncSeries.constant(ctx, (p * sc[0], p * sc[1]))],
-        ]
-    )
-    corr_z_g = mat_from_rows(
-        [
-            [zero, zero],
-            [TruncSeries.constant(ctx, sc), zero],
-        ]
-    )
-    Y = mat_add(pY, mat_sub(mat_scale(corr_y_f, f1), mat_scale(corr_y_g, g1)))
-    Z = mat_add(pZ, mat_sub(mat_scale(corr_z_f, fp), mat_scale(corr_z_g, gp)))
     return QuasiEndoPair(Y, Z, 1)
 
 
@@ -546,7 +500,8 @@ def structure_check(solution: ThickenedSolution, *, raise_on_failure: bool = Tru
             off = solution.increment("z", l)
             carrier = solution.increment("y", l)
             side = "Y"
-        add(f"vanishing[l={l}]", mat_is_zero(off), f"off-parity increment at level {l}")
+        vanishes = all(e.is_zero() for row in off for e in row)
+        add(f"vanishing[l={l}]", vanishes, f"off-parity increment at level {l}")
 
         need = p ** (l - 1)
         div_ok = all(

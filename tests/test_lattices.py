@@ -51,6 +51,15 @@ def _vec(*ints):
     return tuple((n, 0) for n in ints)
 
 
+def _anti_normalized_rank2(p):
+    """`standard_rank2` with the omega action reversed: minus omega on e0,
+    omega on f0."""
+    base = standard_rank2(p)
+    zero = (0, 0)
+    eta = (((0, -1), zero), (zero, (0, 1)))
+    return SemilinearModule(p, base.prec, 2, base.F, {"omega": eta}, "rank2-anti-normalized")
+
+
 def _scalars(module, pairs):
     """The WittScalar reading of a pair vector, the tests' reference."""
     return tuple(WittScalar(module.p, module.prec, a, b) for a, b in pairs)
@@ -69,7 +78,7 @@ class TestSemilinearModules:
     @pytest.mark.parametrize("p", [3, 5])
     def test_operator_sanity(self, p):
         operator_sanity(standard_rank2(p))
-        operator_sanity(standard_rank2(p, action="anti-normalized"))
+        operator_sanity(_anti_normalized_rank2(p))
         operator_sanity(ramified_rank2(p))
         operator_sanity(tensor_rank4(p))
 
@@ -280,19 +289,6 @@ class TestDescent:
         with pytest.raises(ValueError):
             descend_superlattice(-1, 0, 0, 3)
 
-    # below 2(s + max(m, 1)) + 2, the superlattice search's floor, the
-    # elimination either loses rank or runs with p^2 = 0
-    @pytest.mark.parametrize("a, b, delta, prec", [(1, 1, 1, 1), (0, 0, 0, 0), (1, 1, 1, 2)])
-    def test_precision_guard(self, a, b, delta, prec):
-        with pytest.raises(PrecisionTooLow):
-            descend_superlattice(a, b, delta, 3, prec=prec)
-
-    def test_precision_floor_is_enough(self):
-        for args, prec in (((1, 1, 1, 3), 12), ((0, 0, 0, 3), 4)):
-            at_floor, default = descend_superlattice(*args, prec=prec), descend_superlattice(*args)
-            assert at_floor.span.pivot_exponents() == default.span.pivot_exponents()
-            assert at_floor.scale == default.scale
-
     @pytest.mark.parametrize("corrupt, message", [
         ("F", "not operator-stable"),
         ("omega-order", "order action"),
@@ -412,7 +408,7 @@ def _stable_reference(module, lat):
 
 PAIR_MODULES = {
     "normalized": standard_rank2,
-    "anti-normalized": lambda p: standard_rank2(p, action="anti-normalized"),
+    "anti-normalized": _anti_normalized_rank2,
     "ramified": ramified_rank2,
     "rank4": tensor_rank4,
 }
@@ -593,6 +589,20 @@ class TestVectorChecks:
         with pytest.raises(ValueError, match="1 coordinates for a rank-2 module"):
             LatticeHNF(module, [(one,), (zero, one)])
 
+    @pytest.mark.parametrize("rows", [
+        [((1, 0), (0, 0)), ((1, 0), (3, 0))],
+        [((1, 0), (0, 0)), ((0, 1), (1, 0))],
+        [((3, 0), (1, 0)), ((9, 0), (1, 0))],
+    ])
+    def test_rows_below_the_diagonal_are_refused(self, rows):
+        # membership reads the rows as a triangular system, so such rows
+        # would answer for some other lattice: ((1, 0), (3, 0)) spans a row
+        # of the first one and still would not be found in it
+        module = standard_rank2(3)
+        assert hermite_form(module, rows).contains(rows[-1])
+        with pytest.raises(ValueError, match="row 1 has an entry below the diagonal"):
+            LatticeHNF(module, rows)
+
     def test_apply_rejects_a_name_that_is_not_an_operator_of_the_module(self):
         module = standard_rank2(3)
         for name in ("V", "uniformizer", module.F):
@@ -679,7 +689,7 @@ def _gap_module(p, first, second):
 
 RANK2_MODULES = {
     "normalized": standard_rank2,
-    "anti-normalized": lambda p: standard_rank2(p, action="anti-normalized"),
+    "anti-normalized": _anti_normalized_rank2,
     "ramified": ramified_rank2,
 }
 

@@ -278,7 +278,7 @@ def test_terms_layer_matches_the_pairwise_reference(data, n):
     multiple = {}
     for _ in range(abs(n)):
         multiple = _pairwise(multiple, x, mod, pair_add if n > 0 else pair_sub)
-    assert (sx * n).coeffs == multiple
+    assert sx.scale_int(n).coeffs == multiple
     want = min((pair_val(v, p, prec) for v in x.values()), default=prec)
     for e in range(prec):
         q = p**e
@@ -293,13 +293,31 @@ def test_terms_layer_matches_the_pairwise_reference(data, n):
                 sx.divide_exact(q)
 
 
+@given(_term_dicts(), st.integers(-10**6, 10**6))
+def test_scale_int_is_termwise(data, n):
+    ctx, x, _ = data
+    mod = ctx.mod
+    want = {key: (a * n % mod, b * n % mod) for key, (a, b) in x.items()}
+    assert TruncSeries(ctx, x).scale_int(n).coeffs == {key: v for key, v in want.items() if v != (0, 0)}
+
+
+@pytest.mark.parametrize("n", [3, 0, -1, True])
+def test_a_product_takes_series_only(n):
+    # an integer scales through scale_int, on neither side of *
+    s = TruncSeries(SeriesContext(3, 2, **_TERM_BOX), {(0, 0): (1, 2)})
+    with pytest.raises(TypeError):
+        s * n
+    with pytest.raises(TypeError):
+        n * s
+
+
 def test_terms_layer_drops_cancelled_entries_and_refuses_inexact_division():
     ctx = SeriesContext(3, 2, **_TERM_BOX)
     x = TruncSeries(ctx, {(0, 0): (1, 2), (1, 0): (4, 0)})
     assert (x + TruncSeries(ctx, {(0, 0): (8, 7)})).coeffs == {(1, 0): (4, 0)}
     y = TruncSeries(ctx, {(0, 1): (3, 3)})
     assert (y - y).coeffs == {}
-    assert (TruncSeries(ctx, {(2, 0): (3, 6)}) * 3).coeffs == {}
+    assert TruncSeries(ctx, {(2, 0): (3, 6)}).scale_int(3).coeffs == {}
     with pytest.raises(InexactDivision):
         TruncSeries(ctx, {(0, 1): (3, 1)}).divide_exact(3)
 

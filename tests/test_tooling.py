@@ -148,6 +148,18 @@ def test_windowed_numbers_have_one_path(name):
     assert all(param.kind is not param.VAR_KEYWORD for param in params)
 
 
+@pytest.mark.parametrize("module, name, params", [
+    ("lattices", "standard_rank2", ["p", "prec"]),
+    ("lattices", "descend_superlattice", ["a", "b", "delta", "p"]),
+    ("windows", "one_variable_context", ["p", "prec"]),
+])
+def test_entry_points_take_only_what_a_command_sets(module, name, params):
+    # an option only tests or a script set is a second path through the
+    # code; those build their module, precision or box themselves
+    target = getattr(importlib.import_module(f"endolift.{module}"), name)
+    assert list(inspect.signature(target).parameters) == params
+
+
 def test_every_all_entry_resolves():
     # a stale __all__ entry breaks `from endolift.<module> import *` and
     # nothing else would notice

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from endolift.errors import PrecisionExhausted
-from endolift.series import SeriesContext, TruncSeries
+from endolift.series import SeriesContext, TruncSeries, f_series, g_series
 from endolift.windows import (
     CaseDescriptor,
     QuasiEndoPair,
@@ -19,11 +19,9 @@ from endolift.windows import (
     mat_divide_exact,
     mat_eq,
     mat_frobenius,
-    mat_from_rows,
     mat_map,
     mat_scale,
     mat_sub,
-    mat_with_context,
     one_variable_context,
     recursion_context,
     solve_thickened_recursion,
@@ -45,6 +43,61 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def mat_from_rows(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+def mat_add(A, B):
+    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def mat_times(A, s):
+    # every entry times the series s
+    return mat_map(A, lambda a: a * s)
+
+
+def _gamma_reference(case, ctx):
+    """The undeformed pair, built entry by entry from constant series."""
+    p = case.p
+    a, b, c, d = case.a, case.b, case.c, case.d
+    sig = lambda q: (q[0], -q[1])
+    Y = mat_from_rows(
+        [
+            [TruncSeries.constant(ctx, a), TruncSeries.constant(ctx, (p * b[0], p * b[1]))],
+            [TruncSeries.constant(ctx, c), TruncSeries.constant(ctx, d)],
+        ]
+    )
+    Z = mat_from_rows(
+        [
+            [TruncSeries.constant(ctx, sig(d)), TruncSeries.constant(ctx, (p * c[0], -p * c[1]))],
+            [TruncSeries.constant(ctx, sig(b)), TruncSeries.constant(ctx, sig(a))],
+        ]
+    )
+    return QuasiEndoPair(Y, Z, 0)
+
+
+def _closed_form_reference(case, ctx):
+    """The closed form as p times the undeformed pair plus constant
+    correction matrices times f, g (plain side) and f', g' (twisted side)."""
+    p = case.p
+    a, b, c, d = case.a, case.b, case.c, case.d
+    sig = lambda q: (q[0], -q[1])
+    d_minus_a = (d[0] - a[0], d[1] - a[1])
+    k = lambda q: TruncSeries.constant(ctx, q)
+    zero = TruncSeries.zero(ctx)
+    base = _gamma_reference(case, ctx)
+    corr_y_f = mat_from_rows([[k((p * c[0], p * c[1])), k((p * d_minus_a[0], p * d_minus_a[1]))],
+                              [zero, k((-p * c[0], -p * c[1]))]])
+    corr_y_g = mat_from_rows([[zero, k((p * c[0], p * c[1]))], [zero, zero]])
+    sc, sdma = sig(c), sig(d_minus_a)
+    corr_z_f = mat_from_rows([[k((-p * sc[0], -p * sc[1])), zero], [k(sdma), k((p * sc[0], p * sc[1]))]])
+    corr_z_g = mat_from_rows([[zero, zero], [k(sc), zero]])
+    f1, g1, fp, gp = f_series(ctx, 1), g_series(ctx, 1), f_series(ctx, p), g_series(ctx, p)
+    Y = mat_add(mat_scale(base.Y, p), mat_sub(mat_times(corr_y_f, f1), mat_times(corr_y_g, g1)))
+    Z = mat_add(mat_scale(base.Z, p), mat_sub(mat_times(corr_z_f, fp), mat_times(corr_z_g, gp)))
+    return QuasiEndoPair(Y, Z, 1)
 
 
 def mat_mul(A, B):
@@ -327,6 +380,28 @@ class TestVerticalRecursion:
             solve_vertical_recursion(case, one_variable_context(3, prec=0))
 
 
+_PARAM = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+
+
+class TestClosedFormByEntries:
+    """The entrywise closed form and undeformed pair against the constant
+    correction matrices, on arbitrary parameters: the labelled cases have
+    b = c = 0 (unr) or a = d = 0 (ram), so they leave most entries at 0."""
+
+    @given(st.sampled_from([3, 5, 7]), st.booleans(), _PARAM, _PARAM, _PARAM, _PARAM, st.integers(1, 4))
+    def test_matches_the_correction_matrices(self, p, ramified, a, b, c, d, prec):
+        case = CaseDescriptor(p, ramified, a, b, c, d)
+        ctx = one_variable_context(p, prec=prec)
+        assert gamma_matrix(case, ctx) == _gamma_reference(case, ctx)
+        assert closed_form_vertical_pair(case, ctx) == _closed_form_reference(case, ctx)
+
+    def test_context_prime_must_match(self):
+        case = CaseDescriptor.from_label("unr", 3)
+        for build in (gamma_matrix, closed_form_vertical_pair):
+            with pytest.raises(ValueError, match="context prime"):
+                build(case, one_variable_context(5))
+
+
 class TestThickenedTower:
     @pytest.mark.parametrize("lab", CASES)
     def test_level_zero_is_the_closed_form(self, lab):
@@ -372,7 +447,7 @@ class TestThickenedTower:
                 scale = 1 if level == 1 else 3
                 for side in ("y", "z"):
                     hi, lo = (getattr(guarded[j], side.upper()) for j in (level, level - 1))
-                    want = mat_with_context(mat_sub(hi, mat_scale(lo, scale)), sol.ctx)
+                    want = mat_map(mat_sub(hi, mat_scale(lo, scale)), lambda a: a.with_context(sol.ctx))
                     assert mat_eq(sol.increment(side, level), want)
             for side, level in (("y", 0), ("z", k + 1), ("q", 1)):
                 with pytest.raises(ValueError):
