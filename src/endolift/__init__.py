@@ -3,7 +3,7 @@ supersingular p-divisible groups.
 
 Submodules:
 
-* witt       — quadratic Witt scalars mod p^N
+* witt       — quadratic Witt scalars mod p^N as integer pairs, the one arithmetic
 * series     — window-truncated two-variable series, base series f and g
 * windows    — quasi-endomorphism pairs, lifting recursions
 * lengths    — chain-ring normal forms, quotient lengths, annihilators

@@ -32,6 +32,12 @@ def _label(case: str, p: int, c0: int = 0) -> str:
     return case
 
 
+def _level(s: int) -> None:
+    """Refuse a level below 0."""
+    if s < 0:
+        raise ValueError(f"the level must be at least 0, got {s}")
+
+
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
@@ -87,8 +93,7 @@ def unit_index(case: str, t: int, s: int, p: int) -> int:
 def keating_threshold(case: str, k: int, p: int) -> int:
     """The threshold a(k) (unramified) or b(k) = p^k + a(k) (ramified)."""
     label = _label(case, p)
-    if k < 0:
-        raise ValueError("negative level")
+    _level(k)
     a = _exact_div((p + 1) * (p**k - 1), p - 1)
     return a if label == "unr" else p**k + a
 
@@ -100,6 +105,7 @@ def endo_order_level(case: str, s: int, k: int, p: int) -> int:
     k <= threshold(j), capped at the quasi-canonical level s.
     """
     label = _label(case, p)
+    _level(s)
     j = 0
     while j < s and k > keating_threshold(label, j, p):
         j += 1
@@ -260,6 +266,7 @@ def per_level_proper_sum(case: str, s: int, p: int) -> int:
 def per_level_proper_sum_closed_form(case: str, s: int, p: int) -> int:
     """The proof-level expression for the same per-level sum."""
     label = _label(case, p)
+    _level(s)
     if s == 0:
         return 0
     if label == "unr":
@@ -315,8 +322,7 @@ def displayed_corollary_report(case: str, p: int, c0: int = 0) -> Dict[str, obje
 def level_degree(case: str, k: int, p: int) -> int:
     """Degree of the level-k quasi-canonical layer over the base."""
     label = _label(case, p)
-    if k < 0:
-        raise ValueError("negative level")
+    _level(k)
     if label == "unr":
         return 1 if k == 0 else (p + 1) * p ** (k - 1)
     return 2 * p**k

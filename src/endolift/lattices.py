@@ -67,6 +67,8 @@ class SemilinearModule:
     __slots__ = ("p", "prec", "rank", "F", "actions", "label", "_mod", "_r", "_ops")
 
     def __init__(self, p, prec, rank, F, actions, label):
+        if prec < 1:
+            raise ValueError(f"{label}: the precision must be at least 1, got {prec}")
         self.p = p
         self.prec = prec
         self.rank = rank
@@ -411,29 +413,6 @@ def lie_action_parity(lattice: LatticeHNF) -> str:
 # window and the filtration-lift census
 
 
-class _ResidueField:
-    """Arithmetic in the quadratic residue field as pairs (a, b) meaning
-    a + b*omega with omega^2 the least nonresidue."""
-
-    __slots__ = ("p", "r")
-
-    def __init__(self, p: int):
-        self.p = p
-        self.r = nonresidue(p)
-
-    def mul(self, x, y):
-        return pair_mul(x, y, self.r, self.p)
-
-    def sub(self, x, y):
-        return pair_sub(x, y, self.p)
-
-    def inv(self, x):
-        return pair_inv(x, self.p, self.r, self.p)
-
-    def elements(self):
-        return [(a, b) for a in range(self.p) for b in range(self.p)]
-
-
 def _residue_characters(module: SemilinearModule) -> List[tuple]:
     """Per basis line, its eigenvalues mod p under the diagonal actions."""
     p = module.p
@@ -441,42 +420,43 @@ def _residue_characters(module: SemilinearModule) -> List[tuple]:
     return [tuple((d[i][0] % p, d[i][1] % p) for d in diagonals) for i in range(module.rank)]
 
 
-def _rank(field: _ResidueField, vectors) -> int:
-    """Rank over the residue field of equal-length coordinate vectors: each
-    is reduced against the echelon rows kept so far (1 at their own pivot
-    column, 0 at earlier ones), and a nonzero remainder becomes a new row."""
+def _rank(p: int, r: int, vectors) -> int:
+    """Rank over the residue field (the pairs mod p, w^2 = r) of equal-length
+    coordinate vectors: each is reduced against the echelon rows kept so far
+    (1 at their own pivot column, 0 at earlier ones), and a nonzero
+    remainder becomes a new row."""
     echelon: Dict[int, list] = {}
     for vec in vectors:
         v = list(vec)
         for col, row in echelon.items():
             c = v[col]
             if c != (0, 0):
-                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+                v = [pair_sub(x, pair_mul(c, y, r, p), p) for x, y in zip(v, row)]
         lead = next((j for j, x in enumerate(v) if x != (0, 0)), None)
         if lead is not None:
-            inv = field.inv(v[lead])
-            echelon[lead] = [field.mul(inv, x) for x in v]
+            inv = pair_inv(v[lead], p, r, p)
+            echelon[lead] = [pair_mul(inv, x, r, p) for x in v]
     return len(echelon)
 
 
-def _subspace_stable(module: SemilinearModule, field: _ResidueField, rows) -> bool:
+def _subspace_stable(module: SemilinearModule, rows) -> bool:
     """Whether every operator of the module keeps the span of the residue
     rows of the one-step quotient p^-1 L / L.  Multiplication by p
     identifies it with L / pL, and every operator respects that, so a row
     is sent as its lift and the image reduced mod p.  Adding the images of
     the basis must not raise the rank; F is semilinear, so the images of a
     basis still span the image."""
-    p = field.p
+    p = module.p
     for twist, sparse in module._ops.values():
         images = [
             [(a % p, b % p) for a, b in module._apply_pairs(sparse, row, twist)] for row in rows
         ]
-        if _rank(field, rows + images) != len(rows):
+        if _rank(p, module._r, rows + images) != len(rows):
             return False
     return True
 
 
-def _enumerate_subspaces(module: SemilinearModule, field: _ResidueField, dim: int):
+def _enumerate_subspaces(module: SemilinearModule, dim: int):
     """Reduced row bases, one per subspace, of the subspaces of the given
     dimension in the rank-4 residue space that the module's diagonal
     actions keep.
@@ -487,7 +467,7 @@ def _enumerate_subspaces(module: SemilinearModule, field: _ResidueField, dim: in
     entries run over the field only in columns with the pivot's residue
     character.
     """
-    q_elems = field.elements()
+    q_elems = [(a, b) for a in range(module.p) for b in range(module.p)]
     one = (1, 0)
     zero = (0, 0)
     character = _residue_characters(module)
@@ -583,10 +563,9 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
     if m == 1:
         if 2 * s > 4:
             return []
-        field = _ResidueField(module.p)
         standard = list(_diag(((module.p, 0),) * 4))
-        for rows in _enumerate_subspaces(module, field, 2 * s):
-            if not _subspace_stable(module, field, rows):
+        for rows in _enumerate_subspaces(module, 2 * s):
+            if not _subspace_stable(module, rows):
                 continue
             lat = hermite_form(module, standard + rows, scale=1)
             if not _stable_under_all(module, lat):
@@ -684,11 +663,11 @@ def descend_superlattice(a: int, b: int, delta: int, p: int) -> DescentReport:
 # walk as the oracle.
 
 
-def _census_blocks(field: _ResidueField):
+def _census_blocks(p: int):
     """(T_E, T_F) of the order and of the uniformizer, in row convention;
     the order's diagonal is read off `tensor_rank4` mod p."""
     zero = (0, 0)
-    diagonal = _diagonal_eigenvalues(tensor_rank4(field.p, 1))["omega-order"]
+    diagonal = _diagonal_eigenvalues(tensor_rank4(p, 1))["omega-order"]
     e_block, f_block = (
         tuple(tuple(diagonal[i] if i == j else zero for j in plane) for i in plane)
         for plane in ((0, 1), (2, 3))
@@ -697,13 +676,13 @@ def _census_blocks(field: _ResidueField):
     return {"order": (e_block, f_block), "uniformizer": (nilpotent, nilpotent)}
 
 
-def _commutation_rows(field: _ResidueField, blocks):
+def _commutation_rows(p: int, blocks):
     """The four equations (c T_E - T_F c)[j][k] = 0 as coefficient rows over
     the unknowns (c11, c12, c21, c22)."""
     te, tf = blocks
     zero = (0, 0)
     return [
-        [field.sub(te[b][k] if a == j else zero, tf[j][a] if b == k else zero)
+        [pair_sub(te[b][k] if a == j else zero, tf[j][a] if b == k else zero, p)
          for a in range(2) for b in range(2)]
         for j in range(2) for k in range(2)
     ]
@@ -716,9 +695,9 @@ def hodge_lift_census(p: int) -> Dict[str, int]:
     "uniformizer_stable", "both_stable"; each is q^(4 - rank) of the
     commutation equations of the operators involved (section comment).
     """
-    field = _ResidueField(p)
-    blocks = _census_blocks(field)
-    order = _commutation_rows(field, blocks["order"])
-    unif = _commutation_rows(field, blocks["uniformizer"])
+    r = nonresidue(p)
+    blocks = _census_blocks(p)
+    order = _commutation_rows(p, blocks["order"])
+    unif = _commutation_rows(p, blocks["uniformizer"])
     systems = dict(all=[], order_stable=order, uniformizer_stable=unif, both_stable=order + unif)
-    return {key: p ** (2 * (4 - _rank(field, rows))) for key, rows in systems.items()}
+    return {key: p ** (2 * (4 - _rank(p, r, rows))) for key, rows in systems.items()}

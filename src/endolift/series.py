@@ -321,8 +321,11 @@ def f_series(ctx: SeriesContext, power: int = 1) -> TruncSeries:
     """Sum of x1^(power * p^(2i)) over i >= 0, truncated to the window.
 
     `power` composes with a monomial substitution x1 -> x1^power, which is
-    how the twisted argument x1^p enters the closed forms.
+    how the twisted argument x1^p enters the closed forms.  A power below 1
+    is a ValueError: the exponents would never leave the window.
     """
+    if power < 1:
+        raise ValueError(f"the power must be at least 1, got {power}")
     coeffs: Dict[Key, Pair] = {}
     e = power  # power * p^(2i)
     step = ctx.p * ctx.p

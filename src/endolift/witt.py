@@ -5,16 +5,16 @@ and r is the smallest positive quadratic nonresidue modulo p.  The twist
 sigma : a + b*w  ->  a - b*w  fixes the prime subring, squares to the
 identity, and induces the p-power map on residues.
 
-Two layers live here:
+The package has one arithmetic for these scalars: the "pair" helpers on
+(a, b) integer tuples.  Pairs are the coefficients of every series term
+(which `lengths` reads as they are) and the only scalars of the lattice
+layer, the residue field included (the helpers at modulus p): operator
+matrices, vectors and lattice rows are all pairs, where attribute dispatch
+and a wrapper per operation would dominate.
 
-* raw "pair" helpers operating on (a, b) integer tuples — the coefficients
-  of every series term (which `lengths` reads as they are), and the only
-  scalars of the lattice layer: its operator matrices, vectors and lattice
-  rows are all pairs, where attribute dispatch and a wrapper per operation
-  would dominate;
-* the `WittScalar` wrapper, the type of the structural parameters of a
-  case, and the reference arithmetic the tests check the pair kernels
-  against.  Its coefficients must be integers: anything else is a TypeError.
+`WittScalar` only carries a case's parameters into
+`windows.integrality_predicate`.  Its coefficients must be integers:
+anything else is a TypeError.
 
 Only odd primes p are supported: `nonresidue` raises on any other p, and every
 check of p in the package goes through it.
@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import index
 
-from .errors import InexactDivision, NotAUnit, PrecisionExhausted
+from .errors import NotAUnit
 
 __all__ = ["WittScalar", "nonresidue", "is_odd_prime"]
 
@@ -115,11 +115,10 @@ def _checked_modulus(p: int, prec: int) -> int:
     return mod
 
 
-_setattr = object.__setattr__
-
-
 class WittScalar:
-    """A residue a + b*w modulo p^prec, with w^2 the least nonresidue mod p."""
+    """A case parameter a + b*w modulo p^prec, with w^2 the least nonresidue
+    mod p: what `windows.integrality_predicate` reads, a difference and a
+    valuation, and a product."""
 
     __slots__ = ("p", "prec", "a", "b")
 
@@ -130,63 +129,10 @@ class WittScalar:
             mod = _checked_modulus(p, prec)
         if a.__class__ is not int or b.__class__ is not int:
             a, b = index(a), index(b)  # TypeError for a float or any non-integer
-        _setattr(self, "p", p)
-        _setattr(self, "prec", prec)
-        _setattr(self, "a", a % mod)
-        _setattr(self, "b", b % mod)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, p: int, prec: int) -> "WittScalar":
-        return cls(p, prec, 0, 0)
-
-    @classmethod
-    def one(cls, p: int, prec: int) -> "WittScalar":
-        return cls(p, prec, 1, 0)
-
-    @classmethod
-    def omega(cls, p: int, prec: int) -> "WittScalar":
-        """The chosen square root of the least nonresidue."""
-        return cls(p, prec, 0, 1)
-
-    @classmethod
-    def from_int(cls, p: int, prec: int, n: int) -> "WittScalar":
-        return cls(p, prec, n, 0)
-
-    # -- views --------------------------------------------------------------
-
-    def pair(self):
-        return (self.a, self.b)
-
-    @property
-    def modulus(self) -> int:
-        return _MODULI[self.p, self.prec]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WittScalar is immutable")
-
-    def __repr__(self):
-        if self.b == 0:
-            body = str(self.a)
-        elif self.a == 0:
-            body = f"{self.b}*w"
-        else:
-            body = f"{self.a} + {self.b}*w"
-        return f"WittScalar({self.p}^{self.prec}: {body})"
-
-    def __eq__(self, other):
-        if not isinstance(other, WittScalar):
-            return NotImplemented
-        return (self.p, self.prec, self.a, self.b) == (
-            other.p,
-            other.prec,
-            other.a,
-            other.b,
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.prec, self.a, self.b))
+        self.p = p
+        self.prec = prec
+        self.a = a % mod
+        self.b = b % mod
 
     def _check(self, other: "WittScalar"):
         if self.p != other.p or self.prec != other.prec:
@@ -194,70 +140,20 @@ class WittScalar:
                 f"mixed contexts: {self.p}^{self.prec} vs {other.p}^{other.prec}"
             )
 
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = WittScalar.from_int(self.p, self.prec, other)
-        if not isinstance(other, WittScalar):
-            return NotImplemented
-        self._check(other)
-        return WittScalar(self.p, self.prec, self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WittScalar(self.p, self.prec, -self.a, -self.b)
-
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = WittScalar.from_int(self.p, self.prec, other)
         if not isinstance(other, WittScalar):
             return NotImplemented
         self._check(other)
         return WittScalar(self.p, self.prec, self.a - other.a, self.b - other.b)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return WittScalar(self.p, self.prec, self.a * other, self.b * other)
         if not isinstance(other, WittScalar):
             return NotImplemented
         self._check(other)
-        r = nonresidue(self.p)
-        a, b = pair_mul(self.pair(), other.pair(), r, self.modulus)
+        mod = _MODULI[self.p, self.prec]
+        a, b = pair_mul((self.a, self.b), (other.a, other.b), nonresidue(self.p), mod)
         return WittScalar(self.p, self.prec, a, b)
-
-    __rmul__ = __mul__
-
-    # -- structure maps -----------------------------------------------------
-
-    def sigma(self) -> "WittScalar":
-        """The nontrivial twist over the prime subring: w -> -w."""
-        return WittScalar(self.p, self.prec, self.a, -self.b)
-
-    # -- valuation and units ------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def valuation(self) -> int:
         """min over coordinates of the p-valuation, capped at the precision."""
         return pair_val((self.a, self.b), self.p, self.prec)
-
-    def inverse(self) -> "WittScalar":
-        if self.prec == 0:
-            raise PrecisionExhausted("no digits left to invert")
-        r = nonresidue(self.p)
-        a, b = pair_inv(self.pair(), self.p, r, self.modulus)
-        return WittScalar(self.p, self.prec, a, b)
-
-    def divide_exact(self, q: int) -> "WittScalar":
-        """Exact division of the stored representative by the integer q.
-
-        The result is reported at the same declared precision; callers doing
-        genuine p-division own the bookkeeping of which digits they trust.
-        """
-        a, b = self.a, self.b
-        if a % q or b % q:
-            raise InexactDivision(f"{(a, b)} is not divisible by {q}")
-        return WittScalar(self.p, self.prec, a // q, b // q)

@@ -243,6 +243,19 @@ class TestDisplayedCorollary:
         assert isinstance(displayed_corollary_value("ram", 3, 1), Fraction)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: keating_threshold("unr", -1, 3),
+    lambda: level_degree("ram", -1, 3),
+    lambda: endo_order_level("unr", -1, 5, 3),
+    lambda: per_level_proper_sum_closed_form("ram", -1, 3),
+], ids=["keating_threshold", "level_degree", "endo_order_level", "per_level_proper_sum_closed_form"])
+def test_a_negative_level_is_a_usage_error(call):
+    # not a result above its cap, and not a float division reported as a
+    # failed consistency check
+    with pytest.raises(ValueError, match="level must be at least 0, got -1"):
+        call()
+
+
 class TestDegrees:
     @pytest.mark.parametrize("lab", ["unr", "ram"])
     @pytest.mark.parametrize("p", [3, 5, 7])

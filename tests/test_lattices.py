@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from endolift import lattices
 from endolift.errors import (
     ConsistencyFailure,
-    InexactDivision,
     PrecisionTooLow,
     ShapeViolation,
     StabilityFailure,
@@ -30,9 +29,9 @@ from endolift.lattices import (
     standard_rank2,
     superlattice_family,
     tensor_rank4,
-    _ResidueField,
 )
 from endolift.witt import WittScalar
+from witt_reference import QuadraticRing
 
 
 def subspace_count(p: int, dim: int) -> int:
@@ -60,13 +59,18 @@ def _anti_normalized_rank2(p):
     return SemilinearModule(p, base.prec, 2, base.F, {"omega": eta}, "rank2-anti-normalized")
 
 
-def _scalars(module, pairs):
-    """The WittScalar reading of a pair vector, the tests' reference."""
-    return tuple(WittScalar(module.p, module.prec, a, b) for a, b in pairs)
+@lru_cache(maxsize=None)
+def _ring(p, prec):
+    return QuadraticRing(p, prec)
 
 
-def _pairs(scalars):
-    return tuple(c.pair() for c in scalars)
+def _module_ring(module):
+    """The reference ring of a module's scalars."""
+    return _ring(module.p, module.prec)
+
+
+def _times(ring, c, vector):
+    return tuple(ring.mul(c, x) for x in vector)
 
 
 def _operator(module, name):
@@ -102,17 +106,17 @@ class TestSemilinearModules:
         module = standard_rank2(3)
         v = _vec(x, y)
         ffv = module.apply("F", module.apply("F", v))
-        assert _scalars(module, ffv) == tuple(e * 3 for e in _scalars(module, v))
+        assert ffv == _times(_module_ring(module), (3, 0), v)
 
     @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
     def test_frobenius_is_sigma_semilinear(self, x, y, c, d):
         # F(c v) = sigma(c) F(v) for every scalar c, omega among them
         module = standard_rank2(3)
-        scalar = WittScalar(3, module.prec, c, d)
+        ring = _module_ring(module)
+        scalar = (c, d)
         v = ((x, y), (y, x))
-        cv = _pairs(scalar * e for e in _scalars(module, v))
-        fv = _scalars(module, module.apply("F", v))
-        assert module.apply("F", cv) == _pairs(scalar.sigma() * e for e in fv)
+        cv = _times(ring, scalar, v)
+        assert module.apply("F", cv) == _times(ring, ring.sigma(scalar), module.apply("F", v))
 
     def test_frobenius_twists_omega(self):
         # F e0 = f0 twisted: (w, 0) goes to (0, -w), not to the linear image (0, w)
@@ -121,11 +125,12 @@ class TestSemilinearModules:
 
     def test_linear_actions_commute_with_scalars(self):
         module = tensor_rank4(3)
-        w = WittScalar.omega(3, module.prec)
+        ring = _module_ring(module)
+        w = (0, 1)
         v = _vec(1, 2, 3, 4)
-        wv = _pairs(w * e for e in _scalars(module, v))
+        wv = _times(ring, w, v)
         for name in module.actions:
-            assert module.apply(name, wv) == _pairs(w * e for e in _scalars(module, module.apply(name, v)))
+            assert module.apply(name, wv) == _times(ring, w, module.apply(name, v))
 
     def test_rank4_action_labels(self):
         module = tensor_rank4(3)
@@ -232,7 +237,7 @@ class TestSuperlattices:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_exhaustive_walk_reaches_every_subspace(self, dim):
-        field = _ResidueField(3)
+        field = _ring(3, 1)
         assert sum(1 for _ in _exhaustive_subspaces(field, dim)) == subspace_count(3, dim)
 
     def test_exhaustive_one_step_window(self):
@@ -315,87 +320,77 @@ class TestDescent:
 
 
 # ---------------------------------------------------------------------------
-# the WittScalar references for the pair kernels: operator application,
-# membership and Hermite elimination written on WittScalar arithmetic, with
-# its per-operation context checks.  They take and return pairs, read as
-# WittScalars of the module's (p, prec) inside.
+# the references for the pair kernels: operator application, membership and
+# Hermite elimination written on the tests' own ring (`witt_reference`),
+# which shares no code with the pair helpers the kernels run on.  They take
+# and return pairs, read in the module's (p, prec).
 
 
 def _apply_reference(module, name, vector):
+    ring = _module_ring(module)
     matrix, twist = _operator(module, name)
-    vector = _scalars(module, vector)
+    vector = [ring.reduce(c) for c in vector]
     if twist:
-        vector = tuple(c.sigma() for c in vector)
-    out = []
-    for row in matrix:
-        acc = WittScalar.zero(module.p, module.prec)
-        for entry, c in zip(_scalars(module, row), vector):
-            acc = acc + entry * c
-        out.append(acc)
-    return _pairs(out)
+        vector = [ring.sigma(c) for c in vector]
+    return tuple(ring.total(ring.mul(entry, c) for entry, c in zip(row, vector)) for row in matrix)
 
 
 def _contains_reference(lat, vector):
-    p = lat.module.p
-    v = list(_scalars(lat.module, vector))
-    for i, row in enumerate(_scalars(lat.module, row) for row in lat.pair_rows):
+    module = lat.module
+    ring, p = _module_ring(module), module.p
+    v = [ring.reduce(c) for c in vector]
+    for i, row in enumerate(lat.pair_rows):
         x = v[i]
-        if x.is_zero():
+        if ring.is_zero(x):
             continue
-        d = row[i].valuation()
-        if x.valuation() < d:
+        d = ring.val(row[i])
+        if ring.val(x) < d:
             return False
-        try:
-            q = x.divide_exact(p**d)
-        except InexactDivision:
-            return False
-        unit = row[i].divide_exact(p**d)
-        q = q * unit.inverse()
-        for j in range(lat.module.rank):
-            v[j] = v[j] - q * row[j]
-    return all(c.is_zero() for c in v)
+        q = ring.mul(ring.divide(x, p**d), ring.inv(ring.divide(row[i], p**d)))
+        for j in range(module.rank):
+            v[j] = ring.sub(v[j], ring.mul(q, row[j]))
+    return all(ring.is_zero(c) for c in v)
 
 
 def _hermite_reference(module, rows):
     """The Hermite rows of a full-rank span; ValueError otherwise."""
-    p, prec, rank = module.p, module.prec, module.rank
-    work = [list(_scalars(module, r)) for r in rows]
+    ring, p, rank = _module_ring(module), module.p, module.rank
+    work = [[ring.reduce(c) for c in r] for r in rows]
     pivots = []
     for col in range(rank):
         best = None
         for idx, row in enumerate(work):
             entry = row[col]
-            if entry.is_zero():
+            if ring.is_zero(entry):
                 continue
-            val = entry.valuation()
+            val = ring.val(entry)
             if best is None or val < best[0]:
                 best = (val, idx)
         if best is None:
             raise ValueError("row span is not full rank")
         d, idx = best
         row = work.pop(idx)
-        inv = row[col].divide_exact(p**d).inverse()
-        row = [inv * c for c in row]
+        inv = ring.inv(ring.divide(row[col], p**d))
+        row = [ring.mul(inv, c) for c in row]
         for other in work:
             x = other[col]
-            if x.is_zero():
+            if ring.is_zero(x):
                 continue
-            q = x.divide_exact(p**d)
+            q = ring.divide(x, p**d)
             for j in range(rank):
-                other[j] = other[j] - q * row[j]
+                other[j] = ring.sub(other[j], ring.mul(q, row[j]))
         pivots.append(row)
-        work = [r for r in work if any(not c.is_zero() for c in r)]
+        work = [r for r in work if any(not ring.is_zero(c) for c in r)]
     for i in range(rank - 1, -1, -1):
-        pd = p ** pivots[i][i].valuation()
+        pd = p ** ring.val(pivots[i][i])
         for k in range(i):
-            x = pivots[k][i]
-            a, b = x.a - x.a % pd, x.b - x.b % pd
-            if a == 0 and b == 0:
+            a, b = pivots[k][i]
+            q = (a // pd, b // pd)
+            if q == (0, 0):
                 continue
-            q = WittScalar(p, prec, a // pd, b // pd)
             for j in range(rank):
-                pivots[k][j] = pivots[k][j] - q * pivots[i][j]
-    return tuple(_pairs(r) for r in pivots)
+                pivots[k][j] = ring.sub(pivots[k][j], ring.mul(q, pivots[i][j]))
+    return tuple(tuple(r) for r in pivots)
 
 
 def _stable_reference(module, lat):
@@ -448,7 +443,7 @@ def _full_rank_rows(data, module):
 
 
 class TestPairKernels:
-    """The pair kernels against their WittScalar references."""
+    """The pair kernels against their references on the tests' own ring."""
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("label", sorted(PAIR_MODULES))
@@ -488,10 +483,10 @@ class TestPairKernels:
     def test_contains_matches_the_reference(self, label, p, data):
         module = _pair_module(label, p)
         lat = hermite_form(module, _full_rank_rows(data, module), data.draw(st.integers(0, 3)))
-        coeffs = _scalars(module, data.draw(_vectors(module)))
-        rows = [_scalars(module, row) for row in lat.pair_rows]
-        member = _pairs(
-            sum((c * row[j] for c, row in zip(coeffs, rows)), WittScalar.zero(p, module.prec))
+        ring = _module_ring(module)
+        coeffs = data.draw(_vectors(module))
+        member = tuple(
+            ring.total(ring.mul(c, row[j]) for c, row in zip(coeffs, lat.pair_rows))
             for j in range(module.rank)
         )
         images = [module.apply(name, row) for name in module._ops for row in lat.pair_rows]
@@ -519,8 +514,8 @@ class TestPairKernels:
                 for j in range(rank)
             ))
         lat = LatticeHNF(module, rows, data.draw(st.integers(0, 2)))
-        unit = WittScalar(p, prec, 1 + p * data.draw(digits), data.draw(digits))
-        member = _pairs(unit * c for c in _scalars(module, rows[-1]))
+        unit = (1 + p * data.draw(digits), data.draw(digits))
+        member = _times(_module_ring(module), unit, rows[-1])
         for v in (data.draw(_vectors(module)), member):
             assert lat.contains(v) == _contains_reference(lat, v)
         assert lat.contains(member)
@@ -608,6 +603,13 @@ class TestVectorChecks:
         for name in ("V", "uniformizer", module.F):
             with pytest.raises(ValueError, match="not an operator of this module"):
                 module.apply(name, _vec(1, 0))
+
+    @pytest.mark.parametrize("prec", [0, -1])
+    def test_a_precision_below_one_is_refused(self, prec):
+        # at -1 the modulus would be the float 1/3, and every reduction float arithmetic
+        for build in (standard_rank2, ramified_rank2, tensor_rank4):
+            with pytest.raises(ValueError, match=f"precision must be at least 1, got {prec}"):
+                build(3, prec)
 
     def test_an_action_may_not_be_named_f(self):
         module = standard_rank2(3)
@@ -717,8 +719,8 @@ class TestConstraintFirstSearch:
         module = tensor_rank4(3)
         found = enumerate_stable_superlattices(module, s, 1)
 
-        def walk(_module, field, dim):
-            return _exhaustive_subspaces(field, dim)
+        def walk(module, dim):
+            return _exhaustive_subspaces(_ring(module.p, 1), dim)
 
         monkeypatch.setattr(lattices, "_enumerate_subspaces", walk)
         assert found == enumerate_stable_superlattices(module, s, 1)
@@ -728,7 +730,7 @@ class TestConstraintFirstSearch:
         # becomes a lattice, checked under the module's own operators
         module = tensor_rank4(3)
         stable = []
-        for rows in _exhaustive_subspaces(_ResidueField(3), 2):
+        for rows in _exhaustive_subspaces(_ring(3, 1), 2):
             lat = _one_step_lattice(module, rows)
             if lattices._stable_under_all(module, lat):
                 stable.append(lat)
@@ -794,16 +796,14 @@ class TestSearchWork:
 # ---------------------------------------------------------------------------
 # the graph-membership census, the oracle for the linear condition
 #
-# Scalars are pairs (main, eps) over the quadratic residue field with
-# eps^2 = 0.  A vector lies in the graph of c when clearing its
+# Scalars are pairs (main, eps) over the quadratic residue field, the
+# reference ring at precision 1, with eps^2 = 0.  A vector lies in the graph of c when clearing its
 # f-coordinates against the generators leaves an identically zero remainder.
 
 
 def _dual_mul(field, x, y):
     main = field.mul(x[0], y[0])
-    cross1 = field.mul(x[0], y[1])
-    cross2 = field.mul(x[1], y[0])
-    return (main, ((cross1[0] + cross2[0]) % field.p, (cross1[1] + cross2[1]) % field.p))
+    return (main, field.add(field.mul(x[0], y[1]), field.mul(x[1], y[0])))
 
 
 def _dual_sub(field, x, y):
@@ -859,7 +859,7 @@ def hodge_lift_census_naive(p):
     """Same census with no factoring at all: every graph, every operator,
     full membership checks.  Quadratically slower; the oracle for
     hodge_lift_census."""
-    field = _ResidueField(p)
+    field = _ring(p, 1)
     elems = field.elements()
     rows = [(x, y) for x in elems for y in elems]
     counts = {"all": 0, "order_stable": 0, "uniformizer_stable": 0, "both_stable": 0}
@@ -912,18 +912,13 @@ class TestHodgeLiftCensus:
         # the same size, so a transposed convention keeps every count.  The
         # draws favour zero entries and c11 = c22, so that stable graphs and
         # the centralizers of N and of its transpose all come up
-        field = _ResidueField(p)
+        field = _ring(p, 1)
         entry = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
         zero_or_entry = st.one_of(st.just((0, 0)), entry)
         c11, c12, c21 = (data.draw(zero_or_entry) for _ in range(3))
         c22 = data.draw(st.one_of(st.just(c11), entry))
         c = ((c11, c12), (c21, c22))
         flat = [c11, c12, c21, c22]
-        equations = lattices._commutation_rows(field, lattices._census_blocks(field)[op])
-        residuals = []
-        for row in equations:
-            acc = (0, 0)
-            for coeff, x in zip(row, flat):
-                acc = tuple((u + v) % p for u, v in zip(acc, field.mul(coeff, x)))
-            residuals.append(acc)
+        equations = lattices._commutation_rows(p, lattices._census_blocks(p)[op])
+        residuals = [field.total(field.mul(coeff, x) for coeff, x in zip(row, flat)) for row in equations]
         assert _graph_is_stable(field, c, op) == all(r == (0, 0) for r in residuals)

@@ -363,6 +363,15 @@ def test_g_series_is_windowed_square_of_f(p, power):
     assert g.coeffs == square.coeffs
 
 
+@pytest.mark.parametrize("power", [0, -1])
+@pytest.mark.parametrize("series", [f_series, g_series])
+def test_a_power_below_one_is_refused(series, power):
+    # x1^0 and x1^-1 never leave the window under x1 -> x1^(p^2), so the
+    # sum would never end
+    with pytest.raises(ValueError, match=f"power must be at least 1, got {power}"):
+        series(SeriesContext(3, 4, -81, 81, 1), power)
+
+
 def test_series_invert_units():
     ctx = SeriesContext(3, 4, 0, 8, 3)
     u = TruncSeries(ctx, {(0, 0): (2, 1), (1, 0): (5, 0), (0, 2): (1, 7)})

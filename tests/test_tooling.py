@@ -67,15 +67,32 @@ def test_each_input_rule_is_stated_once():
     assert text.count("must be an odd prime") == 1
     assert text.count("precision scale must be") == 1
     assert text.count("depth k must be") == 1
+    assert text.count("level must be") == 1
     assert [name for name, source in sources.items() if "is_odd_prime" in source] == ["witt.py"]
 
 
 def test_only_the_case_parameters_name_wittscalar():
-    # the WittScalar wrapper is the case parameters' type (and the tests'
-    # reference); series, lengths and lattices take and return raw (a, b)
-    # pairs only
+    # the WittScalar wrapper is the case parameters' type and nothing else;
+    # series, lengths and lattices take and return raw (a, b) pairs only
     named = [path.name for path in sorted(SRC.glob("*.py")) if "WittScalar" in path.read_text(encoding="utf-8")]
     assert named == ["__init__.py", "windows.py", "witt.py"]
+
+
+def test_the_scalars_have_one_arithmetic():
+    # the pair helpers are the arithmetic: WittScalar keeps what carries a
+    # case's parameters into the integrality predicate (and the benchmark's
+    # probes), the residue field is the helpers at modulus p, and the tests'
+    # reference ring shares no code with the helpers it checks
+    methods = {name for name, value in vars(endolift.witt.WittScalar).items()
+               if callable(value) and (name.startswith("__") or not name.startswith("_"))}
+    assert methods == {"__init__", "__sub__", "__mul__", "valuation"}
+    assert not [path.name for path in sorted(SRC.glob("*.py")) if "_ResidueField" in path.read_text(encoding="utf-8")]
+    reference = Path(__file__).resolve().parent / "witt_reference.py"
+    tree = ast.parse(reference.read_text(encoding="utf-8"), filename=str(reference))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    names += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert names and not [name for name in names if name.startswith("pair_")]
 
 
 def test_no_unused_imports():

@@ -1,9 +1,11 @@
-"""Unit and property tests for the quadratic Witt-style scalar arithmetic."""
+"""Unit and property tests for the quadratic Witt-style scalar arithmetic:
+the pair helpers, against the laws of the ring and against the tests' own
+reference (`witt_reference`), and the case-parameter wrapper."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from endolift.errors import InexactDivision, NotAUnit
+from endolift.errors import NotAUnit
 from endolift.witt import (
     WittScalar,
     is_odd_prime,
@@ -11,9 +13,11 @@ from endolift.witt import (
     pair_add,
     pair_inv,
     pair_mul,
+    pair_sigma,
     pair_sub,
     pair_val,
 )
+from witt_reference import QuadraticRing
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -23,24 +27,20 @@ ints = st.integers(min_value=-(10**6), max_value=10**6)
 
 
 @st.composite
-def scalars(draw, p=None, prec=None):
-    pp = p if p is not None else draw(primes)
-    pr = prec if prec is not None else draw(precs)
-    return WittScalar(pp, pr, draw(ints), draw(ints))
+def rings(draw):
+    """A reference ring at a drawn prime and precision."""
+    return QuadraticRing(draw(primes), draw(precs))
 
 
 @st.composite
-def scalar_pairs(draw):
-    p = draw(primes)
-    prec = draw(precs)
-    return draw(scalars(p, prec)), draw(scalars(p, prec))
+def elements(draw, count):
+    """A reference ring and `count` pairs reduced in it."""
+    ring = draw(rings())
+    return (ring,) + tuple(ring.reduce((draw(ints), draw(ints))) for _ in range(count))
 
 
-@st.composite
-def scalar_triples(draw):
-    p = draw(primes)
-    prec = draw(precs)
-    return tuple(draw(scalars(p, prec)) for _ in range(3))
+def _mul(ring, x, y):
+    return pair_mul(x, y, ring.r, ring.mod)
 
 
 def test_is_odd_prime():
@@ -60,6 +60,155 @@ def test_nonresidue_is_a_nonresidue():
             assert pow(s, (p - 1) // 2, p) == 1
 
 
+# -- the pair helpers against the reference ---------------------------------
+
+
+@given(elements(2))
+def test_pair_mul_matches_the_reference(ring_xy):
+    ring, x, y = ring_xy
+    assert _mul(ring, x, y) == ring.mul(x, y)
+
+
+@given(elements(2))
+def test_pair_add_and_sub_match_the_reference(ring_xy):
+    ring, x, y = ring_xy
+    assert pair_add(x, y, ring.mod) == ring.add(x, y)
+    assert pair_sub(x, y, ring.mod) == ring.sub(x, y)
+
+
+@given(elements(1), st.integers(min_value=0, max_value=9))
+def test_pair_sigma_and_val_match_the_reference(ring_x, e):
+    ring, x = ring_x
+    x = ring.reduce((x[0] * ring.p**e, x[1] * ring.p**e))  # valuations up to the cap
+    assert pair_sigma(x, ring.mod) == ring.sigma(x)
+    assert pair_val(x, ring.p, ring.prec) == ring.val(x)
+
+
+@given(elements(1))
+def test_pair_inv_matches_the_reference(ring_x):
+    ring, x = ring_x
+    if ring.val(x) == 0:
+        assert pair_inv(x, ring.p, ring.r, ring.mod) == ring.inv(x)
+    else:
+        with pytest.raises(NotAUnit):
+            pair_inv(x, ring.p, ring.r, ring.mod)
+
+
+@given(elements(1))
+def test_pair_inv_on_units(ring_x):
+    ring, x = ring_x
+    if pair_val(x, ring.p, ring.prec) != 0:
+        return
+    assert _mul(ring, x, pair_inv(x, ring.p, ring.r, ring.mod)) == (1 % ring.mod, 0)
+
+
+# -- the ring laws on the pair helpers ----------------------------------------
+
+
+@given(elements(2))
+def test_add_commutes(ring_xy):
+    ring, x, y = ring_xy
+    assert pair_add(x, y, ring.mod) == pair_add(y, x, ring.mod)
+
+
+@given(elements(2))
+def test_mul_commutes(ring_xy):
+    ring, x, y = ring_xy
+    assert _mul(ring, x, y) == _mul(ring, y, x)
+
+
+@given(elements(3))
+def test_mul_associates(ring_xyz):
+    ring, x, y, z = ring_xyz
+    assert _mul(ring, _mul(ring, x, y), z) == _mul(ring, x, _mul(ring, y, z))
+
+
+@given(elements(3))
+def test_distributivity(ring_xyz):
+    ring, x, y, z = ring_xyz
+    left = _mul(ring, x, pair_add(y, z, ring.mod))
+    assert left == pair_add(_mul(ring, x, y), _mul(ring, x, z), ring.mod)
+
+
+@given(elements(1))
+def test_additive_inverse(ring_x):
+    ring, x = ring_x
+    assert pair_sub(x, x, ring.mod) == (0, 0)
+    assert pair_add(x, pair_sub((0, 0), x, ring.mod), ring.mod) == (0, 0)
+
+
+@given(elements(2))
+def test_pair_add_sub_roundtrip(ring_xy):
+    ring, x, y = ring_xy
+    assert pair_sub(pair_add(x, y, ring.mod), y, ring.mod) == x
+
+
+@given(rings(), ints, ints)
+def test_the_prime_subring_embeds(ring, m, n):
+    f = lambda k: (k % ring.mod, 0)
+    assert pair_add(f(m), f(n), ring.mod) == f(m + n)
+    assert _mul(ring, f(m), f(n)) == f(m * n)
+
+
+def test_omega_squares_to_nonresidue():
+    for p in PRIMES:
+        ring = QuadraticRing(p, 6)
+        assert _mul(ring, (0, 1), (0, 1)) == (nonresidue(p), 0)
+
+
+@given(elements(1))
+def test_sigma_is_an_involution(ring_x):
+    ring, x = ring_x
+    assert pair_sigma(pair_sigma(x, ring.mod), ring.mod) == x
+
+
+@given(elements(2))
+def test_sigma_is_multiplicative(ring_xy):
+    ring, x, y = ring_xy
+    s = lambda z: pair_sigma(z, ring.mod)
+    assert s(_mul(ring, x, y)) == _mul(ring, s(x), s(y))
+    assert s(pair_add(x, y, ring.mod)) == pair_add(s(x), s(y), ring.mod)
+
+
+@given(rings(), ints)
+def test_sigma_fixes_prime_subring(ring, a):
+    n = (a % ring.mod, 0)
+    assert pair_sigma(n, ring.mod) == n
+
+
+@given(elements(1))
+def test_valuation_zero_iff_unit(ring_x):
+    ring, x = ring_x
+    v = pair_val(x, ring.p, ring.prec)
+    if x == (0, 0):
+        assert v == ring.prec
+    elif v == 0:
+        # a unit: the residue a + b*w mod p is nonzero
+        assert (x[0] % ring.p, x[1] % ring.p) != (0, 0)
+        assert _mul(ring, x, pair_inv(x, ring.p, ring.r, ring.mod)) == (1 % ring.mod, 0)
+    else:
+        assert (x[0] % ring.p, x[1] % ring.p) == (0, 0)
+        with pytest.raises(NotAUnit):
+            pair_inv(x, ring.p, ring.r, ring.mod)
+
+
+@given(elements(2))
+def test_valuation_is_multiplicative_below_cap(ring_xy):
+    ring, x, y = ring_xy
+    v = lambda z: pair_val(z, ring.p, ring.prec)
+    assert v(_mul(ring, x, y)) == min(v(x) + v(y), ring.prec)
+
+
+@given(elements(2))
+def test_valuation_ultrametric(ring_xy):
+    ring, x, y = ring_xy
+    v = lambda z: pair_val(z, ring.p, ring.prec)
+    assert v(pair_add(x, y, ring.mod)) >= min(v(x), v(y))
+
+
+# -- the case-parameter wrapper -----------------------------------------------
+
+
 def test_constructor_validates():
     # moduli are cached only for contexts that passed the checks, so a
     # rejected context stays rejected however often it is asked for
@@ -70,141 +219,38 @@ def test_constructor_validates():
             WittScalar(2, 3)
         with pytest.raises(ValueError, match="nonnegative, got -1"):
             WittScalar(3, -1)
-    assert (WittScalar(5, 3, -1, 126).pair(), WittScalar(5, 3).modulus) == ((124, 1), 125)
-    assert WittScalar(3, 0, 5, 7).pair() == (0, 0)
+    x = WittScalar(5, 3, -1, 126)
+    assert (x.a, x.b) == (124, 1)
+    x = WittScalar(3, 0, 5, 7)
+    assert (x.a, x.b) == (0, 0)
 
 
 def test_coefficients_must_be_integers():
-    assert WittScalar(3, 2, True, 10).pair() == (1, 1)
+    x = WittScalar(3, 2, True, 10)
+    assert (x.a, x.b) == (1, 1)
     for a, b in ((1.5, 0), (1, 2.0), ("1", 0)):
         with pytest.raises(TypeError):
             WittScalar(3, 2, a, b)
 
 
-def test_immutability():
-    x = WittScalar(3, 4, 1, 2)
-    with pytest.raises(AttributeError):
-        x.a = 7
+@given(elements(2))
+def test_scalar_operations_match_the_reference(ring_xy):
+    ring, x, y = ring_xy
+    sx, sy = (WittScalar(ring.p, ring.prec, *z) for z in (x, y))
+    assert ((sx * sy).a, (sx * sy).b) == ring.mul(x, y)
+    assert ((sx - sy).a, (sx - sy).b) == ring.sub(x, y)
+    assert sx.valuation() == ring.val(x)
 
 
-def test_repr_smoke():
-    assert "w" in repr(WittScalar(3, 2, 0, 1))
-    assert "w" not in repr(WittScalar(3, 2, 5, 0))
-
-
-@given(scalar_pairs())
-def test_add_commutes(xy):
-    x, y = xy
-    assert x + y == y + x
-
-
-@given(scalar_pairs())
-def test_mul_commutes(xy):
-    x, y = xy
-    assert x * y == y * x
-
-
-@given(scalar_triples())
-def test_mul_associates(xyz):
-    x, y, z = xyz
-    assert (x * y) * z == x * (y * z)
-
-
-@given(scalar_triples())
-def test_distributivity(xyz):
-    x, y, z = xyz
-    assert x * (y + z) == x * y + x * z
-
-
-@given(scalars())
-def test_additive_inverse(x):
-    assert (x + (-x)).is_zero()
-    assert x - x == WittScalar.zero(x.p, x.prec)
-
-
-@given(primes, precs, ints, ints)
-def test_from_int_is_a_homomorphism(p, prec, m, n):
-    f = lambda k: WittScalar.from_int(p, prec, k)
-    assert f(m) + f(n) == f(m + n)
-    assert f(m) * f(n) == f(m * n)
-
-
-def test_omega_squares_to_nonresidue():
-    for p in PRIMES:
-        w = WittScalar.omega(p, 6)
-        assert w * w == WittScalar.from_int(p, 6, nonresidue(p))
-
-
-@given(scalars())
-def test_sigma_is_an_involution(x):
-    assert x.sigma().sigma() == x
-
-
-@given(scalar_pairs())
-def test_sigma_is_multiplicative(xy):
-    x, y = xy
-    assert (x * y).sigma() == x.sigma() * y.sigma()
-    assert (x + y).sigma() == x.sigma() + y.sigma()
-
-
-@given(scalars())
-def test_sigma_fixes_prime_subring(x):
-    n = WittScalar.from_int(x.p, x.prec, x.a)
-    assert n.sigma() == n
-
-
-@given(scalars())
-def test_valuation_zero_iff_unit(x):
-    if x.is_zero():
-        assert x.valuation() == x.prec
-    elif x.valuation() == 0:
-        # a unit: the residue a + b*w mod p is nonzero
-        assert (x.a % x.p, x.b % x.p) != (0, 0)
-        assert x * x.inverse() == WittScalar.one(x.p, x.prec)
-    else:
-        assert (x.a % x.p, x.b % x.p) == (0, 0)
-        with pytest.raises(NotAUnit):
-            x.inverse()
-
-
-@given(scalar_pairs())
-def test_valuation_is_multiplicative_below_cap(xy):
-    x, y = xy
-    v = (x * y).valuation()
-    expected = x.valuation() + y.valuation()
-    assert v == min(expected, x.prec)
-
-
-@given(scalar_pairs())
-def test_valuation_ultrametric(xy):
-    x, y = xy
-    assert (x + y).valuation() >= min(x.valuation(), y.valuation())
-
-
-@given(scalars(), st.integers(min_value=0, max_value=4))
-def test_divide_exact_inverts_integer_scaling(x, e):
-    q = x.p**e
-    y = x * q
-    if e <= x.prec:
-        recovered = y.divide_exact(q)
-        # agreement holds on the digits that survive the scaling
-        assert (recovered - x).valuation() >= x.prec - e
-
-
-def test_divide_exact_rejects_inexact():
-    x = WittScalar(3, 4, 1, 0)
-    with pytest.raises(InexactDivision):
-        x.divide_exact(3)
-
-
-@given(scalars(), st.integers(min_value=0, max_value=8))
-def test_reduce_precision_truncates(x, new_prec):
-    if new_prec > x.prec:
+@given(elements(1), st.integers(min_value=0, max_value=8))
+def test_reduce_precision_truncates(ring_x, new_prec):
+    ring, (a, b) = ring_x
+    if new_prec > ring.prec:
         return
-    y = WittScalar(x.p, new_prec, x.a, x.b)
+    y = WittScalar(ring.p, new_prec, a, b)
     assert y.prec == new_prec
-    mod = x.p**new_prec
-    assert y.a == x.a % mod and y.b == x.b % mod
+    mod = ring.p**new_prec
+    assert y.a == a % mod and y.b == b % mod
 
 
 def test_mixed_context_arithmetic_is_rejected():
@@ -213,37 +259,15 @@ def test_mixed_context_arithmetic_is_rejected():
     z = WittScalar(3, 5, 1, 1)
     for other in (y, z):
         with pytest.raises(ValueError):
-            x + other
+            x - other
         with pytest.raises(ValueError):
             x * other
 
 
-# -- low-level pair helpers -------------------------------------------------
-
-
-@given(primes, precs, ints, ints, ints, ints)
-def test_pair_mul_matches_scalar_mul(p, prec, a, b, c, d):
-    mod = p**prec
-    r = nonresidue(p)
-    got = pair_mul((a % mod, b % mod), (c % mod, d % mod), r, mod)
-    want = WittScalar(p, prec, a, b) * WittScalar(p, prec, c, d)
-    assert got == want.pair()
-
-
-@given(primes, precs, ints, ints)
-def test_pair_add_sub_roundtrip(p, prec, a, b):
-    mod = p**prec
-    x = (a % mod, b % mod)
-    y = (b % mod, a % mod)
-    assert pair_sub(pair_add(x, y, mod), y, mod) == x
-
-
-@given(primes, precs, ints, ints)
-def test_pair_inv_on_units(p, prec, a, b):
-    mod = p**prec
-    x = (a % mod, b % mod)
-    if pair_val(x, p, prec) != 0:
-        return
-    r = nonresidue(p)
-    inv = pair_inv(x, p, r, mod)
-    assert pair_mul(x, inv, r, mod) == (1 % mod, 0)
+def test_only_scalars_combine():
+    x = WittScalar(3, 4, 1, 1)
+    for other in (2, (1, 1)):
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            x - other
