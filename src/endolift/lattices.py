@@ -21,8 +21,9 @@ eigenline-diagonal family, which is closed when the basis lines have
 pairwise distinct residue characters: the order action alone is
 (w, w, -w, -w), the two omega actions together give four characters, and a
 stable lattice then splits into eigenlines.  Each operator is stated once,
-in its module constructor, and read from there.  Anything stable outside
-the classification raises ShapeViolation.
+in its module constructor, and read from there; a constructor builds one
+read-only module per (p, prec) and shares it with every caller.  Anything
+stable outside the classification raises ShapeViolation.
 
 The filtration-lift census counts the lifts of the Hodge filtration to the
 dual numbers that the order and the ramified uniformizer keep.  Stability of
@@ -30,8 +31,10 @@ a lift is one linear condition on its 2x2 matrix, so each count is read off
 the rank of that system over the residue field (see the census section).
 """
 
+from functools import lru_cache, wraps
 from itertools import combinations, product
 from operator import index
+from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
@@ -67,13 +70,14 @@ class SemilinearModule:
     __slots__ = ("p", "prec", "rank", "F", "actions", "label", "_mod", "_r", "_ops")
 
     def __init__(self, p, prec, rank, F, actions, label):
+        p, prec = index(p), index(prec)  # TypeError for 8.0 or "8"
         if prec < 1:
             raise ValueError(f"{label}: the precision must be at least 1, got {prec}")
         self.p = p
         self.prec = prec
         self.rank = rank
         self.F = F
-        self.actions = dict(actions)
+        self.actions = MappingProxyType(dict(actions))
         self.label = label
         self._mod = p**prec
         self._r = nonresidue(p)
@@ -82,6 +86,14 @@ class SemilinearModule:
         # name -> (twist, sparse rows), cheap-to-fail linear actions first
         ops = [(name, mat, 0) for name, mat in sorted(self.actions.items())] + [("F", F, 1)]
         self._ops = {name: (twist, self._sparse_rows(mat)) for name, mat, twist in ops}
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "_ops"):  # set last: the module is built, so shared
+            raise AttributeError(f"{self.label} is read-only, {name} cannot be set")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.label} is read-only, {name} cannot be deleted")
 
     def _coords(self, vector) -> List[Pair]:
         """The coordinates of a vector, reduced modulo p^prec; ValueError
@@ -130,6 +142,19 @@ class SemilinearModule:
         return tuple(self._apply_pairs(sparse, self._coords(vector), twist))
 
 
+def _shared(build):
+    """`build` run once per (p, prec), and its module handed to every caller;
+    p and prec are checked as integers before the lookup, as 8.0 hashes as 8."""
+    cached = lru_cache(maxsize=64)(build)
+
+    @wraps(build)
+    def shared(p, prec=build.__defaults__[0]):
+        return cached(index(p), index(prec))
+
+    shared.cache_clear = cached.cache_clear
+    return shared
+
+
 def _diag(entries) -> Matrix:
     rank = len(entries)
     return tuple(tuple(x if i == j else (0, 0) for j in range(rank)) for i, x in enumerate(entries))
@@ -140,6 +165,7 @@ def _rank2_F(p) -> Matrix:
     return (((0, 0), (p, 0)), ((1, 0), (0, 0)))
 
 
+@_shared
 def standard_rank2(p: int, prec: int = 8) -> SemilinearModule:
     """The rank-2 module with the omega action scaled into the basis lines:
     omega on e0, minus omega on f0."""
@@ -147,6 +173,7 @@ def standard_rank2(p: int, prec: int = 8) -> SemilinearModule:
     return SemilinearModule(p, prec, 2, _rank2_F(p), {"omega": eta}, "rank2-normalized")
 
 
+@_shared
 def ramified_rank2(p: int, prec: int = 8) -> SemilinearModule:
     """The rank-2 module carrying the simplest ramified uniformizer action
     (zero trace part, unit norm part): e0 -> f0, f0 -> p*e0, plain-linearly.
@@ -155,6 +182,7 @@ def ramified_rank2(p: int, prec: int = 8) -> SemilinearModule:
     return SemilinearModule(p, prec, 2, F, {"uniformizer": F}, "rank2-ramified")
 
 
+@_shared
 def tensor_rank4(p: int, prec: int = 10) -> SemilinearModule:
     """The rank-4 scalar extension: basis (e1, e2, f1, f2), F as in the
     module docstring, and two omega actions -- one through the order
@@ -609,8 +637,9 @@ def descend_superlattice(a: int, b: int, delta: int, p: int) -> DescentReport:
     order omega acts by omega on e* and by -omega on f*, and checks that the
     scalar-omega translates of the pair span the family lattice, which is
     its own Hermite basis (diagonal, unit-normalized p-power pivots).
-    StabilityFailure on any miss.  The module is built two digits above
-    the precision the superlattice search needs at the same (s, m).
+    StabilityFailure on any miss.  The module is the shared read-only
+    `tensor_rank4`, looked up by name on each call, two digits above the
+    precision the superlattice search needs at the same (s, m).
     """
     if delta not in (0, 1) or a < 0 or b < 0:
         raise ValueError("need a, b >= 0 and delta in {0, 1}")

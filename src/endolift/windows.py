@@ -208,8 +208,11 @@ def gamma_matrix(case: CaseDescriptor, ctx: SeriesContext) -> QuasiEndoPair:
 def integrality_predicate(a: WittScalar, b: WittScalar, c: WittScalar, d: WittScalar) -> bool:
     """Does the parameter quadruple give an integral (undeformed) pair?
 
-    Concretely: p divides both a - d and c.
+    Concretely: p divides both a - d and c.  Below precision 1 every
+    scalar reads 0 and nothing is certified: PrecisionExhausted.
     """
+    if min(x.prec for x in (a, b, c, d)) < 1:
+        raise PrecisionExhausted("integrality needs scalar precision at least 1")
     return (a - d).valuation() >= 1 and c.valuation() >= 1
 
 

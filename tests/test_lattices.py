@@ -142,6 +142,65 @@ class TestSemilinearModules:
         assert list(tensor_rank4(3)._ops) == ["omega-order", "omega-scalar", "F"]
 
 
+class TestSharedModules:
+    """Each constructor builds one read-only module per (p, prec) and hands
+    it to every caller."""
+
+    @pytest.mark.parametrize("build, default", [(standard_rank2, 8), (ramified_rank2, 8), (tensor_rank4, 10)])
+    def test_equal_arguments_return_the_same_module(self, build, default):
+        module = build(3)
+        assert build(3) is module
+        assert build(3, default) is module
+        assert build(3, prec=default) is module
+        assert build(3, default + 1) is not module
+        assert build(5) is not module
+
+    def test_a_module_is_read_only(self):
+        module = tensor_rank4(3)
+        with pytest.raises(AttributeError, match="read-only"):
+            module.prec = 4
+        with pytest.raises(AttributeError, match="read-only"):
+            module.extra = 1
+        with pytest.raises(AttributeError, match="read-only"):
+            del module.F
+        with pytest.raises(TypeError):
+            module.actions["omega-order"] = module.F
+        with pytest.raises(TypeError):
+            module.actions["x"] = module.F
+        assert module.prec == 10
+        assert set(module.actions) == {"omega-order", "omega-scalar"}
+
+    @pytest.mark.parametrize("bad", [8.0, "8"])
+    def test_a_non_integer_p_or_prec_is_refused(self, bad):
+        # 8.0 hashes as 8: refused before the lookup, not answered with the
+        # prec-8 module (whose modulus would otherwise be the float 6561.0)
+        tensor_rank4(3, 8)
+        for build in (standard_rank2, ramified_rank2, tensor_rank4):
+            for args in ((3, bad), (bad, 8)):
+                with pytest.raises(TypeError):
+                    build(*args)
+        base = standard_rank2(3)
+        with pytest.raises(TypeError):
+            SemilinearModule(3, bad, 2, base.F, base.actions, "rank2-bad-prec")
+
+    def test_a_descent_sweep_builds_each_module_once(self, monkeypatch):
+        built = []
+        init = SemilinearModule.__init__
+
+        def counted(self, p, prec, rank, F, actions, label):
+            built.append((label, p, prec))
+            init(self, p, prec, rank, F, actions, label)
+
+        monkeypatch.setattr(SemilinearModule, "__init__", counted)
+        tensor_rank4.cache_clear()
+        triples = [(a, b, d) for d in (0, 1) for a in range(4) for b in range(4) if a + b + d <= 3]
+        for p in (3, 5):
+            for a, b, d in triples:
+                descend_superlattice(a, b, d, p)
+        assert len(built) == len(set(built)) < 2 * len(triples)
+        assert {label for label, _p, _prec in built} == {"rank4-tensor"}
+
+
 class TestHermiteForm:
     def test_idempotent(self):
         module = standard_rank2(3)

@@ -61,12 +61,14 @@ def _unused_imports(path):
 def test_each_input_rule_is_stated_once():
     # a restated check drifts from its owner: the odd-prime rule belongs to
     # witt.nonresidue, the tower's precision scale to windows.recursion_context,
-    # its depth to windows._check_depth
+    # its depth to windows._check_depth, the integrality precision to
+    # windows.integrality_predicate
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     text = "".join(sources.values())
     assert text.count("must be an odd prime") == 1
     assert text.count("precision scale must be") == 1
     assert text.count("depth k must be") == 1
+    assert text.count("integrality needs scalar precision") == 1
     assert text.count("level must be") == 1
     assert [name for name, source in sources.items() if "is_odd_prime" in source] == ["witt.py"]
 

@@ -305,6 +305,14 @@ class TestIntegralityPredicate:
         assert not integrality_predicate(*c.with_gamma(2, 1).param_scalars(8))
         assert integrality_predicate(*c.with_gamma(2, 3).param_scalars(8))
 
+    def test_precision_zero_is_refused(self):
+        # at precision 0 every scalar is 0, and "not integral" would be a guess
+        case = CaseDescriptor.from_label("unr", 3).with_gamma(2, 3)
+        with pytest.raises(PrecisionExhausted, match="precision at least 1"):
+            integrality_predicate(*case.param_scalars(0))
+        assert integrality_predicate(*case.param_scalars(1))
+        assert integrality_predicate(*case.param_scalars(8))
+
 
 class TestVerticalRecursion:
     @pytest.mark.parametrize("p", [3, 5])
