@@ -60,23 +60,33 @@ SUBLATTICE_ERRATUM = (
 # the command's default
 
 
+def _int(value) -> int:
+    """The one integer grammar of flags and config values: surrounding
+    whitespace, an optional leading "-", then ASCII digits only.  `int`
+    alone would also take "3_0", "+3" and non-ASCII digits such as "٣"."""
+    text = str(value).strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(text)
+
+
 def _parse_int_list(text: str) -> List[int]:
-    """Accepts "3", "3,5,7", and "0..4" (inclusive range)."""
+    """Accepts "3", "3,5,7", and "0..4" (inclusive range); an empty chunk,
+    as in "3,,5" or ",3", is an error."""
     out: List[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise ValueError(f"empty list entry in {text!r}")
         if ".." in chunk:
             lo_s, hi_s = chunk.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _int(lo_s), _int(hi_s)
             if hi < lo:
                 raise ValueError(f"empty range {chunk!r}")
             out.extend(range(lo, hi + 1))
         else:
-            out.append(int(chunk))
-    if not out:
-        raise ValueError(f"no integers in {text!r}")
+            out.append(_int(chunk))
     return sorted(set(out))
 
 
@@ -97,7 +107,7 @@ def _switch(value) -> bool:
 
 def _count(value) -> int:
     """A lattice count: n >= 0, or -1, the "not selected" default."""
-    n = int(value)
+    n = _int(value)
     if n < -1:
         raise ValueError(f"a count is n >= 0, or -1 for none, not {n}")
     return n
@@ -109,9 +119,9 @@ _FLAGS = {
     "case": (dict(choices=["unr", "ram", "both"]), _case_labels),
     "p": (dict(help="prime or list: 3 | 3,5 | 3..7"), _parse_int_list),
     "c0": (dict(help="conductor or list/range"), _parse_int_list),
-    "k": (dict(help="tower depth"), int),
+    "k": (dict(help="tower depth"), _int),
     "format": (dict(choices=["json", "tsv"]), str),
-    "precision_scale": (dict(help="multiply declared p-adic precision (>= 1)"), int),
+    "precision_scale": (dict(help="multiply declared p-adic precision (>= 1)"), _int),
     "dump": (dict(action="store_const", const=True), _switch),
     "sublattices": (dict(metavar="K"), _count),
     "superlattices": (dict(metavar="S"), _count),
@@ -334,7 +344,7 @@ def cmd_recursion(config: Dict) -> Report:
                     "x2": None,
                     "alpha_terms": len(sol.alpha.coeffs),
                     "beta_terms": len(sol.beta.coeffs),
-                    "denominator_exponent": max(k, 1),
+                    "denominator_exponent": sol.pairs[k].denom_exp,
                     "structure_ok": report.ok,
                 }
             )

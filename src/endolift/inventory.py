@@ -8,6 +8,7 @@ arbitrary-precision arithmetic with every division checked.
 
 from fractions import Fraction
 from dataclasses import dataclass
+from operator import index
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConsistencyFailure, NotAnOrder
@@ -15,10 +16,10 @@ from .witt import nonresidue
 
 
 def _domain(p: int, c0: int) -> None:
-    """Refuse a p that is not an odd prime (the rule `witt.nonresidue` owns)
-    and a conductor c0 below 0."""
+    """Refuse a p that is not an odd prime (the rule `witt.nonresidue` owns),
+    a conductor c0 that is not an integer (TypeError) and one below 0."""
     nonresidue(p)
-    if c0 < 0:
+    if index(c0) < 0:
         raise ValueError(f"the conductor must be at least 0, got c0 = {c0}")
 
 
@@ -33,8 +34,8 @@ def _label(case: str, p: int, c0: int = 0) -> str:
 
 
 def _level(s: int) -> None:
-    """Refuse a level below 0."""
-    if s < 0:
+    """Refuse a level that is not an integer (TypeError) and one below 0."""
+    if index(s) < 0:
         raise ValueError(f"the level must be at least 0, got {s}")
 
 
@@ -81,7 +82,9 @@ def conductor(tr: int, nm: int, case: str, p: int) -> int:
 def unit_index(case: str, t: int, s: int, p: int) -> int:
     """Index of the level-s unit subgroup inside the level-t one."""
     label = _label(case, p)
-    if not 0 <= t <= s:
+    _level(t)
+    _level(s)
+    if t > s:
         raise ValueError("need 0 <= t <= s")
     if t == s:
         return 1

@@ -60,6 +60,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
+from operator import index
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import ConsistencyFailure, InexactDivision, StructureViolation, WindowExhausted
@@ -87,7 +88,8 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class ChainContext:
-    """Truncation data for the chain ring: p, digit count, x1 window."""
+    """Truncation data for the chain ring: p, digit count, x1 window, each
+    an integer (TypeError otherwise)."""
 
     p: int
     modulus: int
@@ -97,6 +99,8 @@ class ChainContext:
     mod: int = field(init=False, repr=False, compare=False)  # p^modulus
 
     def __post_init__(self):
+        for bound in (self.p, self.modulus, self.lo, self.hi):
+            index(bound)
         if self.modulus < 1:
             raise ValueError("chain modulus must be positive")
         if self.lo > 0 or self.hi < 0:

@@ -47,7 +47,8 @@ Key = Tuple[int, int]
 @dataclass(frozen=True)
 class SeriesContext:
     """Shared truncation data: p-precision, x1 window, x2 cap (exclusive).
-    `nonresidue` refuses a p that is not an odd prime."""
+    `nonresidue` refuses a p that is not an odd prime, and a bound that is
+    not an integer is a TypeError."""
 
     p: int
     prec: int
@@ -60,6 +61,8 @@ class SeriesContext:
 
     def __post_init__(self):
         object.__setattr__(self, "r", nonresidue(self.p))
+        for bound in (self.prec, self.lo1, self.hi1, self.cap2):
+            index(bound)
         if self.prec < 0:
             raise ValueError("negative precision")
         if self.lo1 > 0 or self.hi1 < 0:
@@ -321,10 +324,11 @@ def f_series(ctx: SeriesContext, power: int = 1) -> TruncSeries:
     """Sum of x1^(power * p^(2i)) over i >= 0, truncated to the window.
 
     `power` composes with a monomial substitution x1 -> x1^power, which is
-    how the twisted argument x1^p enters the closed forms.  A power below 1
-    is a ValueError: the exponents would never leave the window.
+    how the twisted argument x1^p enters the closed forms.  A power that is
+    not an integer is a TypeError, one below 1 a ValueError: the exponents
+    would never leave the window.
     """
-    if power < 1:
+    if index(power) < 1:
         raise ValueError(f"the power must be at least 1, got {power}")
     coeffs: Dict[Key, Pair] = {}
     e = power  # power * p^(2i)

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 from .errors import PrecisionExhausted, StructureViolation, WindowExhausted
 from .inventory import _label
 from .series import SeriesContext, TruncSeries, f_series, g_series
-from .witt import WittScalar
+from .witt import WittScalar, nonresidue
 
 __all__ = [
     "CaseDescriptor",
@@ -129,8 +129,6 @@ class CaseDescriptor:
 
     def gamma_trace_norm(self, s: int, t: int) -> Tuple[int, int]:
         """Integer trace and norm of s + t * generator (generator^2 = r or p)."""
-        from .witt import nonresidue
-
         sq = nonresidue(self.p) if not self.ramified else self.p
         return (2 * s, s * s - t * t * sq)
 
@@ -171,15 +169,6 @@ class QuasiEndoPair:
 
     def upper_right(self) -> Tuple[TruncSeries, TruncSeries]:
         return self.Y[0][1], self.Z[0][1]
-
-    def __eq__(self, other):
-        if not isinstance(other, QuasiEndoPair):
-            return NotImplemented
-        return (
-            self.denom_exp == other.denom_exp
-            and mat_eq(self.Y, other.Y)
-            and mat_eq(self.Z, other.Z)
-        )
 
 
 def _constants(case: CaseDescriptor, ctx: SeriesContext):

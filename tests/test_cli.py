@@ -274,6 +274,32 @@ class TestArgumentErrors:
         assert capsys.readouterr().err.startswith(f"usage error: {flag}: ")
         assert not (outdir / "lattice.json").exists()
 
+    # one integer grammar: surrounding whitespace, an optional "-", ASCII
+    # digits, and no empty list entry
+    @pytest.mark.parametrize("argv, flag", [
+        (["recursion", "--k", "3_0"], "--k"),
+        (["multiplicity", "--p", "\u0663"], "--p"),
+        (["multiplicity", "--c0", "3,,5"], "--c0"),
+        (["multiplicity", "--p", ",3"], "--p"),
+        (["lattice", "--sublattices", "+2"], "--sublattices"),
+        (["recursion", "--precision-scale", "0_1"], "--precision-scale"),
+    ], ids=["underscore", "non-ascii-digit", "empty-chunk", "leading-comma", "plus-sign", "underscore-scale"])
+    def test_integers_have_one_grammar(self, outdir, capsys, argv, flag):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {flag}: ")
+        assert not list(outdir.glob(argv[0] + ".*"))
+
+    def test_config_integers_have_the_same_grammar(self, outdir, capsys, tmp_path):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("k = 3_0\n", encoding="utf-8")
+        assert main(["recursion", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {cfg}:1: ")
+        # whitespace around a valid integer is no error
+        cfg.write_text("p = 3 , 5\nk =  1 \n", encoding="utf-8")
+        rc, report = _run_json(capsys, ["recursion", "--case", "unr", "--config", str(cfg)])
+        assert rc == 0
+        assert (report["config"]["p"], report["config"]["k"]) == ([3, 5], 1)
+
     # every flag a command used to accept and then ignore
     @pytest.mark.parametrize("command, flag", [
         ("inventory", "--k=1"), ("inventory", "--precision-scale=2"), ("inventory", "--dump"),

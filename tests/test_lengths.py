@@ -27,8 +27,21 @@ from endolift.lengths import (
     quotient_length_details,
     vertical_multiplicity,
 )
-from endolift.windows import CaseDescriptor, recursion_context, solve_thickened_recursion
-from endolift.series import TruncSeries
+from endolift.inventory import (
+    keating_threshold,
+    level_degree,
+    special_fiber_length,
+    total_proper_closed_form,
+    unit_index,
+)
+from endolift.windows import (
+    CaseDescriptor,
+    one_variable_context,
+    recursion_context,
+    solve_thickened_recursion,
+    solve_vertical_recursion,
+)
+from endolift.series import TruncSeries, f_series
 from endolift.witt import nonresidue, pair_add, pair_mul, pair_val
 
 CTX = ChainContext(3, 4, -12, 12)
@@ -828,3 +841,29 @@ def _snf_by_length_comparison(rows, ctx, queries=None):
         return exps
     pres = ChainPresentation(ctx, len(rows), [list(col) for col in zip(*rows)])
     return exps, [_membership(pres, sum(exps), list(q)) for q in queries]
+
+
+# exact inputs are integers: a float would otherwise flow through the exact
+# formulas and come out as a plausible float answer
+@pytest.mark.parametrize("call", [
+    lambda: keating_threshold("unr", 2.0, 3),
+    lambda: level_degree("ram", 2.0, 3),
+    lambda: special_fiber_length("unr", 3, 2.0),
+    lambda: total_proper_closed_form("ram", 3, 2.0),
+    lambda: unit_index("unr", 0, 2.0, 3),
+    lambda: solve_vertical_recursion(CaseDescriptor.from_label("unr", 3), one_variable_context(3, prec=8.0)),
+    lambda: recursion_context(3, 1, precision_scale=1.5),
+    lambda: quotient_length_details(CaseDescriptor.from_label("unr", 3), 1, precision_scale=1.5),
+    lambda: f_series(one_variable_context(3), 1.5),
+    lambda: ChainContext(3, 3.0, -10, 10),
+], ids=[
+    "keating_threshold", "level_degree", "special_fiber_length", "total_proper_closed_form",
+    "unit_index", "solve_vertical_recursion", "recursion_context", "quotient_length_details",
+    "f_series", "ChainContext",
+])
+def test_a_float_where_an_integer_belongs_is_a_type_error(call, monkeypatch):
+    solved = []
+    monkeypatch.setattr(lengths, "solve_thickened_recursion", lambda *a, **kw: solved.append(a))
+    with pytest.raises(TypeError):
+        call()
+    assert solved == []  # refused before any tower work

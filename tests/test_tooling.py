@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import endolift
+import endolift.lengths
+import endolift.witt
 
 SRC = Path(endolift.__file__).resolve().parent
 
@@ -77,7 +79,23 @@ def test_only_the_case_parameters_name_wittscalar():
     # the WittScalar wrapper is the case parameters' type and nothing else;
     # series, lengths and lattices take and return raw (a, b) pairs only
     named = [path.name for path in sorted(SRC.glob("*.py")) if "WittScalar" in path.read_text(encoding="utf-8")]
-    assert named == ["__init__.py", "windows.py", "witt.py"]
+    assert named == ["windows.py", "witt.py"]
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("endolift", set()),
+    ("endolift.lattices", {"errors", "witt", "lattices"}),
+    ("endolift.inventory", {"errors", "witt", "inventory"}),
+])
+def test_an_import_loads_only_what_it_needs(module, loaded):
+    # the package re-exports nothing, so importing one engine does not load
+    # the others; a fresh process, since this one has loaded them all
+    code = (f"import sys, {module}\n"
+            "print(sorted(n[9:] for n in sys.modules if n.startswith('endolift.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert set(ast.literal_eval(done.stdout)) == loaded
 
 
 def test_the_scalars_have_one_arithmetic():
