@@ -141,8 +141,8 @@ def _add_flags(sub, fn, **defaults) -> None:
 def _file_config(ns) -> Dict[str, Tuple[str, str]]:
     """The `key = value` settings of the --config file, each with the
     `file:line` it came from.  A key that is not one of the command's flags,
-    or a value outside the flag's choices, is a usage error, not a silently
-    dropped or unchecked setting."""
+    a key set twice, or a value outside the flag's choices, is a usage
+    error, not a silently dropped, overwritten or unchecked setting."""
     values: Dict[str, Tuple[str, str]] = {}
     if not ns.config:
         return values
@@ -158,6 +158,8 @@ def _file_config(ns) -> Dict[str, Tuple[str, str]]:
             key = key.replace("-", "_")
             if key not in ns.flag_defaults:
                 raise ValueError(f"{where}: {ns.command} takes no key {key!r}")
+            if key in values:
+                raise ValueError(f"{where}: {key} is set again, first at {values[key][1]}")
             choices = _FLAGS[key][0].get("choices")
             if choices is not None and value not in choices:
                 raise ValueError(f"{where}: {key} must be one of {choices}, not {value!r}")

@@ -62,9 +62,11 @@ def conductor(tr: int, nm: int, case: str, p: int) -> int:
 
     The discriminant of the generated order is tr^2 - 4*nm; its valuation
     exceeds the valuation of the field discriminant by twice the conductor,
-    and that excess must be even.
+    and that excess must be even.  A trace or norm that is not an integer
+    is a TypeError.
     """
     label = _label(case, p)
+    tr, nm = index(tr), index(nm)
     disc = tr * tr - 4 * nm
     v = _vp(disc, p)
     unit = disc // p**v
@@ -123,6 +125,7 @@ def intersection_number(case: str, kind: str, s: int, t: Optional[int], p: int) 
     transversally.
     """
     label = _label(case, p)
+    _level(s)
     if kind == "horizontal-nonstandard":
         if label != "ram":
             raise ValueError("nonstandard components only exist in the ramified case")

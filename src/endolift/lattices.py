@@ -10,9 +10,10 @@ omega except for the ramified uniformizer.
 Every scalar here is a raw (a, b) pair meaning a + b*omega, read in the
 module's own ring: operator matrices, vectors and lattice rows alike, and
 each vector a caller hands in passes one check, `SemilinearModule._coords`.
-Lattices are held as Hermite bases: an upper-triangular row basis with
-p-power pivots, entries above a pivot reduced modulo it, together with a
-scale m meaning the lattice is p^-m times the row span.  Enumeration is
+Lattices are held in their canonical Hermite basis, which the constructor
+enforces: an upper-triangular row basis with pivots exactly p^d, entries
+above a pivot reduced modulo it, together with a scale m meaning the lattice
+is p^-m times the row span; equal lattices have equal rows.  Enumeration is
 exhaustive where the search space is a finite grid (rank-2 sublattices,
 rank-4 superlattices one step outside the standard lattice), visiting only
 the candidates that the linear conditions of the diagonal actions allow,
@@ -233,37 +234,40 @@ def _diagonal_eigenvalues(module: SemilinearModule) -> Dict[str, Vector]:
 
 
 class LatticeHNF:
-    """Upper-triangular row basis with p-power pivots; the lattice is
-    p^-scale times the row span, sitting in the module's standard frame.
+    """A lattice in its canonical Hermite basis: p^-scale times the span of
+    upper-triangular rows, each pivot exactly (p^d, 0) (a zero pivot counts
+    as p^prec), every entry above a pivot p^d with both coordinates in
+    [0, p^d).  Equal lattices at one (module, scale) thus have equal rows,
+    and `==`, `hash` and `sort_key` compare lattices.
 
-    The rows are given and stored as (a, b) pairs, reduced modulo p^prec.
-    A nonzero entry below the diagonal is a ValueError: membership walks
-    the rows as a triangular system."""
+    The rows are given and stored as (a, b) pairs, reduced modulo p^prec;
+    rows not in that form are a ValueError (`hermite_form` puts any
+    generating set into it)."""
 
-    __slots__ = ("module", "scale", "pair_rows", "_steps")
+    __slots__ = ("module", "scale", "pair_rows", "_exps", "_steps")
 
     def __init__(self, module: SemilinearModule, pair_rows: Sequence[Sequence[Pair]], scale: int = 0):
         self.module = module
         self.scale = scale
         if len(pair_rows) != module.rank:
             raise ValueError(f"{module.label}: {len(pair_rows)} rows for a rank-{module.rank} module")
-        self.pair_rows = tuple(tuple(module._coords(row)) for row in pair_rows)
-        # per row: p^d for the pivot's valuation d, the inverse of the pivot's
-        # unit part (None for a zero pivot, whose d = prec rejects every
-        # nonzero coordinate), and the row's nonzero entries
-        p, prec, r, mod = module.p, module.prec, module._r, module._mod
-        steps = []
-        for i, row in enumerate(self.pair_rows):
+        rows = self.pair_rows = tuple(tuple(module._coords(row)) for row in pair_rows)
+        # per row: its pivot exponent d, and p^d with the row's nonzero entries
+        p, prec, mod = module.p, module.prec, module._mod
+        exps, steps = [], []
+        for i, row in enumerate(rows):
             entries = tuple((j, x) for j, x in enumerate(row) if x != (0, 0))
             if entries and entries[0][0] < i:
                 raise ValueError(f"{module.label}: row {i} has an entry below the diagonal")
-            a, b = row[i]
-            if a or b:
-                pd = p ** pair_val((a, b), p, prec)
-                inv = pair_inv((a // pd, b // pd), p, r, mod)
-            else:
-                pd, inv = mod, None
-            steps.append((pd, inv, entries))
+            d = pair_val(row[i], p, prec)
+            pd = p**d
+            if row[i] != (pd % mod, 0):
+                raise ValueError(f"{module.label}: the pivot of row {i} is not a power of p")
+            if any(max(above[i]) >= pd for above in rows[:i]):
+                raise ValueError(f"{module.label}: an entry above the pivot of row {i} is not reduced")
+            exps.append(d)
+            steps.append((pd, entries))
+        self._exps = tuple(exps)
         self._steps = tuple(steps)
 
     def sort_key(self):
@@ -282,13 +286,12 @@ class LatticeHNF:
         return f"LatticeHNF(scale={self.scale}, rows={self.pair_rows!r})"
 
     def pivot_exponents(self) -> Tuple[int, ...]:
-        p, prec = self.module.p, self.module.prec
-        return tuple(pair_val(row[i], p, prec) for i, row in enumerate(self.pair_rows))
+        return self._exps
 
     def index_exponent(self) -> int:
         """Length of (standard lattice)/(this one): sum of pivot valuations
         minus rank*scale.  Negative for genuine superlattices."""
-        return sum(self.pivot_exponents()) - self.module.rank * self.scale
+        return sum(self._exps) - self.module.rank * self.scale
 
     def is_diagonal(self) -> bool:
         return all(
@@ -303,15 +306,16 @@ class LatticeHNF:
     def _contains_pairs(self, v) -> bool:
         """The kernel of `contains` on a list of pairs, which it consumes:
         clear each coordinate against its row, failing as soon as the
-        coordinate is not a multiple of the row's pivot."""
+        coordinate is not a multiple of the row's pivot p^d; the multiplier
+        is the coordinate divided by p^d."""
         mod, r = self.module._mod, self.module._r
-        for i, (pd, inv, row) in enumerate(self._steps):
+        for i, (pd, row) in enumerate(self._steps):
             a, b = v[i]
             if not a and not b:
                 continue
             if a % pd or b % pd:
                 return False
-            qa, qb = pair_mul((a // pd, b // pd), inv, r, mod)
+            qa, qb = a // pd, b // pd
             for j, (ea, eb) in row:
                 xa, xb = v[j]
                 v[j] = ((xa - qa * ea - qb * eb * r) % mod, (xb - qa * eb - qb * ea) % mod)
@@ -320,8 +324,10 @@ class LatticeHNF:
 
 def hermite_form(module: SemilinearModule, rows: Sequence[Sequence[Pair]], scale: int = 0) -> LatticeHNF:
     """Canonical Hermite basis of a full-rank row span over the local
-    scalar ring: unit-normalized p-power pivots, entries above each pivot
-    reduced to their canonical residues."""
+    scalar ring (H. Cohen, GTM 138, section 2.4): unit-normalized p-power
+    pivots, then the entries above pivot 0, 1, ... reduced in turn to their
+    canonical residues; a reduction above pivot i changes only columns >= i,
+    so it keeps every earlier column reduced."""
     p, prec, rank, mod, r = module.p, module.prec, module.rank, module._mod, module._r
     work = [module._coords(row) for row in rows]
     pivots: List[List[Pair]] = []
@@ -352,8 +358,8 @@ def hermite_form(module: SemilinearModule, rows: Sequence[Sequence[Pair]], scale
                     other[j] = pair_sub(other[j], pair_mul(q, row[j], r, mod), mod)
         pivots.append(row)
         work = [w for w in work if any(x != (0, 0) for x in w)]
-    for i in range(rank - 1, -1, -1):
-        pd = p ** pair_val(pivots[i][i], p, prec)
+    for i in range(rank):
+        pd = pivots[i][i][0]
         for k in range(i):
             a, b = pivots[k][i]
             q = (a // pd, b // pd)
@@ -437,8 +443,8 @@ def lie_action_parity(lattice: LatticeHNF) -> str:
 
 
 # ---------------------------------------------------------------------------
-# residue-field layer: one rank routine serves the one-step superlattice
-# window and the filtration-lift census
+# residue-field layer: the residue characters and subspaces that the one-step
+# superlattice window walks, and the rank routine of the filtration-lift census
 
 
 def _residue_characters(module: SemilinearModule) -> List[tuple]:
@@ -450,9 +456,9 @@ def _residue_characters(module: SemilinearModule) -> List[tuple]:
 
 def _rank(p: int, r: int, vectors) -> int:
     """Rank over the residue field (the pairs mod p, w^2 = r) of equal-length
-    coordinate vectors: each is reduced against the echelon rows kept so far
-    (1 at their own pivot column, 0 at earlier ones), and a nonzero
-    remainder becomes a new row."""
+    coordinate vectors, for the census: each is reduced against the echelon
+    rows kept so far (1 at their own pivot column, 0 at earlier ones), and a
+    nonzero remainder becomes a new row."""
     echelon: Dict[int, list] = {}
     for vec in vectors:
         v = list(vec)
@@ -465,23 +471,6 @@ def _rank(p: int, r: int, vectors) -> int:
             inv = pair_inv(v[lead], p, r, p)
             echelon[lead] = [pair_mul(inv, x, r, p) for x in v]
     return len(echelon)
-
-
-def _subspace_stable(module: SemilinearModule, rows) -> bool:
-    """Whether every operator of the module keeps the span of the residue
-    rows of the one-step quotient p^-1 L / L.  Multiplication by p
-    identifies it with L / pL, and every operator respects that, so a row
-    is sent as its lift and the image reduced mod p.  Adding the images of
-    the basis must not raise the rank; F is semilinear, so the images of a
-    basis still span the image."""
-    p = module.p
-    for twist, sparse in module._ops.values():
-        images = [
-            [(a % p, b % p) for a, b in module._apply_pairs(sparse, row, twist)] for row in rows
-        ]
-        if _rank(p, module._r, rows + images) != len(rows):
-            return False
-    return True
 
 
 def _enumerate_subspaces(module: SemilinearModule, dim: int):
@@ -569,12 +558,12 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
     coindex p^(2s).
 
     The m = 1 window is searched exhaustively: every residue subspace of
-    dimension 2s in the one-step quotient that the diagonal actions keep,
-    checked under the module's operators mod p, and its lattice then
-    checked again under the operators themselves.  Deeper windows walk the
-    diagonal family, which is closed only when the residue characters of
-    the basis lines are pairwise distinct (module docstring); ValueError
-    otherwise.  Every survivor must classify as some (a, b, delta) with
+    dimension 2s in the one-step quotient that the diagonal actions keep
+    gives its lattice's Hermite basis directly (row i is the reduced residue
+    row with its pivot in column i, else p e_i), which is then checked under
+    the module's operators.  Deeper windows walk the diagonal family, which
+    is closed only when the residue characters of the basis lines are
+    pairwise distinct (module docstring); ValueError otherwise.  Every survivor must classify as some (a, b, delta) with
     a + b + delta = s; anything else raises ShapeViolation.
     """
     if module.rank != 4:
@@ -591,14 +580,12 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
     if m == 1:
         if 2 * s > 4:
             return []
-        standard = list(_diag(((module.p, 0),) * 4))
+        standard = _diag(((module.p, 0),) * 4)
         for rows in _enumerate_subspaces(module, 2 * s):
-            if not _subspace_stable(module, rows):
-                continue
-            lat = hermite_form(module, standard + rows, scale=1)
-            if not _stable_under_all(module, lat):
-                raise ShapeViolation("enumerated lattice fails a stability recheck")
-            found.append(lat)
+            by_pivot = {row.index((1, 0)): row for row in rows}
+            lat = LatticeHNF(module, [by_pivot.get(i, standard[i]) for i in range(4)], 1)
+            if _stable_under_all(module, lat):
+                found.append(lat)
     else:
         if len(set(_residue_characters(module))) < 4:
             raise ValueError(

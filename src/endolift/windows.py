@@ -100,17 +100,12 @@ class CaseDescriptor:
     d: Pair
 
     @classmethod
-    def unramified(cls, p: int) -> "CaseDescriptor":
+    def from_label(cls, label: str, p: int) -> "CaseDescriptor":
+        """The descriptor of case "unr" or "ram" at the odd prime p."""
+        if _label(label, p) == "ram":
+            return cls(p, True, (0, 0), (1, 0), (1, 0), (0, 0))
         # generator eta = w, acting by w on the first line and -w on the second
         return cls(p, False, (0, 1), (0, 0), (0, 0), (0, -1))
-
-    @classmethod
-    def ramified_case(cls, p: int) -> "CaseDescriptor":
-        return cls(p, True, (0, 0), (1, 0), (1, 0), (0, 0))
-
-    @classmethod
-    def from_label(cls, label: str, p: int) -> "CaseDescriptor":
-        return cls.ramified_case(p) if _label(label, p) == "ram" else cls.unramified(p)
 
     def with_gamma(self, s: int, t: int) -> "CaseDescriptor":
         """Parameters of s + t * generator in the same setting."""

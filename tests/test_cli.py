@@ -319,13 +319,15 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("command, line", [
         ("selfcheck", "format = xml"), ("inventory", "case = inert"),
         ("recursion", "dump = maybe"), ("lattice", "sublattices = two"),
-        ("lattice", "superlattices = -3"),
+        ("lattice", "superlattices = -3"), ("inventory", "p = 3\np = 5"),
     ])
     def test_bad_config_value_is_usage_error(self, outdir, capsys, tmp_path, command, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("# sweep\n" + line + "\n", encoding="utf-8")
         assert main([command, "--config", str(cfg)]) == 2
-        assert f"{cfg}:2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # every line of the setting is named: a repeated key names both
+        assert all(f"{cfg}:{n}" in err for n in range(2, line.count("\n") + 3))
         assert not list(outdir.glob(command + ".*"))
 
     # the report's config block is the command's resolved flags, no more

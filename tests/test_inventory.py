@@ -248,7 +248,9 @@ class TestDisplayedCorollary:
     lambda: level_degree("ram", -1, 3),
     lambda: endo_order_level("unr", -1, 5, 3),
     lambda: per_level_proper_sum_closed_form("ram", -1, 3),
-], ids=["keating_threshold", "level_degree", "endo_order_level", "per_level_proper_sum_closed_form"])
+    lambda: intersection_number("ram", "horizontal-nonstandard", -1, None, 3),
+], ids=["keating_threshold", "level_degree", "endo_order_level", "per_level_proper_sum_closed_form",
+        "intersection_number"])
 def test_a_negative_level_is_a_usage_error(call):
     # not a result above its cap, and not a float division reported as a
     # failed consistency check

@@ -203,10 +203,26 @@ class TestSharedModules:
 
 class TestHermiteForm:
     def test_idempotent(self):
+        # at rank 4, reduced above the last pivot first, (0, 1) above (3, 0)
+        # came out as (0, 3^10 - 1) once the reduction above the third pivot
+        # undid it
+        rank4 = [
+            [(1, 0), (0, 0), (1, 0), (0, 0)], [(0, 1), (1, 0), (0, 0), (0, 0)],
+            [(0, 0), (0, 0), (1, 0), (0, 1)], [(0, 0), (0, 0), (0, 0), (3, 0)],
+        ]
+        for module, rows in ((standard_rank2(3), [_vec(3, 5), _vec(0, 9)]), (tensor_rank4(3), rank4)):
+            lat = hermite_form(module, rows)
+            assert _is_canonical(module, lat.pair_rows)
+            assert hermite_form(module, lat.pair_rows, lat.scale).pair_rows == lat.pair_rows
+
+    def test_a_lattice_has_one_basis(self):
+        # (2, 0) is a unit: these rows span the standard lattice, and are
+        # refused as its basis rather than compared unequal to the identity
         module = standard_rank2(3)
-        lat = hermite_form(module, [_vec(3, 5), _vec(0, 9)])
-        again = hermite_form(module, lat.pair_rows, lat.scale)
-        assert again.pair_rows == lat.pair_rows
+        one, two, zero = (1, 0), (2, 0), (0, 0)
+        with pytest.raises(ValueError, match="pivot of row 0 is not a power of p"):
+            LatticeHNF(module, [(two, zero), (zero, one)])
+        assert hermite_form(module, [(two, zero), (zero, one)]) == LatticeHNF(module, [(one, zero), (zero, one)])
 
     def test_contains_its_rows_and_multiples(self):
         module = standard_rank2(3)
@@ -412,7 +428,8 @@ def _contains_reference(lat, vector):
 
 
 def _hermite_reference(module, rows):
-    """The Hermite rows of a full-rank span; ValueError otherwise."""
+    """The Hermite rows of a full-rank span, the entries above pivot 0, 1,
+    ... reduced in turn; ValueError otherwise."""
     ring, p, rank = _module_ring(module), module.p, module.rank
     work = [[ring.reduce(c) for c in r] for r in rows]
     pivots = []
@@ -440,7 +457,7 @@ def _hermite_reference(module, rows):
                 other[j] = ring.sub(other[j], ring.mul(q, row[j]))
         pivots.append(row)
         work = [r for r in work if any(not ring.is_zero(c) for c in r)]
-    for i in range(rank - 1, -1, -1):
+    for i in range(rank):
         pd = p ** ring.val(pivots[i][i])
         for k in range(i):
             a, b = pivots[k][i]
@@ -450,6 +467,19 @@ def _hermite_reference(module, rows):
             for j in range(rank):
                 pivots[k][j] = ring.sub(pivots[k][j], ring.mul(q, pivots[i][j]))
     return tuple(tuple(r) for r in pivots)
+
+
+def _is_canonical(module, rows):
+    """Whether the rows are upper triangular, each pivot exactly (p^d, 0)
+    and every entry above it with both coordinates in [0, p^d)."""
+    ring, p = _module_ring(module), module.p
+    for i, row in enumerate(rows):
+        pd = p ** ring.val(row[i])
+        if any(not ring.is_zero(x) for x in row[:i]) or row[i] != ring.reduce((pd, 0)):
+            return False
+        if any(not (0 <= c < pd) for above in rows[:i] for c in above[i]):
+            return False
+    return True
 
 
 def _stable_reference(module, lat):
@@ -483,17 +513,23 @@ def _coords(module):
     return st.one_of(st.just((0, 0)), scaled)
 
 
+def _units(module):
+    p, mod = module.p, module._mod
+    return st.tuples(st.integers(0, mod - 1), st.integers(0, mod - 1)).filter(lambda x: x[0] % p or x[1] % p)
+
+
 def _vectors(module):
     return st.lists(_coords(module), min_size=module.rank, max_size=module.rank).map(tuple)
 
 
-def _full_rank_rows(data, module):
-    """Drawn rows whose span has full rank: p-power multiples of the basis
-    under drawn rows, so that the elimination meets non-unit pivots."""
+def _full_rank_rows(data, module, top=3):
+    """Drawn rows whose span has full rank: p^e multiples of the basis, e at
+    most `top`, under drawn rows, so that the elimination meets non-unit
+    pivots."""
     p, rank = module.p, module.rank
     rows = [data.draw(_vectors(module)) for _ in range(data.draw(st.integers(0, 2)))]
     for i in range(rank):
-        e = data.draw(st.integers(0, 3))
+        e = data.draw(st.integers(0, top))
         rows.append(tuple(
             (p**e, 0) if j == i else (data.draw(_coords(module)) if j > i else (0, 0))
             for j in range(rank)
@@ -556,35 +592,65 @@ class TestPairKernels:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("label", sorted(PAIR_MODULES))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_hermite_form_is_canonical(self, label, p, data):
+        # canonical, idempotent, and one basis for two generating sets of a
+        # lattice: the second is the first under unimodular row operations,
+        # with an extra combination.  Pivots stay at most p^2, so that
+        # p^(prec - d) times a row with pivot p^d, whose pivot the truncation
+        # to prec digits makes 0, lies in the span of the rows below it, and
+        # the truncation adds nothing to the lattice
+        module = _pair_module(label, p)
+        ring, rank = _module_ring(module), module.rank
+        rows = [list(row) for row in _full_rank_rows(data, module, top=2)]
+        lat = hermite_form(module, rows)
+        assert _is_canonical(module, lat.pair_rows)
+        assert hermite_form(module, lat.pair_rows) == lat
+        others = [list(row) for row in data.draw(st.permutations(rows))]
+        for _ in range(data.draw(st.integers(0, 4))):
+            i, j = data.draw(st.lists(st.integers(0, len(others) - 1), min_size=2, max_size=2, unique=True))
+            c = data.draw(_coords(module))
+            others[i] = [ring.add(x, ring.mul(c, y)) for x, y in zip(others[i], others[j])]
+        units = data.draw(st.lists(_units(module), min_size=len(others), max_size=len(others)))
+        others = [[ring.mul(u, x) for x in row] for u, row in zip(units, others)]
+        coeffs = data.draw(st.lists(_coords(module), min_size=len(others), max_size=len(others)))
+        others.append([ring.total(ring.mul(c, row[k]) for c, row in zip(coeffs, others)) for k in range(rank)])
+        assert hermite_form(module, others) == lat
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("label", sorted(PAIR_MODULES))
     @settings(max_examples=20)
     @given(data=st.data())
-    def test_contains_on_unnormalized_rows_matches_the_reference(self, label, p, data):
-        # triangular rows whose pivots are p^e times a unit other than 1, so
-        # the membership test must divide by that unit
+    def test_a_non_canonical_basis_is_refused(self, label, p, data):
+        # a unit other than 1 times a pivot row, or a multiple of a pivot row
+        # added to a row above it, left unreduced, spans the same lattice, and
+        # is refused rather than compared unequal to its Hermite basis
         module = _pair_module(label, p)
-        prec, rank = module.prec, module.rank
-        digits = st.integers(0, p**prec - 1)
-        rows = []
-        for i in range(rank):
-            e, a, b = data.draw(st.integers(0, 3)), data.draw(digits), data.draw(digits)
-            pivot = (p**e * (1 + p * a), p**e * b)
-            rows.append(tuple(
-                pivot if j == i else (data.draw(_coords(module)) if j > i else (0, 0))
-                for j in range(rank)
-            ))
-        lat = LatticeHNF(module, rows, data.draw(st.integers(0, 2)))
-        unit = (1 + p * data.draw(digits), data.draw(digits))
-        member = _times(_module_ring(module), unit, rows[-1])
-        for v in (data.draw(_vectors(module)), member):
-            assert lat.contains(v) == _contains_reference(lat, v)
-        assert lat.contains(member)
-        assert lattices._stable_under_all(module, lat) == _stable_reference(module, lat)
+        ring, mod = _module_ring(module), module._mod
+        lat = hermite_form(module, _full_rank_rows(data, module))
+        rows = [list(row) for row in lat.pair_rows]
+        i = data.draw(st.integers(0, module.rank - 1))
+        d = lat.pivot_exponents()[i]
+        if data.draw(st.booleans()) or i == 0:
+            unit = data.draw(_units(module).filter(lambda x: ring.val(ring.sub(x, (1, 0))) == 0))
+            rows[i] = [ring.mul(unit, x) for x in rows[i]]
+            message = f"pivot of row {i} is not a power of p"
+        else:
+            k = data.draw(st.integers(0, i - 1))
+            t = (data.draw(st.integers(1, p ** (module.prec - d) - 1)), data.draw(st.integers(0, mod - 1)))
+            rows[k] = [ring.add(x, ring.mul(t, y)) for x, y in zip(rows[k], rows[i])]
+            message = f"above the pivot of row {i} is not reduced"
+        assert hermite_form(module, rows) == lat
+        with pytest.raises(ValueError, match=message):
+            LatticeHNF(module, rows)
 
     @pytest.mark.parametrize("p, kmax", [(3, 2), (5, 2), (7, 1)])
     @pytest.mark.parametrize("label", ["normalized", "anti-normalized", "ramified"])
     def test_stability_on_the_sublattice_grid_matches_the_reference(self, label, p, kmax):
-        # the grid candidates are upper triangular but not reduced, and
-        # their pivots are non-units once k > 0
+        # the grid candidates are Hermite bases whose corner entry runs over
+        # every residue below the second pivot, and one of their pivots is a
+        # non-unit once k > 0
         module = _pair_module(label, p)
         for k in range(kmax + 1):
             for a in range(k + 1):
@@ -840,13 +906,13 @@ class TestSearchWork:
 
     def test_one_step_window_checks_only_coordinate_planes(self, monkeypatch):
         calls = []
-        check = lattices._subspace_stable
+        check = lattices._stable_under_all
 
         def counting_check(*args):
             calls.append(1)
             return check(*args)
 
-        monkeypatch.setattr(lattices, "_subspace_stable", counting_check)
+        monkeypatch.setattr(lattices, "_stable_under_all", counting_check)
         found = enumerate_stable_superlattices(tensor_rank4(5), 1, 1)
         assert [classify_superlattice(lat) for lat in found] == superlattice_family(1, 1)
         assert len(calls) == 6  # C(4, 2): the omega actions force every free entry to 0

@@ -1,6 +1,7 @@
 """Tests for chain-ring arithmetic, SNF measurement, and quotient lengths."""
 
 import dataclasses
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -28,6 +29,8 @@ from endolift.lengths import (
     vertical_multiplicity,
 )
 from endolift.inventory import (
+    conductor,
+    intersection_number,
     keating_threshold,
     level_degree,
     special_fiber_length,
@@ -630,7 +633,7 @@ class TestQuotientLength:
     @pytest.mark.parametrize("scale", [0, -1])
     def test_precision_scale_below_one_is_refused(self, scale):
         with pytest.raises(ValueError, match="precision scale must be >= 1"):
-            quotient_length_details(CaseDescriptor.unramified(3), 1, precision_scale=scale)
+            quotient_length_details(CaseDescriptor.from_label("unr", 3), 1, precision_scale=scale)
         with pytest.raises(ValueError, match="precision scale must be >= 1"):
             recursion_context(3, 1, precision_scale=scale)
 
@@ -730,7 +733,7 @@ class TestVerticalMultiplicity:
         # a descriptor carries its own p, which need not be the p passed
         # beside it; only the label route is taken
         with pytest.raises(ValueError, match="unknown case"):
-            vertical_multiplicity(CaseDescriptor.unramified(5), 3, 1)
+            vertical_multiplicity(CaseDescriptor.from_label("unr", 5), 3, 1)
 
 
 class TestAnnihilator:
@@ -856,10 +859,13 @@ def _snf_by_length_comparison(rows, ctx, queries=None):
     lambda: quotient_length_details(CaseDescriptor.from_label("unr", 3), 1, precision_scale=1.5),
     lambda: f_series(one_variable_context(3), 1.5),
     lambda: ChainContext(3, 3.0, -10, 10),
+    lambda: conductor(0, Fraction(-27, 4), "ram", 3),
+    lambda: conductor(0.0, -6.75, "ram", 3),
+    lambda: intersection_number("unr", "horizontal-standard", 1.5, 0, 3),
 ], ids=[
     "keating_threshold", "level_degree", "special_fiber_length", "total_proper_closed_form",
     "unit_index", "solve_vertical_recursion", "recursion_context", "quotient_length_details",
-    "f_series", "ChainContext",
+    "f_series", "ChainContext", "conductor-fraction", "conductor-float", "intersection_number",
 ])
 def test_a_float_where_an_integer_belongs_is_a_type_error(call, monkeypatch):
     solved = []
