@@ -137,10 +137,16 @@ def intersection_number(case: str, kind: str, s: int, t: Optional[int], p: int) 
     return 1 + keating_threshold(case, t, p)
 
 
+def vertical_multiplicity_terms(p: int, c0: int) -> Tuple[int, ...]:
+    """The terms 2*p^j*(c0 - j), j = 0 .. c0-1, of the closed form; term j
+    is the length of the tower level j chunk (`lengths.length_by_elimination`)."""
+    _domain(p, c0)
+    return tuple(2 * p**j * (c0 - j) for j in range(c0))
+
+
 def vertical_multiplicity_closed_form(p: int, c0: int) -> int:
     """2*p^(c0-1) + 4*p^(c0-2) + ... + (2*c0)*p^0; zero when c0 = 0."""
-    _domain(p, c0)
-    return sum(2 * (j + 1) * p ** (c0 - 1 - j) for j in range(c0))
+    return sum(vertical_multiplicity_terms(p, c0))
 
 
 # ---------------------------------------------------------------------------

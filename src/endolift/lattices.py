@@ -242,13 +242,13 @@ class LatticeHNF:
 
     The rows are given and stored as (a, b) pairs, reduced modulo p^prec;
     rows not in that form are a ValueError (`hermite_form` puts any
-    generating set into it)."""
+    generating set into it).  The scale is an integer (TypeError otherwise)."""
 
     __slots__ = ("module", "scale", "pair_rows", "_exps", "_steps")
 
     def __init__(self, module: SemilinearModule, pair_rows: Sequence[Sequence[Pair]], scale: int = 0):
         self.module = module
-        self.scale = scale
+        self.scale = index(scale)
         if len(pair_rows) != module.rank:
             raise ValueError(f"{module.label}: {len(pair_rows)} rows for a rank-{module.rank} module")
         rows = self.pair_rows = tuple(tuple(module._coords(row)) for row in pair_rows)

@@ -34,14 +34,15 @@ Two independent length oracles live here:
 * `length_by_elimination` — a peeling loop that mirrors the way the quotient
   decomposes into annulus chunks: at step j the carrying side has exact
   corner valuation k - j, the opposite side is cleared below x2^(2*p^j), one
-  chunk of length is collected, and the roles swap.
+  chunk of length is collected, and the roles swap.  Chunk j is the closed
+  form's term 2p^j*(k - j) (`inventory.vertical_multiplicity_terms`).
 
 `annihilator_report` reads its membership table off one such elimination
 per presentation model.
 
 Every window-dependent number here (the lengths from both oracles and the
 annihilator membership table) is one path: solve the corner once, then
-`_stabilize` one per-radius measure (`_measure_at_radius`, `_peel_at_radius`,
+`_stabilize` one per-radius measure (`_corner_model`, `_peel_at_radius`,
 `_table_at_radius`).  The driver measures at the default x1-window radius and
 at successive doublings, and a value counts only once two consecutive radii
 agree.  A radius whose measurement runs out of window or reads as a
@@ -202,8 +203,9 @@ def _w_power(pairs: Iterable[Tuple[int, int]]) -> int:
 class ChainScalar:
     """An element of the chain ring: x1^off times {x1 exponent -> coefficient
     mod p^M}.  A stored key e stands for the exponent e + off; `coeffs` is
-    the absolute view, built on demand.  The cached pivot key and least
-    exponent are relative, so a loss-free `shift` keeps them."""
+    the absolute view, built on demand.  The pivot key (valuation and
+    leading exponent, see `pivot_key`) and the least exponent are cached
+    relative to the offset, so a loss-free `shift` keeps them."""
 
     __slots__ = ("ctx", "_terms", "_off", "_pivot_key", "_min")
 
@@ -247,37 +249,31 @@ class ChainScalar:
         off = self._off
         return {e + off: c for e, c in self._terms.items()} if off else self._terms
 
+    def pivot_key(self) -> Tuple[int, Optional[int]]:
+        """(v, e): the least p-valuation v of the coefficients and the least
+        exponent e whose coefficient p^(v+1) does not divide; (M, None) for
+        zero.  Found once per term dict: v is the valuation of the
+        coefficients' gcd, which is below p^M as every stored coefficient is,
+        and p^v divides every coefficient, so e needs only the p^(v+1) test."""
+        key = self._pivot_key
+        if key is None:
+            terms, p = self._terms, self.ctx.p
+            if not terms:
+                key = (self.ctx.modulus, None)
+            else:
+                g, v = gcd(*terms.values()), 0
+                while g % p == 0:
+                    g //= p
+                    v += 1
+                high = p ** (v + 1)
+                key = (v, min(e for e, c in terms.items() if c % high))
+            self._pivot_key = key
+        v, e = key
+        return (v, None if e is None else e + self._off)
+
     def p_valuation(self) -> int:
         """Least p-valuation of the coefficients (the modulus for zero)."""
-        ctx = self.ctx
-        if not self._terms:
-            return ctx.modulus
-        # the least coefficient valuation is that of the coefficients' gcd,
-        # which is below p^modulus as every stored coefficient is
-        g, v = gcd(*self._terms.values()), 0
-        while g % ctx.p == 0:
-            g //= ctx.p
-            v += 1
-        return v
-
-    def leading_degree(self, at_val: int) -> Optional[int]:
-        """Least exponent whose coefficient has exactly the given valuation."""
-        ctx = self.ctx
-        if not 0 <= at_val < ctx.modulus:  # stored coefficients are nonzero
-            return None
-        low, high = ctx.p**at_val, ctx.p ** (at_val + 1)
-        e = min((e for e, c in self._terms.items() if not c % low and c % high), default=None)
-        return None if e is None else e + self._off
-
-    def pivot_key(self) -> Tuple[int, Optional[int]]:
-        """(p_valuation, leading_degree at it), computed once per term dict."""
-        key, off = self._pivot_key, self._off
-        if key is None:
-            v = self.p_valuation()
-            e = self.leading_degree(v)
-            key = self._pivot_key = (v, None if e is None else e - off)
-        v, e = key
-        return (v, None if e is None else e + off)
+        return self.pivot_key()[0]
 
     def min_exponent(self) -> Optional[int]:
         if self._min is None and self._terms:
@@ -420,9 +416,6 @@ class ChainPresentation:
         return cls(ctx, m, cols)
 
     def rows(self) -> List[List[ChainScalar]]:
-        zero = ChainScalar.zero(self.ctx)
-        if not self.columns:
-            return [[zero] for _ in range(self.m)]
         return [[col[i] for col in self.columns] for i in range(self.m)]
 
 
@@ -631,11 +624,14 @@ def _solve_corner(case: CaseDescriptor, k: int, ctx: SeriesContext) -> Thickened
 
 
 def _chain_corner(
-    sol: ThickenedSolution, radius: int, cap: int, modulus: int
+    sol: ThickenedSolution, radius: int, enlarged: bool = False
 ) -> Tuple[ChainContext, List[ChainScalar], List[ChainScalar]]:
-    """The chain ring at one x1-window radius and the first cap x2-slices of
-    each corner series (alpha, then beta) reduced into it."""
-    ctx = ChainContext(sol.case.p, modulus, -radius, radius)
+    """The chain ring at one x1-window radius and the x2-slices of each corner
+    series (alpha, then beta) reduced into it: the official model (cap p^k,
+    modulus 2k+1), or enlarged by one more slice and one more digit."""
+    extra = int(enlarged)
+    cap = sol.case.p**sol.k + extra
+    ctx = ChainContext(sol.case.p, 2 * sol.k + 1 + extra, -radius, radius)
     alpha, beta = (
         [ChainScalar.from_series(ctx, series.x2_slice(j)) for j in range(cap)]
         for series in (sol.alpha, sol.beta)
@@ -643,12 +639,20 @@ def _chain_corner(
     return ctx, alpha, beta
 
 
-def _measure_at_radius(sol: ThickenedSolution, radius: int) -> Tuple[int, Tuple[int, ...]]:
-    """(length, exponents) of the quotient module in one x1-window."""
-    cap = sol.case.p**sol.k
-    ctx, alpha, beta = _chain_corner(sol, radius, cap, 2 * sol.k + 1)
-    exps = chain_snf(ChainPresentation.from_corner_series(ctx, cap, alpha, beta).rows(), ctx)
-    return sum(exps), tuple(exps)
+def _corner_model(
+    sol: ThickenedSolution, radius: int, enlarged: bool = False,
+    queries: Optional[Sequence[Tuple[int, int]]] = None,
+) -> Union[List[int], Tuple[List[int], List[bool]]]:
+    """Exponents of the official model in one x1-window or, enlarged, of the
+    maximal-ideal multiple one slice and one digit further (see
+    `_chain_corner`); with queries, also the memberships of the monomials
+    x2^i * p^j, one (i, j) per query (see `chain_snf`)."""
+    ctx, alpha, beta = _chain_corner(sol, radius, enlarged)
+    cap = len(alpha)
+    pres = ChainPresentation.from_corner_series(ctx, cap, alpha, beta, maximal_multiple=enlarged)
+    cols = None if queries is None else [
+        _shift_column([ChainScalar.monomial(ctx, 0, ctx.p**j)], i, cap) for i, j in queries]
+    return chain_snf(pres.rows(), ctx, cols)
 
 
 def quotient_length_details(case: CaseDescriptor, k: int, *, precision_scale: int = 1) -> LengthReport:
@@ -661,8 +665,8 @@ def quotient_length_details(case: CaseDescriptor, k: int, *, precision_scale: in
     """
     sol = _solve_corner(case, k, recursion_context(case.p, k, precision_scale=precision_scale))
     base = chain_default_radius(case.p, k)
-    radius, (total, exps) = _stabilize(lambda r: _measure_at_radius(sol, r), base, case.p, k)
-    return LengthReport(case, k, total, exps, radius, radius > 2 * base)
+    radius, exps = _stabilize(lambda r: tuple(_corner_model(sol, r)), base, case.p, k)
+    return LengthReport(case, k, sum(exps), exps, radius, radius > 2 * base)
 
 
 def quotient_length(case: CaseDescriptor, k: int) -> int:
@@ -696,38 +700,40 @@ def length_by_elimination(case: CaseDescriptor, k: int) -> int:
     """Measure the quotient by peeling annulus chunks off the corner pair.
 
     At step j (starting from 0) the carrying side must have x2-degree-0
-    coefficient of exact valuation k - j with invertible unit part; the other
-    side is cleared below x2^(2*p^j) by exact eliminations against it, one
-    chunk presented by the carrying side alone over 2*p^j generators is
-    measured, and the cleared side is shifted down and becomes the carrier.
-    After k steps the remaining corner must be an outright unit.
+    coefficient of exact valuation k - j; the other side is cleared below
+    x2^(2*p^j) by exact eliminations against it, one chunk presented by the
+    carrying side alone over 2*p^j generators is measured, and the cleared
+    side is shifted down and becomes the carrier.  After k steps the
+    remaining corner must be an outright unit.
 
     The measurement goes through the same confirm-or-raise driver as
-    quotient_length_details; small windows can distort valuations enough to
-    read as structure violations, so those also trigger a wider retry, and
-    WindowExhausted is raised if no two radii agree below the ceiling.
+    quotient_length_details, which confirms the whole tuple of chunk
+    lengths, not only their sum; small windows can distort valuations enough
+    to read as structure violations, so those also trigger a wider retry,
+    and WindowExhausted is raised if no two radii agree below the ceiling.
     """
     sol = _solve_corner(case, k, recursion_context(case.p, k))
-    return _stabilize(lambda r: _peel_at_radius(sol, r), chain_default_radius(case.p, k), case.p, k)[1]
+    return sum(_stabilize(lambda r: _peel_at_radius(sol, r), chain_default_radius(case.p, k), case.p, k)[1])
 
 
-def _peel_at_radius(sol: ThickenedSolution, radius: int) -> int:
-    """The peeled length in one x1-window (see length_by_elimination)."""
+def _peel_at_radius(sol: ThickenedSolution, radius: int) -> Tuple[int, ...]:
+    """The chunk lengths in one x1-window, step j first (see
+    length_by_elimination)."""
     p, k = sol.case.p, sol.k
-    chain_ctx, alpha, beta = _chain_corner(sol, radius, p**k, 2 * k + 1)
+    chain_ctx, alpha, beta = _chain_corner(sol, radius)
     # the plain side (alpha) carries at even steps, the twisted side (beta) at odd ones
     sides = [alpha, beta]
-    total = 0
+    chunks = []
     for j in range(k):
         P, O = sides[j % 2], sides[1 - j % 2]
+        # a nonzero carrier of valuation v leaves a unit once divided by p^v
+        # (its coefficients' gcd is then prime to p); a zero one reads 2k+1
         v = P[0].p_valuation()
         if v != k - j:
             raise StructureViolation(
                 f"peel step {j}: carrier corner valuation {v}, expected {k - j}"
             )
         unit = P[0].divide_p_power(v)
-        if unit.p_valuation() != 0:
-            raise StructureViolation(f"peel step {j}: carrier unit part not invertible")
         width = 2 * p**j
         for d in range(min(width, len(O))):
             t = O[d]
@@ -747,58 +753,37 @@ def _peel_at_radius(sol: ThickenedSolution, radius: int) -> int:
         if any(s._terms for s in O[:width]):
             raise StructureViolation(f"peel step {j}: low slices survived elimination")
         # one annulus chunk: the carrying side alone over 2*p^j generators
-        cols = [_shift_column(P, t, width) for t in range(width)]
-        chunk_rows = [[col[i] for col in cols] for i in range(width)]
-        total += sum(chain_snf(chunk_rows, chain_ctx))
+        chunk = ChainPresentation(chain_ctx, width, [_shift_column(P, t, width) for t in range(width)])
+        chunks.append(sum(chain_snf(chunk.rows(), chain_ctx)))
         sides[1 - j % 2] = O[width:] + [ChainScalar.zero(chain_ctx)] * width
     if sides[k % 2][0].p_valuation() != 0:
         raise StructureViolation("after peeling, the remaining corner is not a unit")
-    return total
+    return tuple(chunks)
 
 
 # ---------------------------------------------------------------------------
 # annihilator memberships
 
 
-def _monomial_column(ctx: ChainContext, m: int, x2_exp: int, p_exp: int) -> List[ChainScalar]:
-    col = [ChainScalar.zero(ctx) for _ in range(m)]
-    if 0 <= x2_exp < m:
-        col[x2_exp] = ChainScalar.monomial(ctx, 0, ctx.p**p_exp)
-    return col
-
-
-def _membership_model(
-    sol: ThickenedSolution, radius: int, cap: int, modulus: int, maximal_multiple: bool,
-    queries: List[Tuple[int, int]],
-) -> Tuple[List[int], List[bool]]:
-    """Exponents of one presentation model in one x1-window and the
-    memberships of the monomials x2^i * p^j, one (i, j) per query."""
-    ctx, alpha, beta = _chain_corner(sol, radius, cap, modulus)
-    pres = ChainPresentation.from_corner_series(ctx, cap, alpha, beta, maximal_multiple=maximal_multiple)
-    cols = [_monomial_column(ctx, cap, x2_exp, p_exp) for x2_exp, p_exp in queries]
-    return chain_snf(pres.rows(), ctx, queries=cols)
-
-
-def _official_model(sol: ThickenedSolution, radius: int) -> Tuple[List[int], List[bool]]:
-    """The official model (cap p^k, modulus 2k+1) with the balanced x2-power,
-    p^(2k) and, at k = 1, the bare x2 as queries."""
-    p, k = sol.case.p, sol.k
+def _official_queries(p: int, k: int) -> List[Tuple[int, int]]:
+    """The official model's monomials x2^i * p^j as (i, j), in the order
+    `_table_at_radius` reads their memberships: the balanced x2-power,
+    p^(2k) and, at k = 1, the bare x2."""
     balanced = sum(2 * p**i for i in range(k))
-    queries = [(balanced, 0), (0, 2 * k)] + ([(1, 0)] if k == 1 else [])
-    return _membership_model(sol, radius, p**k, 2 * k + 1, False, queries)
+    return [(balanced, 0), (0, 2 * k)] + ([(1, 0)] if k == 1 else [])
 
 
 def _table_at_radius(sol: ThickenedSolution, radius: int, inside: Sequence[bool]) -> Dict[str, bool]:
-    """The membership table in one x1-window, given the official model's
-    memberships there.  Below the anchor // 2 of annihilator_report this is
-    a table of the truncated model, not of the module: there the passive
-    decision and a comparison of lengths can differ."""
+    """The membership table in one x1-window, given the memberships there of
+    the official model's `_official_queries`.  Below the anchor // 2 of
+    annihilator_report this is a table of the truncated model, not of the
+    module: there the passive decision and a comparison of lengths can
+    differ."""
     p, k = sol.case.p, sol.k
     out = {"balanced_x2_power_in_ideal": inside[0], "p_to_2k_in_ideal": inside[1]}
     if k == 1:
         out["bare_x2_outside_ideal"] = not inside[2]
-    # enlarged model: one more x2 slice, one more digit
-    enlarged = _membership_model(sol, radius, p**k + 1, 2 * k + 2, True, [(0, 2 * k + 1), (p**k, 0)])[1]
+    enlarged = _corner_model(sol, radius, enlarged=True, queries=[(0, 2 * k + 1), (p**k, 0)])[1]
     out["p_to_2k_plus_1_in_max_multiple"] = enlarged[0]
     out["x2_to_p_k_in_max_multiple"] = enlarged[1]
     return out
@@ -831,7 +816,7 @@ def annihilator_report(case: CaseDescriptor, k: int) -> Dict[str, bool]:
     sol = _solve_corner(case, k, recursion_context(p, k).weakened(cap2=p**k + 1))
     # passive queries never move the active pivots, and the cache hands the
     # official eliminations at anchor // 2 and anchor on to the table loop
-    official = lru_cache(maxsize=None)(lambda r: _official_model(sol, r))
+    official = lru_cache(maxsize=None)(lambda r: _corner_model(sol, r, queries=_official_queries(p, k)))
     anchor, _ = _stabilize(lambda r: official(r)[0], chain_default_radius(p, k), p, k)
     return _stabilize(lambda r: _table_at_radius(sol, r, official(r)[1]), anchor // 2, p, k)[1]
 

@@ -102,19 +102,6 @@ def pair_inv(x, p, r, mod):
     return ((a * ninv) % mod, (-b * ninv) % mod)
 
 
-# p^prec for every (p, prec) that passed the checks, so a construction pays
-# one dict lookup instead of a primality test and a power
-_MODULI = {}
-
-
-def _checked_modulus(p: int, prec: int) -> int:
-    nonresidue(p)  # raises unless p is an odd prime
-    if prec < 0:
-        raise ValueError(f"precision must be nonnegative, got {prec}")
-    mod = _MODULI[p, prec] = p**prec
-    return mod
-
-
 class WittScalar:
     """A case parameter a + b*w modulo p^prec, with w^2 the least nonresidue
     mod p: what `windows.integrality_predicate` reads, a difference and a
@@ -123,12 +110,12 @@ class WittScalar:
     __slots__ = ("p", "prec", "a", "b")
 
     def __init__(self, p: int, prec: int, a: int = 0, b: int = 0):
-        try:
-            mod = _MODULI[p, prec]
-        except KeyError:
-            mod = _checked_modulus(p, prec)
+        nonresidue(index(p))  # raises unless p is an odd prime
+        if index(prec) < 0:
+            raise ValueError(f"precision must be nonnegative, got {prec}")
         if a.__class__ is not int or b.__class__ is not int:
             a, b = index(a), index(b)  # TypeError for a float or any non-integer
+        mod = p**prec
         self.p = p
         self.prec = prec
         self.a = a % mod
@@ -150,8 +137,7 @@ class WittScalar:
         if not isinstance(other, WittScalar):
             return NotImplemented
         self._check(other)
-        mod = _MODULI[self.p, self.prec]
-        a, b = pair_mul((self.a, self.b), (other.a, other.b), nonresidue(self.p), mod)
+        a, b = pair_mul((self.a, self.b), (other.a, other.b), nonresidue(self.p), self.p**self.prec)
         return WittScalar(self.p, self.prec, a, b)
 
     def valuation(self) -> int:

@@ -23,6 +23,7 @@ from endolift.inventory import (
     total_proper_intersection,
     unit_index,
     vertical_multiplicity_closed_form,
+    vertical_multiplicity_terms,
 )
 
 # thresholds computed by hand from the step-function formulas:
@@ -155,9 +156,16 @@ class TestVerticalClosedForm:
         assert vertical_multiplicity_closed_form(5, 2) == 14
         assert vertical_multiplicity_closed_form(7, 1) == 2
 
+    def test_terms_are_the_tower_levels(self):
+        assert vertical_multiplicity_terms(3, 0) == ()
+        assert vertical_multiplicity_terms(3, 3) == (6, 12, 18)
+        assert vertical_multiplicity_terms(5, 2) == (4, 10)
+
     def test_negative_conductor_is_refused(self):
         with pytest.raises(ValueError):
             vertical_multiplicity_closed_form(3, -1)
+        with pytest.raises(ValueError):
+            vertical_multiplicity_terms(3, -1)
 
     # the closed form takes the inventory's p and c0 gate, message and all
     @pytest.mark.parametrize("p", [4, 2, 9])

@@ -701,6 +701,18 @@ class TestVectorChecks:
         with pytest.raises(error, match=message):
             ENTRY_POINTS[entry](standard_rank2(3), vector)
 
+    @pytest.mark.parametrize("call", [
+        lambda module, rows: LatticeHNF(module, rows, 1.5),
+        lambda module, rows: LatticeHNF(module, rows, 0.0),
+        lambda module, rows: hermite_form(module, rows, scale="x"),
+    ], ids=["LatticeHNF-1.5", "LatticeHNF-0.0", "hermite_form-str"])
+    def test_a_non_integer_scale_is_refused(self, call):
+        # a scale that is not an integer would reach index_exponent (1.5
+        # gives -3.0) and equality (a 0.0-scale lattice equals the 0-scale one)
+        module = standard_rank2(3)
+        with pytest.raises(TypeError):
+            call(module, [_E0, _F0])
+
     def test_lattice_rows_are_checked(self):
         module = standard_rank2(3)
         one, zero = (1, 0), (0, 0)

@@ -210,8 +210,7 @@ def test_valuation_ultrametric(ring_xy):
 
 
 def test_constructor_validates():
-    # moduli are cached only for contexts that passed the checks, so a
-    # rejected context stays rejected however often it is asked for
+    # a rejected context stays rejected however often it is asked for
     for _ in range(2):
         with pytest.raises(ValueError, match="odd prime, got 4"):
             WittScalar(4, 3)
@@ -231,6 +230,11 @@ def test_coefficients_must_be_integers():
     for a, b in ((1.5, 0), (1, 2.0), ("1", 0)):
         with pytest.raises(TypeError):
             WittScalar(3, 2, a, b)
+    # 3.0 and 2.0 hash as 3 and 2, so the cached nonresidue would not see them
+    nonresidue(3)
+    for p, prec in ((3.0, 2), (3, 2.0)):
+        with pytest.raises(TypeError):
+            WittScalar(p, prec, 1, 0)
 
 
 @given(elements(2))
