@@ -14,6 +14,9 @@ file may set exactly those flags, and its values pass the same choices and
 the same reader as the flags; the command line beats the file, which beats
 the default.  The report's `config` block is these resolved settings.
 
+Each command imports its engine module when it runs, so `lattice` and
+`inventory` load neither the series, the tower nor the length engine.
+
 Exit codes: 0 all selected checks pass; 1 a check failed; 2 usage error;
 3 precision or window exhaustion.
 """
@@ -24,10 +27,6 @@ import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from . import inventory as inv
-from . import lattices as lab
-from . import lengths
-from . import windows as win
 from .errors import (
     ConsistencyFailure,
     EndoliftError,
@@ -225,6 +224,8 @@ def _emit(command: str, config: Dict, rows: List[Dict], footers: Dict,
 
 
 def cmd_inventory(config: Dict) -> Report:
+    from . import inventory as inv
+
     rows: List[Dict] = []
     footers: Dict = {}
     verdicts: List[Dict] = []
@@ -295,6 +296,8 @@ def cmd_inventory(config: Dict) -> Report:
 
 
 def cmd_recursion(config: Dict) -> Report:
+    from . import windows as win
+
     k, scale = config["k"], config["precision_scale"]
     rows: List[Dict] = []
     footers: Dict = {}
@@ -381,6 +384,8 @@ def cmd_recursion(config: Dict) -> Report:
 
 
 def cmd_multiplicity(config: Dict) -> Report:
+    from . import inventory as inv, lengths, windows as win
+
     rows: List[Dict] = []
     verdicts: List[Dict] = []
     all_match = True
@@ -417,6 +422,8 @@ def cmd_multiplicity(config: Dict) -> Report:
 
 
 def cmd_lattice(config: Dict) -> Report:
+    from . import lattices as lab
+
     if config["sublattices"] < 0 and config["superlattices"] < 0 and not config["appendix"]:
         # nothing selected: run the default suite, and echo it in the config
         config.update(sublattices=2, superlattices=1, appendix=True)
@@ -514,6 +521,8 @@ def _require(ok: bool, detail: str) -> None:
 
 
 def _selfcheck_battery() -> List[Tuple[str, bool, str]]:
+    from . import inventory as inv, lattices as lab, lengths, windows as win
+
     checks: List[Tuple[str, bool, str]] = []
 
     def run(name: str, fn):

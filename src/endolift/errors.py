@@ -1,8 +1,46 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the immutable-value base.
 
 Every failure mode that callers are expected to catch has its own class here;
-anything else is a plain ValueError/TypeError bug.
+anything else is a plain ValueError/TypeError bug.  Assigning to a field of
+a `Frozen` value is an AttributeError; every engine module imports this
+file, so the base costs no extra module.
 """
+
+
+class Frozen:
+    """Base of the immutable value classes.  A subclass names its fields in
+    `__slots__` and sets them in its own `__init__` through
+    `object.__setattr__`; any later assignment or deletion raises.  Values of
+    one class with equal fields are equal and hash alike; a class with
+    derived fields states its own `__eq__` and `__hash__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle hand back (None, {slot: value}) for a slots class
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class EndoliftError(Exception):

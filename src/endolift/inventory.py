@@ -6,12 +6,10 @@ per-component intersection numbers, and the assembled totals, all in exact
 arbitrary-precision arithmetic with every division checked.
 """
 
-from fractions import Fraction
-from dataclasses import dataclass
 from operator import index
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ConsistencyFailure, NotAnOrder
+from .errors import ConsistencyFailure, Frozen, NotAnOrder
 from .witt import nonresidue
 
 
@@ -153,23 +151,30 @@ def vertical_multiplicity_closed_form(p: int, c0: int) -> int:
 # assembled inventories
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
-    kind: str  # horizontal-standard | horizontal-nonstandard | vertical
-    level: Optional[int]  # s, None for vertical components
-    orbit_level: Optional[int]  # t, where applicable
-    count: int
-    multiplicity: int
-    intersection: Optional[int]  # None on improper components
-    proper: bool
+class ComponentRecord(Frozen):
+    __slots__ = ("kind", "level", "orbit_level", "count", "multiplicity", "intersection", "proper")
+
+    def __init__(self, kind: str, level: Optional[int], orbit_level: Optional[int], count: int,
+                 multiplicity: int, intersection: Optional[int], proper: bool):
+        init = object.__setattr__
+        init(self, "kind", kind)  # horizontal-standard | horizontal-nonstandard | vertical
+        init(self, "level", level)  # s, None for vertical components
+        init(self, "orbit_level", orbit_level)  # t, where applicable
+        init(self, "count", count)
+        init(self, "multiplicity", multiplicity)
+        init(self, "intersection", intersection)  # None on improper components
+        init(self, "proper", proper)
 
 
-@dataclass(frozen=True)
-class ComponentInventory:
-    case: str
-    p: int
-    c0: int
-    records: Tuple[ComponentRecord, ...]
+class ComponentInventory(Frozen):
+    __slots__ = ("case", "p", "c0", "records")
+
+    def __init__(self, case: str, p: int, c0: int, records: Tuple[ComponentRecord, ...]):
+        init = object.__setattr__
+        init(self, "case", case)
+        init(self, "p", p)
+        init(self, "c0", c0)
+        init(self, "records", records)
 
     def proper_records(self) -> List[ComponentRecord]:
         return [r for r in self.records if r.proper]
@@ -290,13 +295,15 @@ def per_level_proper_sum_closed_form(case: str, s: int, p: int) -> int:
     return 2 * s * p**s - _exact_div(2 * p**s - 2, p - 1)
 
 
-def displayed_corollary_value(case: str, p: int, c0: int = 0) -> Fraction:
+def displayed_corollary_value(case: str, p: int, c0: int = 0) -> "Fraction":
     """The printed closed form for the proper-horizontal intersection sum.
 
     Returned as an exact fraction: the ramified display does not even
     evaluate to the assembled total (see displayed_corollary_report), and
     trusting it silently would poison the grand totals.
     """
+    from fractions import Fraction  # here, its one user: importing inventory loads no fractions
+
     label = _label(case, p, c0)
     if label == "unr":
         num = -4 * p * (p**c0 - 1) + 2 * c0 * (p - 1) + c0 * p**c0 * (p * p - 1)

@@ -242,7 +242,9 @@ class LatticeHNF:
 
     The rows are given and stored as (a, b) pairs, reduced modulo p^prec;
     rows not in that form are a ValueError (`hermite_form` puts any
-    generating set into it).  The scale is an integer (TypeError otherwise)."""
+    generating set into it), and rows whose span modulo p^prec holds more
+    than they state are PrecisionTooLow.  The scale is an integer
+    (TypeError otherwise)."""
 
     __slots__ = ("module", "scale", "pair_rows", "_exps", "_steps")
 
@@ -269,6 +271,18 @@ class LatticeHNF:
             steps.append((pd, entries))
         self._exps = tuple(exps)
         self._steps = tuple(steps)
+        # row i times p^(prec - d_i) has a zero pivot, so it lies in the
+        # truncated span; unless it reduces to zero against the rows below,
+        # that span holds more than the rows state, and equal rows would not
+        # mean equal lattices.  With sum(d) <= prec every such row reduces.
+        if sum(exps) > prec:
+            for i, (row, d) in enumerate(zip(rows, exps)):
+                wrap = p ** (prec - d)
+                if not self._contains_pairs([(wrap * a % mod, wrap * b % mod) for a, b in row]):
+                    raise PrecisionTooLow(
+                        f"{module.label}: precision {prec} is too low for pivot exponents "
+                        f"{self._exps}: p^{prec - d} times row {i} leaves the rows' span"
+                    )
 
     def sort_key(self):
         """(p, prec, scale, the row coordinates): pairs alone do not say
@@ -298,16 +312,12 @@ class LatticeHNF:
             x == (0, 0) for i, row in enumerate(self.pair_rows) for j, x in enumerate(row) if i != j
         )
 
-    def contains(self, vector: Vector) -> bool:
-        """Membership of a vector written in this lattice's integral frame
-        (i.e. already multiplied by p^scale)."""
-        return self._contains_pairs(self.module._coords(vector))
-
     def _contains_pairs(self, v) -> bool:
-        """The kernel of `contains` on a list of pairs, which it consumes:
-        clear each coordinate against its row, failing as soon as the
-        coordinate is not a multiple of the row's pivot p^d; the multiplier
-        is the coordinate divided by p^d."""
+        """Membership of a vector of pairs written in this lattice's integral
+        frame (already multiplied by p^scale); the list is consumed.  Clear
+        each coordinate against its row, failing as soon as the coordinate
+        is not a multiple of the row's pivot p^d; the multiplier is the
+        coordinate divided by p^d."""
         mod, r = self.module._mod, self.module._r
         for i, (pd, row) in enumerate(self._steps):
             a, b = v[i]

@@ -58,13 +58,12 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from operator import index
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from .errors import ConsistencyFailure, InexactDivision, StructureViolation, WindowExhausted
+from .errors import ConsistencyFailure, Frozen, InexactDivision, StructureViolation, WindowExhausted
 from .inventory import _label, vertical_multiplicity_closed_form
 from .series import SeriesContext, TruncSeries
 from .windows import CaseDescriptor, ThickenedSolution, recursion_context, solve_thickened_recursion
@@ -87,26 +86,37 @@ Terms = Dict[int, int]
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class ChainContext:
+class ChainContext(Frozen):
     """Truncation data for the chain ring: p, digit count, x1 window, each
-    an integer (TypeError otherwise)."""
+    an integer (TypeError otherwise).  Equality and hashing read these four,
+    not the derived `mod` (p^modulus), which every chain-ring operation
+    reads."""
 
-    p: int
-    modulus: int
-    lo: int
-    hi: int
-    # derived once here: every chain-ring operation reads it
-    mod: int = field(init=False, repr=False, compare=False)  # p^modulus
+    __slots__ = ("p", "modulus", "lo", "hi", "mod")
 
-    def __post_init__(self):
-        for bound in (self.p, self.modulus, self.lo, self.hi):
+    def __init__(self, p: int, modulus: int, lo: int, hi: int):
+        for bound in (p, modulus, lo, hi):
             index(bound)
-        if self.modulus < 1:
+        if modulus < 1:
             raise ValueError("chain modulus must be positive")
-        if self.lo > 0 or self.hi < 0:
+        if lo > 0 or hi < 0:
             raise ValueError("chain window must contain 0")
-        object.__setattr__(self, "mod", self.p**self.modulus)
+        init = object.__setattr__
+        init(self, "p", p)
+        init(self, "modulus", modulus)
+        init(self, "lo", lo)
+        init(self, "hi", hi)
+        init(self, "mod", p**modulus)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not ChainContext:
+            return NotImplemented
+        return (self.p, self.modulus, self.lo, self.hi) == (other.p, other.modulus, other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.p, self.modulus, self.lo, self.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +389,15 @@ def _shift_column(slices: Sequence[ChainScalar], t: int, m: int) -> List[ChainSc
     return col
 
 
-@dataclass
 class ChainPresentation:
     """Rows = generators x2^0 .. x2^(m-1); columns = relation vectors."""
 
-    ctx: ChainContext
-    m: int
-    columns: List[List[ChainScalar]]
+    __slots__ = ("ctx", "m", "columns")
+
+    def __init__(self, ctx: ChainContext, m: int, columns: List[List[ChainScalar]]):
+        self.ctx = ctx
+        self.m = m
+        self.columns = columns
 
     @classmethod
     def from_corner_series(
@@ -602,14 +614,18 @@ def _stabilize(measure: Callable[[int], T], base: int, p: int, k: int) -> Tuple[
         radius *= 2
 
 
-@dataclass(frozen=True)
-class LengthReport:
-    case: CaseDescriptor
-    k: int
-    length: int
-    exponents: Tuple[int, ...]
-    chain_radius: int
-    retried: bool
+class LengthReport(Frozen):
+    __slots__ = ("case", "k", "length", "exponents", "chain_radius", "retried")
+
+    def __init__(self, case: CaseDescriptor, k: int, length: int, exponents: Tuple[int, ...],
+                 chain_radius: int, retried: bool):
+        init = object.__setattr__
+        init(self, "case", case)
+        init(self, "k", k)
+        init(self, "length", length)
+        init(self, "exponents", exponents)
+        init(self, "chain_radius", chain_radius)
+        init(self, "retried", retried)
 
 
 def _solve_corner(case: CaseDescriptor, k: int, ctx: SeriesContext) -> ThickenedSolution:

@@ -25,11 +25,10 @@ products).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import index
 from typing import Dict, Optional, Tuple
 
-from .errors import InexactDivision, NotAUnit, WindowExhausted
+from .errors import Frozen, InexactDivision, NotAUnit, WindowExhausted
 from .witt import nonresidue, pair_add, pair_inv, pair_mul, pair_sigma
 
 __all__ = [
@@ -44,32 +43,44 @@ Pair = Tuple[int, int]
 Key = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SeriesContext:
+class SeriesContext(Frozen):
     """Shared truncation data: p-precision, x1 window, x2 cap (exclusive).
     `nonresidue` refuses a p that is not an odd prime, and a bound that is
-    not an integer is a TypeError."""
+    not an integer is a TypeError.  Equality and hashing read the five
+    bounds, not the derived `mod` (p^prec) and `r` (w^2), which every series
+    operation reads."""
 
-    p: int
-    prec: int
-    lo1: int
-    hi1: int
-    cap2: int
-    # derived once here: every series operation reads them
-    mod: int = field(init=False, repr=False, compare=False)  # p^prec
-    r: int = field(init=False, repr=False, compare=False)  # w^2
+    __slots__ = ("p", "prec", "lo1", "hi1", "cap2", "mod", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", nonresidue(self.p))
-        for bound in (self.prec, self.lo1, self.hi1, self.cap2):
+    def __init__(self, p: int, prec: int, lo1: int, hi1: int, cap2: int):
+        r = nonresidue(p)
+        for bound in (prec, lo1, hi1, cap2):
             index(bound)
-        if self.prec < 0:
+        if prec < 0:
             raise ValueError("negative precision")
-        if self.lo1 > 0 or self.hi1 < 0:
+        if lo1 > 0 or hi1 < 0:
             raise ValueError("x1 window must contain 0")
-        if self.cap2 < 1:
+        if cap2 < 1:
             raise ValueError("x2 cap must be at least 1")
-        object.__setattr__(self, "mod", self.p**self.prec)
+        init = object.__setattr__
+        init(self, "p", p)
+        init(self, "prec", prec)
+        init(self, "lo1", lo1)
+        init(self, "hi1", hi1)
+        init(self, "cap2", cap2)
+        init(self, "mod", p**prec)
+        init(self, "r", r)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not SeriesContext:
+            return NotImplemented
+        return (self.p, self.prec, self.lo1, self.hi1, self.cap2) == (
+            other.p, other.prec, other.lo1, other.hi1, other.cap2)
+
+    def __hash__(self):
+        return hash((self.p, self.prec, self.lo1, self.hi1, self.cap2))
 
     def in_window(self, m1: int, m2: int) -> bool:
         return self.lo1 <= m1 <= self.hi1 and 0 <= m2 < self.cap2
@@ -168,7 +179,7 @@ class TruncSeries:
         return "TruncSeries(" + (" + ".join(terms) if terms else "0") + ")"
 
     def _check(self, other: "TruncSeries"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError(f"mixed contexts: {self.ctx} vs {other.ctx}")
 
     # -- ring operations ----------------------------------------------------

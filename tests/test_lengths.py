@@ -1,6 +1,5 @@
 """Tests for chain-ring arithmetic, SNF measurement, and quotient lengths."""
 
-import dataclasses
 from fractions import Fraction
 from functools import reduce
 
@@ -41,6 +40,7 @@ from endolift.inventory import (
 )
 from endolift.windows import (
     CaseDescriptor,
+    ThickenedSolution,
     one_variable_context,
     recursion_context,
     solve_thickened_recursion,
@@ -670,7 +670,7 @@ class TestQuotientLength:
             # the ramified beta is w-free, with slices at x2^0, x2^1 and x2^2
             coeffs = {key: (0, a) if key[1] == 1 else (a, b) for key, (a, b) in sol.beta.coeffs.items()}
             assert {m2 for _, m2 in coeffs} == {0, 1, 2} and all(b == 0 for _, b in sol.beta.coeffs.values())
-            return dataclasses.replace(sol, beta=TruncSeries(sol.beta.ctx, coeffs))
+            return ThickenedSolution(sol.case, sol.k, sol.ctx, sol.pairs, sol.alpha, TruncSeries(sol.beta.ctx, coeffs))
 
         monkeypatch.setattr(lengths, "solve_thickened_recursion", mixed)
         with pytest.raises(StructureViolation, match="mix"):

@@ -82,20 +82,47 @@ def test_only_the_case_parameters_name_wittscalar():
     assert named == ["windows.py", "witt.py"]
 
 
+def _fresh_process_loads(statement, tmp_path):
+    """The endolift modules, and which of dataclasses and fractions, a fresh
+    process has loaded after running `statement`; a fresh process, since
+    this one has loaded them all."""
+    code = (f"import sys\n{statement}\n"
+            "print((sorted(n[9:] for n in sys.modules if n.startswith('endolift.')),"
+            " sorted({'dataclasses', 'fractions'} & set(sys.modules))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]),
+               ENDOLIFT_OUT_DIR=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    modules, stdlib = ast.literal_eval(done.stdout.splitlines()[-1])
+    return set(modules), set(stdlib)
+
+
 @pytest.mark.parametrize("module, loaded", [
     ("endolift", set()),
     ("endolift.lattices", {"errors", "witt", "lattices"}),
     ("endolift.inventory", {"errors", "witt", "inventory"}),
+    ("endolift.cli", {"cli", "errors"}),
+    ("endolift.errors", {"errors"}),
+    ("endolift.witt", {"errors", "witt"}),
+    ("endolift.series", {"errors", "witt", "series"}),
+    ("endolift.windows", {"errors", "witt", "series", "inventory", "windows"}),
+    ("endolift.lengths", {"errors", "witt", "series", "inventory", "windows", "lengths"}),
 ])
-def test_an_import_loads_only_what_it_needs(module, loaded):
-    # the package re-exports nothing, so importing one engine does not load
-    # the others; a fresh process, since this one has loaded them all
-    code = (f"import sys, {module}\n"
-            "print(sorted(n[9:] for n in sys.modules if n.startswith('endolift.')))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert set(ast.literal_eval(done.stdout)) == loaded
+def test_an_import_loads_only_what_it_needs(module, loaded, tmp_path):
+    # the package re-exports nothing and the CLI imports each engine when a
+    # command runs, so importing one module does not load the others; no
+    # module pays for dataclasses or fractions at import
+    assert _fresh_process_loads(f"import {module}", tmp_path) == (loaded, set())
+
+
+@pytest.mark.parametrize("argv, loaded, stdlib", [
+    (["lattice", "--sublattices", "1"], {"cli", "errors", "witt", "lattices"}, set()),
+    # displayed_corollary_value, the one user of Fraction, runs here
+    (["inventory"], {"cli", "errors", "witt", "inventory"}, {"fractions"}),
+], ids=["lattice", "inventory"])
+def test_a_command_loads_only_its_engine(argv, loaded, stdlib, tmp_path):
+    statement = f"from endolift import cli; cli.main({argv!r})"
+    assert _fresh_process_loads(statement, tmp_path) == (loaded, stdlib)
 
 
 def test_the_scalars_have_one_arithmetic():

@@ -1,11 +1,14 @@
 """Tests for case descriptors and the lifting recursions."""
 
+import copy
 import functools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from endolift.errors import PrecisionExhausted
+from endolift.lengths import ChainContext
 from endolift.series import SeriesContext, TruncSeries, f_series, g_series
 from endolift.windows import (
     CaseDescriptor,
@@ -284,6 +287,39 @@ class TestCaseDescriptor:
         c = CaseDescriptor.from_label(lab, p)
         tr, nm = c.gamma_trace_norm(s, t)
         assert conductor(tr, nm, lab, p) == _vp(t, p)
+
+
+def _identity_pair(denom_exp):
+    ctx = SeriesContext(3, 2, -1, 1, 1)
+    one, zero = TruncSeries.one(ctx), TruncSeries.zero(ctx)
+    return QuasiEndoPair(((one, zero), (zero, one)), ((one, zero), (zero, one)), denom_exp)
+
+
+# each value class, one of its fields, and builders of an equal value and of
+# a different one
+VALUE_CLASSES = {
+    "SeriesContext": ("cap2", lambda: SeriesContext(3, 4, -9, 9, 3), lambda: SeriesContext(3, 4, -9, 9, 2)),
+    "ChainContext": ("modulus", lambda: ChainContext(3, 4, -12, 12), lambda: ChainContext(3, 5, -12, 12)),
+    "CaseDescriptor": ("ramified", lambda: CaseDescriptor.from_label("unr", 3),
+                       lambda: CaseDescriptor.from_label("ram", 3)),
+    "QuasiEndoPair": ("denom_exp", lambda: _identity_pair(0), lambda: _identity_pair(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+def test_value_classes_compare_by_value_and_refuse_assignment(name):
+    # contexts and descriptors are compared and hashed by value, and a
+    # context checks series against series; none may change under a caller
+    field, make, make_other = VALUE_CLASSES[name]
+    a, b, other = make(), make(), make_other()
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != other and len({a, b, other}) == 2 and a != name
+    for change in (lambda: setattr(a, field, getattr(other, field)), lambda: setattr(a, "extra", 1),
+                   lambda: delattr(a, field)):
+        with pytest.raises(AttributeError):
+            change()
+    assert a == b != other
+    assert copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
 
 
 class TestIntegralityPredicate:
