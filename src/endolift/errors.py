@@ -1,20 +1,37 @@
 """Exception types shared across the library, and the immutable-value base.
 
 Every failure mode that callers are expected to catch has its own class here;
-anything else is a plain ValueError/TypeError bug.  Assigning to a field of
-a `Frozen` value is an AttributeError; every engine module imports this
+anything else is a plain ValueError/TypeError bug.  `Frozen` is the one way
+to define a value: its fields are its `__slots__`, it is built from them in
+order, and it compares and hashes by them.  Every engine module imports this
 file, so the base costs no extra module.
 """
+
+from operator import attrgetter
 
 
 class Frozen:
     """Base of the immutable value classes.  A subclass names its fields in
-    `__slots__` and sets them in its own `__init__` through
-    `object.__setattr__`; any later assignment or deletion raises.  Values of
-    one class with equal fields are equal and hash alike; a class with
-    derived fields states its own `__eq__` and `__hash__`."""
+    `__slots__`; `Frozen(*values)` sets them in that order through each
+    slot's own descriptor, and any other count of values is a TypeError.  A
+    class that validates or derives fields states its own `__init__`, which
+    ends in one `Frozen.__init__` call.  Any later assignment or deletion
+    raises AttributeError.  Values of one class with equal fields are equal
+    and hash alike."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} values, got {len(values)}")
+        for i, setter in enumerate(setters):
+            setter(self, values[i])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -27,16 +44,13 @@ class Frozen:
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._fields() == other._fields()
+        return self is other or self._fields(self) == self._fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -152,29 +152,16 @@ def vertical_multiplicity_closed_form(p: int, c0: int) -> int:
 
 
 class ComponentRecord(Frozen):
-    __slots__ = ("kind", "level", "orbit_level", "count", "multiplicity", "intersection", "proper")
+    """One class of irreducible components.  `kind` is horizontal-standard,
+    horizontal-nonstandard or vertical; `level` is s (None for vertical
+    components), `orbit_level` is t where it applies, and `intersection` is
+    None on improper components."""
 
-    def __init__(self, kind: str, level: Optional[int], orbit_level: Optional[int], count: int,
-                 multiplicity: int, intersection: Optional[int], proper: bool):
-        init = object.__setattr__
-        init(self, "kind", kind)  # horizontal-standard | horizontal-nonstandard | vertical
-        init(self, "level", level)  # s, None for vertical components
-        init(self, "orbit_level", orbit_level)  # t, where applicable
-        init(self, "count", count)
-        init(self, "multiplicity", multiplicity)
-        init(self, "intersection", intersection)  # None on improper components
-        init(self, "proper", proper)
+    __slots__ = ("kind", "level", "orbit_level", "count", "multiplicity", "intersection", "proper")
 
 
 class ComponentInventory(Frozen):
     __slots__ = ("case", "p", "c0", "records")
-
-    def __init__(self, case: str, p: int, c0: int, records: Tuple[ComponentRecord, ...]):
-        init = object.__setattr__
-        init(self, "case", case)
-        init(self, "p", p)
-        init(self, "c0", c0)
-        init(self, "records", records)
 
     def proper_records(self) -> List[ComponentRecord]:
         return [r for r in self.records if r.proper]

@@ -40,6 +40,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     ConsistencyFailure,
+    Frozen,
     PrecisionTooLow,
     ShapeViolation,
     StabilityFailure,
@@ -95,6 +96,9 @@ class SemilinearModule:
 
     def __delattr__(self, name):
         raise AttributeError(f"{self.label} is read-only, {name} cannot be deleted")
+
+    def __reduce__(self):  # copy and pickle rebuild the module from its arguments
+        return SemilinearModule, (self.p, self.prec, self.rank, self.F, dict(self.actions), self.label)
 
     def _coords(self, vector) -> List[Pair]:
         """The coordinates of a vector, reduced modulo p^prec; ValueError
@@ -612,17 +616,10 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
     return found
 
 
-class DescentReport:
+class DescentReport(Frozen):
     """Outcome of pushing a classified superlattice down to rank 2."""
 
     __slots__ = ("a", "b", "delta", "scale", "span")
-
-    def __init__(self, a, b, delta, scale, span):
-        self.a = a
-        self.b = b
-        self.delta = delta
-        self.scale = scale
-        self.span = span
 
 
 def descend_superlattice(a: int, b: int, delta: int, p: int) -> DescentReport:

@@ -88,9 +88,9 @@ T = TypeVar("T")
 
 class ChainContext(Frozen):
     """Truncation data for the chain ring: p, digit count, x1 window, each
-    an integer (TypeError otherwise).  Equality and hashing read these four,
-    not the derived `mod` (p^modulus), which every chain-ring operation
-    reads."""
+    an integer (TypeError otherwise).  The last field, `mod` (p^modulus),
+    which every chain-ring operation reads, is derived from the first
+    four, so comparing all five is comparing these four."""
 
     __slots__ = ("p", "modulus", "lo", "hi", "mod")
 
@@ -101,22 +101,7 @@ class ChainContext(Frozen):
             raise ValueError("chain modulus must be positive")
         if lo > 0 or hi < 0:
             raise ValueError("chain window must contain 0")
-        init = object.__setattr__
-        init(self, "p", p)
-        init(self, "modulus", modulus)
-        init(self, "lo", lo)
-        init(self, "hi", hi)
-        init(self, "mod", p**modulus)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not ChainContext:
-            return NotImplemented
-        return (self.p, self.modulus, self.lo, self.hi) == (other.p, other.modulus, other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((self.p, self.modulus, self.lo, self.hi))
+        Frozen.__init__(self, p, modulus, lo, hi, p**modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +215,14 @@ class ChainScalar:
         elif _clean:
             self._terms = coeffs
         else:
-            mod = ctx.mod
-            self._terms = {e: c % mod for e, c in coeffs.items()
-                           if ctx.lo <= e <= ctx.hi and c % mod}
+            mod, lo, hi = ctx.mod, ctx.lo, ctx.hi
+            terms = self._terms = {}
+            for e, c in coeffs.items():
+                if e.__class__ is not int or c.__class__ is not int:
+                    e, c = index(e), index(c)  # TypeError for a float or any non-integer
+                c %= mod
+                if c and lo <= e <= hi:
+                    terms[e] = c
 
     @classmethod
     def zero(cls, ctx: ChainContext) -> "ChainScalar":
@@ -616,16 +606,6 @@ def _stabilize(measure: Callable[[int], T], base: int, p: int, k: int) -> Tuple[
 
 class LengthReport(Frozen):
     __slots__ = ("case", "k", "length", "exponents", "chain_radius", "retried")
-
-    def __init__(self, case: CaseDescriptor, k: int, length: int, exponents: Tuple[int, ...],
-                 chain_radius: int, retried: bool):
-        init = object.__setattr__
-        init(self, "case", case)
-        init(self, "k", k)
-        init(self, "length", length)
-        init(self, "exponents", exponents)
-        init(self, "chain_radius", chain_radius)
-        init(self, "retried", retried)
 
 
 def _solve_corner(case: CaseDescriptor, k: int, ctx: SeriesContext) -> ThickenedSolution:

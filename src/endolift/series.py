@@ -46,9 +46,9 @@ Key = Tuple[int, int]
 class SeriesContext(Frozen):
     """Shared truncation data: p-precision, x1 window, x2 cap (exclusive).
     `nonresidue` refuses a p that is not an odd prime, and a bound that is
-    not an integer is a TypeError.  Equality and hashing read the five
-    bounds, not the derived `mod` (p^prec) and `r` (w^2), which every series
-    operation reads."""
+    not an integer is a TypeError.  The last two fields, `mod` (p^prec) and
+    `r` (w^2), which every series operation reads, are derived from the
+    first five, so comparing all seven is comparing the bounds."""
 
     __slots__ = ("p", "prec", "lo1", "hi1", "cap2", "mod", "r")
 
@@ -62,25 +62,7 @@ class SeriesContext(Frozen):
             raise ValueError("x1 window must contain 0")
         if cap2 < 1:
             raise ValueError("x2 cap must be at least 1")
-        init = object.__setattr__
-        init(self, "p", p)
-        init(self, "prec", prec)
-        init(self, "lo1", lo1)
-        init(self, "hi1", hi1)
-        init(self, "cap2", cap2)
-        init(self, "mod", p**prec)
-        init(self, "r", r)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not SeriesContext:
-            return NotImplemented
-        return (self.p, self.prec, self.lo1, self.hi1, self.cap2) == (
-            other.p, other.prec, other.lo1, other.hi1, other.cap2)
-
-    def __hash__(self):
-        return hash((self.p, self.prec, self.lo1, self.hi1, self.cap2))
+        Frozen.__init__(self, p, prec, lo1, hi1, cap2, p**prec, r)
 
     def in_window(self, m1: int, m2: int) -> bool:
         return self.lo1 <= m1 <= self.hi1 and 0 <= m2 < self.cap2
@@ -111,8 +93,10 @@ class TruncSeries:
             mod = ctx.mod
             clean: Dict[Key, Pair] = {}
             for (m1, m2), (a, b) in coeffs.items():
-                if a.__class__ is not int or b.__class__ is not int:
-                    a, b = index(a), index(b)  # TypeError for a float or any non-integer
+                if (a.__class__ is not int or b.__class__ is not int
+                        or m1.__class__ is not int or m2.__class__ is not int):
+                    # TypeError for a float or any non-integer
+                    m1, m2, a, b = index(m1), index(m2), index(a), index(b)
                 if not ctx.in_window(m1, m2):
                     continue
                 a %= mod

@@ -92,15 +92,6 @@ class CaseDescriptor(Frozen):
 
     __slots__ = ("p", "ramified", "a", "b", "c", "d")
 
-    def __init__(self, p: int, ramified: bool, a: Pair, b: Pair, c: Pair, d: Pair):
-        init = object.__setattr__
-        init(self, "p", p)
-        init(self, "ramified", ramified)
-        init(self, "a", a)
-        init(self, "b", b)
-        init(self, "c", c)
-        init(self, "d", d)
-
     @classmethod
     def from_label(cls, label: str, p: int) -> "CaseDescriptor":
         """The descriptor of case "unr" or "ram" at the odd prime p."""
@@ -143,20 +134,9 @@ class QuasiEndoPair(Frozen):
 
     __slots__ = ("Y", "Z", "denom_exp")
 
-    def __init__(self, Y: Mat, Z: Mat, denom_exp: int):
-        init = object.__setattr__
-        init(self, "Y", Y)
-        init(self, "Z", Z)
-        init(self, "denom_exp", denom_exp)
-
-    # stated here, not inherited, so that the benchmark's probe finds it
-    def __eq__(self, other):
-        if other.__class__ is not QuasiEndoPair:
-            return NotImplemented
-        return self is other or (self.Y, self.Z, self.denom_exp) == (other.Y, other.Z, other.denom_exp)
-
-    def __hash__(self):
-        return hash((self.Y, self.Z, self.denom_exp))
+    # named in this class body, where the benchmark's probe patches __eq__
+    __eq__ = Frozen.__eq__
+    __hash__ = Frozen.__hash__
 
     @property
     def ctx(self) -> SeriesContext:
@@ -300,12 +280,6 @@ def check_phi_commutation(pair: QuasiEndoPair, *, two_variable: bool) -> bool:
 class VerticalSolution(Frozen):
     __slots__ = ("pair", "depth", "stabilized")
 
-    def __init__(self, pair: QuasiEndoPair, depth: int, stabilized: bool):
-        init = object.__setattr__
-        init(self, "pair", pair)
-        init(self, "depth", depth)
-        init(self, "stabilized", stabilized)
-
 
 def closed_form_vertical_pair(case: CaseDescriptor, ctx: SeriesContext) -> QuasiEndoPair:
     """The one-variable solution in closed form, stored at denominator 1.
@@ -384,16 +358,6 @@ class ThickenedSolution(Frozen):
 
     __slots__ = ("case", "k", "ctx", "pairs", "alpha", "beta")
 
-    def __init__(self, case: CaseDescriptor, k: int, ctx: SeriesContext,
-                 pairs: Tuple[QuasiEndoPair, ...], alpha: TruncSeries, beta: TruncSeries):
-        init = object.__setattr__
-        init(self, "case", case)
-        init(self, "k", k)
-        init(self, "ctx", ctx)
-        init(self, "pairs", pairs)
-        init(self, "alpha", alpha)
-        init(self, "beta", beta)
-
     def increment(self, side: str, level: int) -> Mat:
         """The exact level-`level` difference on side "y" or "z", 1 <= level <= k:
         pairs[1] - pairs[0] at level 1 and pairs[l] - p * pairs[l-1] above.
@@ -455,21 +419,9 @@ def structure_epsilon_degree(p: int, level: int) -> int:
 class StructureClause(Frozen):
     __slots__ = ("name", "ok", "detail")
 
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "ok", ok)
-        init(self, "detail", detail)
-
 
 class StructureReport(Frozen):
     __slots__ = ("case", "k", "clauses")
-
-    def __init__(self, case: CaseDescriptor, k: int, clauses: Tuple[StructureClause, ...]):
-        init = object.__setattr__
-        init(self, "case", case)
-        init(self, "k", k)
-        init(self, "clauses", clauses)
 
     @property
     def ok(self) -> bool:

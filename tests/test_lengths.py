@@ -80,6 +80,19 @@ class TestChainScalar:
         with pytest.raises(ValueError):
             ChainContext(3, 2, 1, 4)
 
+    def test_constructor_takes_integers_only(self):
+        # a float coefficient would square to a float, a large one would be
+        # kept rounded, and a term at x1^0.5 would reach chain_snf
+        ctx = ChainContext(3, 2, -4, 4)
+        assert ChainScalar.monomial(ctx, 1, 10).coeffs == {1: 1}
+        for call in (lambda: ChainScalar.monomial(ctx, 0, 1.5),
+                     lambda: ChainScalar.monomial(ctx, 0, 2**70 * 1.0),
+                     lambda: ChainScalar.monomial(ctx, 9, 1.5),  # outside the window too
+                     lambda: ChainScalar(ctx, {0.5: 1}),
+                     lambda: chain_snf([[ChainScalar(ctx, {0.5: 1})]], ctx)):
+            with pytest.raises(TypeError):
+                call()
+
     def test_add_sub_roundtrip(self):
         x = ChainScalar(CTX, {0: 2, 3: 5})
         y = ChainScalar(CTX, {-1: 1, 3: 76})

@@ -83,6 +83,14 @@ def test_constructor_takes_integers_only(pair):
         TruncSeries(ctx, {(9, 0): pair})
 
 
+@pytest.mark.parametrize("key", [(0.5, 0), (0, 1.0), (9.5, 0)])
+def test_constructor_takes_integer_exponents_only(key):
+    # an exponent is an integer as a coefficient is, in or out of the window
+    ctx = SeriesContext(3, 2, -4, 4, 2)
+    with pytest.raises(TypeError):
+        TruncSeries(ctx, {key: (1, 0)})
+
+
 def test_monomial_takes_integers_only():
     ctx = SeriesContext(3, 2, 0, 4, 2)
     assert TruncSeries.monomial(ctx, 1, 0, (10, 1)).coeffs == {(1, 0): (1, 1)}

@@ -2,13 +2,17 @@
 
 import copy
 import functools
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 from hypothesis import given, strategies as st
 
-from endolift.errors import PrecisionExhausted
-from endolift.lengths import ChainContext
+import endolift
+from endolift.errors import Frozen, PrecisionExhausted
+from endolift.lattices import descend_superlattice
+from endolift.lengths import ChainContext, quotient_length_details
 from endolift.series import SeriesContext, TruncSeries, f_series, g_series
 from endolift.windows import (
     CaseDescriptor,
@@ -33,7 +37,7 @@ from endolift.windows import (
     structure_epsilon_degree,
 )
 from endolift.witt import WittScalar
-from endolift.inventory import conductor, total_proper_intersection
+from endolift.inventory import component_inventory, conductor, total_proper_intersection
 
 CASES = ["unr", "ram"]
 
@@ -295,6 +299,14 @@ def _identity_pair(denom_exp):
     return QuasiEndoPair(((one, zero), (zero, one)), ((one, zero), (zero, one)), denom_exp)
 
 
+def _tower(label):
+    return solve_thickened_recursion(CaseDescriptor.from_label(label, 3), 1)
+
+
+def _vertical(label):
+    return solve_vertical_recursion(CaseDescriptor.from_label(label, 3), one_variable_context(3))
+
+
 # each value class, one of its fields, and builders of an equal value and of
 # a different one
 VALUE_CLASSES = {
@@ -303,15 +315,44 @@ VALUE_CLASSES = {
     "CaseDescriptor": ("ramified", lambda: CaseDescriptor.from_label("unr", 3),
                        lambda: CaseDescriptor.from_label("ram", 3)),
     "QuasiEndoPair": ("denom_exp", lambda: _identity_pair(0), lambda: _identity_pair(1)),
+    "VerticalSolution": ("pair", lambda: _vertical("unr"), lambda: _vertical("ram")),
+    "ThickenedSolution": ("alpha", lambda: _tower("unr"), lambda: _tower("ram")),
+    "StructureReport": ("case", lambda: structure_check(_tower("unr")), lambda: structure_check(_tower("ram"))),
+    "StructureClause": ("name", lambda: structure_check(_tower("unr")).clauses[0],
+                        lambda: structure_check(_tower("unr")).clauses[1]),
+    "LengthReport": ("case", lambda: quotient_length_details(CaseDescriptor.from_label("unr", 3), 1),
+                     lambda: quotient_length_details(CaseDescriptor.from_label("ram", 3), 1)),
+    "ComponentInventory": ("c0", lambda: component_inventory("unr", 3, 1), lambda: component_inventory("unr", 3, 2)),
+    "ComponentRecord": ("kind", lambda: component_inventory("unr", 3, 1).records[0],
+                        lambda: component_inventory("unr", 3, 1).records[-1]),
+    "DescentReport": ("span", lambda: descend_superlattice(0, 0, 0, 3), lambda: descend_superlattice(1, 0, 0, 3)),
 }
+
+
+def _package_value_classes():
+    for module in pkgutil.iter_modules(endolift.__path__):
+        importlib.import_module(f"endolift.{module.name}")
+    found, todo = set(), [Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("endolift."):
+                found.add(cls.__name__)
+    return found
+
+
+def test_every_value_class_is_checked():
+    # a new Frozen subclass in the package joins VALUE_CLASSES, or this fails
+    assert set(VALUE_CLASSES) == _package_value_classes()
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
 def test_value_classes_compare_by_value_and_refuse_assignment(name):
-    # contexts and descriptors are compared and hashed by value, and a
-    # context checks series against series; none may change under a caller
+    # values are compared and hashed by their fields, and a context checks
+    # series against series; none may change under a caller
     field, make, make_other = VALUE_CLASSES[name]
     a, b, other = make(), make(), make_other()
+    assert type(a).__name__ == name
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
     assert a != other and len({a, b, other}) == 2 and a != name
     for change in (lambda: setattr(a, field, getattr(other, field)), lambda: setattr(a, "extra", 1),
@@ -320,6 +361,15 @@ def test_value_classes_compare_by_value_and_refuse_assignment(name):
             change()
     assert a == b != other
     assert copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+def test_value_classes_refuse_a_wrong_count_of_values(name):
+    a = VALUE_CLASSES[name][1]()
+    values = [getattr(a, slot) for slot in a.__slots__]
+    for wrong in ([], values[:1], values + [None]):
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            type(a)(*wrong)
 
 
 class TestIntegralityPredicate:
