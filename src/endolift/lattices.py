@@ -13,18 +13,18 @@ each vector a caller hands in passes one check, `SemilinearModule._coords`.
 Lattices are held in their canonical Hermite basis, which the constructor
 enforces: an upper-triangular row basis with pivots exactly p^d, entries
 above a pivot reduced modulo it, together with a scale m meaning the lattice
-is p^-m times the row span; equal lattices have equal rows.  Enumeration is
-exhaustive where the search space is a finite grid (rank-2 sublattices,
-rank-4 superlattices one step outside the standard lattice), visiting only
-the candidates that the linear conditions of the diagonal actions allow,
-each then fully checked; the deeper superlattice windows walk the
-eigenline-diagonal family, which is closed when the basis lines have
-pairwise distinct residue characters: the order action alone is
-(w, w, -w, -w), the two omega actions together give four characters, and a
-stable lattice then splits into eigenlines.  Each operator is stated once,
-in its module constructor, and read from there; a constructor builds one
-read-only module per (p, prec) and shares it with every caller.  Anything
-stable outside the classification raises ShapeViolation.
+is p^-m times the row span; equal lattices have equal rows.  The rank-2
+sublattice search is exhaustive on its Hermite grid, visiting only the
+candidates that the linear conditions of the diagonal actions allow, each
+then fully checked.  The rank-4 superlattice search rests on one eigenline
+rule: when the basis lines have pairwise distinct residue characters (the
+order action alone is (w, w, -w, -w), the two omega actions together give
+four characters), the projection onto each line is a polynomial in the
+actions with integral coefficients, so a stable lattice splits into
+eigenlines and each window checks diagonal lattices only.  Each operator is
+stated once, in its module constructor, and read from there; a constructor
+builds one read-only module per (p, prec) and shares it with every caller.
+Anything stable outside the classification raises ShapeViolation.
 
 The filtration-lift census counts the lifts of the Hodge filtration to the
 dual numbers that the order and the ramified uniformizer keep.  Stability of
@@ -33,7 +33,7 @@ the rank of that system over the residue field (see the census section).
 """
 
 from functools import lru_cache, wraps
-from itertools import combinations, product
+from itertools import combinations
 from operator import index
 from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
@@ -457,8 +457,9 @@ def lie_action_parity(lattice: LatticeHNF) -> str:
 
 
 # ---------------------------------------------------------------------------
-# residue-field layer: the residue characters and subspaces that the one-step
-# superlattice window walks, and the rank routine of the filtration-lift census
+# residue-field layer: the residue characters that the superlattice search's
+# eigenline rule reads (module docstring), and the rank routine of the
+# filtration-lift census
 
 
 def _residue_characters(module: SemilinearModule) -> List[tuple]:
@@ -485,43 +486,6 @@ def _rank(p: int, r: int, vectors) -> int:
             inv = pair_inv(v[lead], p, r, p)
             echelon[lead] = [pair_mul(inv, x, r, p) for x in v]
     return len(echelon)
-
-
-def _enumerate_subspaces(module: SemilinearModule, dim: int):
-    """Reduced row bases, one per subspace, of the subspaces of the given
-    dimension in the rank-4 residue space that the module's diagonal
-    actions keep.
-
-    A diagonal action moves a reduced row into the span exactly when it
-    scales the row by its pivot's eigenvalue, that is when every free entry
-    whose column eigenvalue differs from the pivot's mod p is zero; so free
-    entries run over the field only in columns with the pivot's residue
-    character.
-    """
-    q_elems = [(a, b) for a in range(module.p) for b in range(module.p)]
-    one = (1, 0)
-    zero = (0, 0)
-    character = _residue_characters(module)
-    for pivots in combinations(range(4), dim):
-        free_positions = [
-            (i, col)
-            for i, pc in enumerate(pivots)
-            for col in range(4)
-            if col > pc and col not in pivots
-        ]
-        choices = [
-            q_elems if character[col] == character[pivots[i]] else [zero]
-            for i, col in free_positions
-        ]
-        for assignment in product(*choices):
-            rows = []
-            for pc in pivots:
-                row = [zero, zero, zero, zero]
-                row[pc] = one
-                rows.append(row)
-            for (i, col), val in zip(free_positions, assignment):
-                rows[i][col] = val
-            yield rows
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +533,17 @@ def classify_superlattice(lat: LatticeHNF) -> Tuple[int, int, int]:
 
 def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> List[LatticeHNF]:
     """Stable lattices between the standard one and its p^-m dilate with
-    coindex p^(2s).
+    coindex p^(2s), s and m integers (TypeError otherwise).
 
-    The m = 1 window is searched exhaustively: every residue subspace of
-    dimension 2s in the one-step quotient that the diagonal actions keep
-    gives its lattice's Hermite basis directly (row i is the reduced residue
-    row with its pivot in column i, else p e_i), which is then checked under
-    the module's operators.  Deeper windows walk the diagonal family, which
-    is closed only when the residue characters of the basis lines are
-    pairwise distinct (module docstring); ValueError otherwise.  Every survivor must classify as some (a, b, delta) with
-    a + b + delta = s; anything else raises ShapeViolation.
+    Past s = 0 the basis lines must have pairwise distinct residue
+    characters (ValueError otherwise), so that every stable lattice splits
+    into eigenlines (module docstring).  The m = 1 window then checks one
+    diagonal lattice per coordinate plane of dimension 2s, p on the other
+    lines; deeper windows check the members of the diagonal family.  Every
+    survivor must classify as some (a, b, delta) with a + b + delta = s;
+    anything else raises ShapeViolation.
     """
+    s, m = index(s), index(m)
     if module.rank != 4:
         raise ValueError("rank-4 module required")
     if s < 0 or m < 1:
@@ -590,26 +554,20 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
         )
     if s == 0:
         return [_family_lattice(module, 0, 0, 0, m)]
-    found: List[LatticeHNF] = []
+    if len(set(_residue_characters(module))) < 4:
+        raise ValueError(
+            f"{module.label}: the basis lines share a residue character, so a "
+            f"stable lattice need not split into eigenlines"
+        )
     if m == 1:
-        if 2 * s > 4:
-            return []
-        standard = _diag(((module.p, 0),) * 4)
-        for rows in _enumerate_subspaces(module, 2 * s):
-            by_pivot = {row.index((1, 0)): row for row in rows}
-            lat = LatticeHNF(module, [by_pivot.get(i, standard[i]) for i in range(4)], 1)
-            if _stable_under_all(module, lat):
-                found.append(lat)
+        one, pp = (1, 0), (module.p, 0)
+        candidates = (
+            LatticeHNF(module, _diag([one if i in plane else pp for i in range(4)]), 1)
+            for plane in combinations(range(4), 2 * s)
+        )
     else:
-        if len(set(_residue_characters(module))) < 4:
-            raise ValueError(
-                f"{module.label}: the basis lines share a residue character, so the "
-                f"diagonal family does not hold every stable lattice at m = {m}"
-            )
-        for a, b, delta in superlattice_family(s, m):
-            lat = _family_lattice(module, a, b, delta, m)
-            if _stable_under_all(module, lat):
-                found.append(lat)
+        candidates = (_family_lattice(module, *abd, m) for abd in superlattice_family(s, m))
+    found = [lat for lat in candidates if _stable_under_all(module, lat)]
     if any(lat.index_exponent() != -2 * s for lat in found):
         raise ConsistencyFailure("coindex bookkeeping is off")
     found.sort(key=classify_superlattice)

@@ -67,6 +67,7 @@ from .errors import ConsistencyFailure, Frozen, InexactDivision, StructureViolat
 from .inventory import _label, vertical_multiplicity_closed_form
 from .series import SeriesContext, TruncSeries
 from .windows import CaseDescriptor, ThickenedSolution, recursion_context, solve_thickened_recursion
+from .witt import nonresidue
 
 __all__ = [
     "ChainContext",
@@ -88,15 +89,17 @@ T = TypeVar("T")
 
 class ChainContext(Frozen):
     """Truncation data for the chain ring: p, digit count, x1 window, each
-    an integer (TypeError otherwise).  The last field, `mod` (p^modulus),
-    which every chain-ring operation reads, is derived from the first
-    four, so comparing all five is comparing these four."""
+    an integer (TypeError otherwise); `nonresidue` refuses a p that is not
+    an odd prime.  The last field, `mod` (p^modulus), which every
+    chain-ring operation reads, is derived from the first four, so
+    comparing all five is comparing these four."""
 
     __slots__ = ("p", "modulus", "lo", "hi", "mod")
 
     def __init__(self, p: int, modulus: int, lo: int, hi: int):
         for bound in (p, modulus, lo, hi):
             index(bound)
+        nonresidue(p)
         if modulus < 1:
             raise ValueError("chain modulus must be positive")
         if lo > 0 or hi < 0:

@@ -370,6 +370,19 @@ def _recorded_digests():
 
 CLI_DIGESTS = _recorded_digests()
 
+# the lattice reports past the benchmark's one invocation: the default
+# census, the TSV writer, and the superlattice windows up to s = 3
+LATTICE_DIGESTS = {
+    ("lattice",):
+        "d80f798cf32b19c877f22b7e26cdd760ba3ebd13f44be78a3749324a0455f7dc",
+    ("lattice", "--format", "tsv"):
+        "5520b046d2e2d3793ec508dd3fbccd631f388e57510be044a4387e01244b2c20",
+    ("lattice", "--superlattices", "2"):
+        "ab7d96d0337453de0397f34ed8feff531e1d17cf5da302d45ac2bd5afe51d38f",
+    ("lattice", "--p", "3,5", "--superlattices", "3"):
+        "5390a93fe5bbc07803610ca9adc9bfb60e4160e32f717413c0268f70cf57a012",
+}
+
 
 class TestReportDigests:
     @pytest.mark.parametrize("argv", sorted(CLI_DIGESTS), ids=" ".join)
@@ -377,3 +390,9 @@ class TestReportDigests:
         rc, out = _run(capsys, list(argv))
         assert rc == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_DIGESTS[argv]
+
+    @pytest.mark.parametrize("argv", sorted(LATTICE_DIGESTS), ids=" ".join)
+    def test_lattice_report_bytes_match_the_recorded_digest(self, outdir, capsys, argv):
+        rc, out = _run(capsys, list(argv))
+        assert rc == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LATTICE_DIGESTS[argv]

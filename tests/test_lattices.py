@@ -341,10 +341,14 @@ class TestSuperlattices:
         assert [classify_superlattice(lat) for lat in found] == superlattice_family(2, 2)
 
     def test_s_zero_is_the_full_lattice(self):
-        module = tensor_rank4(3)
-        found = enumerate_stable_superlattices(module, 0, 1)
-        assert len(found) == 1
-        assert found[0].index_exponent() == 0
+        # s = 0 returns before the residue characters are read, so a module
+        # whose lines share one gets the standard lattice too
+        for module in (tensor_rank4(3), _rank4_without_order(3)):
+            for m in (1, 2):
+                rows = [_vec(*(module.p**m * (i == j) for j in range(4))) for i in range(4)]
+                standard = LatticeHNF(module, rows, m)
+                assert enumerate_stable_superlattices(module, 0, m) == [standard]
+                assert standard.index_exponent() == 0
 
     def test_classify_rejects_off_family_shapes(self):
         module = tensor_rank4(3)
@@ -750,10 +754,15 @@ class TestVectorChecks:
         lambda module, rows: LatticeHNF(module, rows, 1.5),
         lambda module, rows: LatticeHNF(module, rows, 0.0),
         lambda module, rows: hermite_form(module, rows, scale="x"),
-    ], ids=["LatticeHNF-1.5", "LatticeHNF-0.0", "hermite_form-str"])
+        lambda module, rows: enumerate_stable_superlattices(tensor_rank4(3), 1, 1.0),
+        lambda module, rows: enumerate_stable_superlattices(tensor_rank4(3), 1.0, 2),
+    ], ids=["LatticeHNF-1.5", "LatticeHNF-0.0", "hermite_form-str",
+            "superlattices-m-1.0", "superlattices-s-1.0"])
     def test_a_non_integer_scale_is_refused(self, call):
         # a scale that is not an integer would reach index_exponent (1.5
-        # gives -3.0) and equality (a 0.0-scale lattice equals the 0-scale one)
+        # gives -3.0) and equality (a 0.0-scale lattice equals the 0-scale
+        # one); the one-step superlattice window does no arithmetic with its
+        # scale m, so m = 1.0 would otherwise come back as three lattices
         module = standard_rank2(3)
         with pytest.raises(TypeError):
             call(module, [_E0, _F0])
@@ -897,15 +906,18 @@ class TestConstraintFirstSearch:
             assert any(not lat.is_diagonal() for lat in found) == (k > 0)
 
     @pytest.mark.parametrize("s", [1, 2])
-    def test_one_step_window_matches_the_full_walk(self, s, monkeypatch):
+    def test_one_step_window_matches_the_full_walk(self, s):
+        # every subspace of the one-step quotient, of every dimension,
+        # becomes a lattice; the stable ones of coindex p^(2s) are the window
         module = tensor_rank4(3)
-        found = enumerate_stable_superlattices(module, s, 1)
-
-        def walk(module, dim):
-            return _exhaustive_subspaces(_ring(module.p, 1), dim)
-
-        monkeypatch.setattr(lattices, "_enumerate_subspaces", walk)
-        assert found == enumerate_stable_superlattices(module, s, 1)
+        stable = []
+        for dim in range(5):
+            for rows in _exhaustive_subspaces(_ring(3, 1), dim):
+                lat = _one_step_lattice(module, rows)
+                if lat.index_exponent() == -2 * s and lattices._stable_under_all(module, lat):
+                    stable.append(lat)
+        stable.sort(key=classify_superlattice)
+        assert enumerate_stable_superlattices(module, s, 1) == stable
 
     def test_one_step_window_matches_the_lattice_level_walk(self):
         # no residue operator at all: every plane of the one-step quotient
@@ -929,20 +941,17 @@ def _rank4_without_order(p):
 
 
 class TestWindowsOfAModuleWithoutTheOrder:
-    def test_one_step_window_raises_on_the_off_family_lattice(self):
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_every_window_refuses_the_module(self, m):
         module = _rank4_without_order(3)
-        # L + p^-1 span(e1 + f1, f2): stable under this module, not diagonal, coindex p^2
+        # L + p^-1 span(e1 + f1, f2): stable under this module, not diagonal,
+        # coindex p^2, so a search of diagonal lattices alone would miss it
         one, zero = (1, 0), (0, 0)
         lat = _one_step_lattice(module, [[one, zero, one, zero], [zero, zero, zero, one]])
         assert lattices._stable_under_all(module, lat)
         assert not lat.is_diagonal() and lat.index_exponent() == -2
-        with pytest.raises(ShapeViolation):
-            enumerate_stable_superlattices(module, 1, 1)
-
-    def test_deep_window_refuses_shared_residue_characters(self):
-        module = _rank4_without_order(3)
         with pytest.raises(ValueError, match="share a residue character"):
-            enumerate_stable_superlattices(module, 1, 2)
+            enumerate_stable_superlattices(module, 1, m)
 
 
 class TestSearchWork:
@@ -961,7 +970,10 @@ class TestSearchWork:
         assert len(enumerate_stable_sublattices(standard_rank2(5), k)) == 1
         assert len(built) <= k + 1
 
-    def test_one_step_window_checks_only_coordinate_planes(self, monkeypatch):
+    @staticmethod
+    def _counted_search(monkeypatch, s, m):
+        """The search at (s, m) over `tensor_rank4(5)`, and how many
+        candidates it checked under the operators."""
         calls = []
         check = lattices._stable_under_all
 
@@ -970,9 +982,16 @@ class TestSearchWork:
             return check(*args)
 
         monkeypatch.setattr(lattices, "_stable_under_all", counting_check)
-        found = enumerate_stable_superlattices(tensor_rank4(5), 1, 1)
-        assert [classify_superlattice(lat) for lat in found] == superlattice_family(1, 1)
-        assert len(calls) == 6  # C(4, 2): the omega actions force every free entry to 0
+        found = enumerate_stable_superlattices(tensor_rank4(5), s, m)
+        assert [classify_superlattice(lat) for lat in found] == superlattice_family(s, m)
+        return len(calls)
+
+    def test_one_step_window_checks_only_coordinate_planes(self, monkeypatch):
+        assert self._counted_search(monkeypatch, 1, 1) == 6  # C(4, 2)
+
+    def test_deep_window_checks_only_the_family_members(self, monkeypatch):
+        # not all 19 diagonal lattices of coindex p^4 in the p^-2 window
+        assert self._counted_search(monkeypatch, 2, 2) == len(superlattice_family(2, 2)) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,12 @@ class TestChainScalar:
         with pytest.raises(ValueError):
             ChainContext(3, 2, 1, 4)
 
+    @pytest.mark.parametrize("p", [4, 2, 9, 1, -3])
+    def test_context_refuses_a_p_that_is_not_an_odd_prime(self, p):
+        # at p = 4 valuations would be read to base 4
+        with pytest.raises(ValueError, match="must be an odd prime"):
+            ChainContext(p, 2, -4, 4)
+
     def test_constructor_takes_integers_only(self):
         # a float coefficient would square to a float, a large one would be
         # kept rounded, and a term at x1^0.5 would reach chain_snf
