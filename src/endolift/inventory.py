@@ -137,7 +137,8 @@ def intersection_number(case: str, kind: str, s: int, t: Optional[int], p: int) 
 
 def vertical_multiplicity_terms(p: int, c0: int) -> Tuple[int, ...]:
     """The terms 2*p^j*(c0 - j), j = 0 .. c0-1, of the closed form; term j
-    is the length of the tower level j chunk (`lengths.length_by_elimination`)."""
+    is the length of the tower level j chunk, which
+    `lengths.length_by_elimination` measures by the x2-order walk."""
     _domain(p, c0)
     return tuple(2 * p**j * (c0 - j) for j in range(c0))
 

@@ -35,7 +35,11 @@ Two independent length oracles live here:
   decomposes into annulus chunks: at step j the carrying side has exact
   corner valuation k - j, the opposite side is cleared below x2^(2*p^j), one
   chunk of length is collected, and the roles swap.  Chunk j is the closed
-  form's term 2p^j*(k - j) (`inventory.vertical_multiplicity_terms`).
+  form's term 2p^j*(k - j) (`inventory.vertical_multiplicity_terms`).  A
+  chunk is a one-generator ideal, measured by a standard-basis walk along
+  the x2-order (`_chunk_length`), so this oracle shares no elimination
+  kernel with `chain_snf`: only the tower solve and the `ChainScalar`
+  arithmetic.
 
 `annihilator_report` reads its membership table off one such elimination
 per presentation model.
@@ -701,9 +705,10 @@ def length_by_elimination(case: CaseDescriptor, k: int) -> int:
     At step j (starting from 0) the carrying side must have x2-degree-0
     coefficient of exact valuation k - j; the other side is cleared below
     x2^(2*p^j) by exact eliminations against it, one chunk presented by the
-    carrying side alone over 2*p^j generators is measured, and the cleared
-    side is shifted down and becomes the carrier.  After k steps the
-    remaining corner must be an outright unit.
+    carrying side alone over 2*p^j generators is measured by the x2-order
+    walk (`_chunk_length`, not `chain_snf`), and the cleared side is shifted
+    down and becomes the carrier.  After k steps the remaining corner must
+    be an outright unit.
 
     The measurement goes through the same confirm-or-raise driver as
     quotient_length_details, which confirms the whole tuple of chunk
@@ -746,18 +751,70 @@ def _peel_at_radius(sol: ThickenedSolution, radius: int) -> Tuple[int, ...]:
             # every slice just picked up the same unit factor; pull the common
             # x1-power back out so supports cannot drift through the window
             # (a single monomial unit on the whole series, not per slice)
-            common = min([s.min_exponent() for s in O if s._terms], default=0)
-            if common > 0:
-                O = [s.shift(-common) for s in O]
+            O = _drop_common_x1(O)
         if any(s._terms for s in O[:width]):
             raise StructureViolation(f"peel step {j}: low slices survived elimination")
         # one annulus chunk: the carrying side alone over 2*p^j generators
-        chunk = ChainPresentation(chain_ctx, width, [_shift_column(P, t, width) for t in range(width)])
-        chunks.append(sum(chain_snf(chunk.rows(), chain_ctx)))
+        chunks.append(_chunk_length(P, width, chain_ctx))
         sides[1 - j % 2] = O[width:] + [ChainScalar.zero(chain_ctx)] * width
     if sides[k % 2][0].p_valuation() != 0:
         raise StructureViolation("after peeling, the remaining corner is not a unit")
     return tuple(chunks)
+
+
+def _drop_common_x1(slices: List[ChainScalar]) -> List[ChainScalar]:
+    """The x2-slices of one series divided by their common x1-power when
+    that is positive (a unit, and a loss-free shift down); as they are
+    otherwise."""
+    common = min([s.min_exponent() for s in slices if s._terms], default=0)
+    return [s.shift(-common) for s in slices] if common > 0 else slices
+
+
+def _chunk_length(P: Sequence[ChainScalar], w: int, ctx: ChainContext) -> int:
+    """Length of C[x2]/(P, x2^w): the chunk that the x2-shifts of the one
+    carrier P present over the generators x2^0 .. x2^(w-1).
+
+    A standard-basis walk along the x2-order (Norton and Salagean, "Strong
+    Groebner bases for polynomials over a principal ideal ring", 2001).  The
+    length is the sum over j < w of e_j, where p^(e_j) generates the slice-j
+    coefficients of the ideal's elements of x2-order j; a pool of such
+    elements (each cut to w slices) starts as P alone.  At order j the pivot
+    is the order-j member whose slice j has the least `pivot_key`, of
+    valuation a, so e_j = a (the modulus M when no member has order j).
+    Every other order-j member q becomes u*q - (q_j/p^a)*pivot with u =
+    pivot_j/p^a, whose slice j is exactly zero and is not built (see
+    `chain_snf`).  The pivot leaves the pool, and p^(M-a)*pivot (when a > 0)
+    and x2*pivot join it: these, with the cleared members, generate the
+    ideal's elements of order above j.  Members that are zero drop out.
+    """
+    M, p = ctx.modulus, ctx.p
+    zero = ChainScalar.zero(ctx)
+    start = list(P[:w]) + [zero] * (w - len(P))
+    pool = [_drop_common_x1(start)] if any(s._terms for s in start) else []
+    length = 0
+    for j in range(w):
+        at_j = [q for q in pool if q[j]._terms]
+        if not at_j:
+            length += M
+            continue
+        pivot = min(at_j, key=lambda q: q[j].pivot_key())
+        a = pivot[j].p_valuation()
+        length += a
+        unit = pivot[j].divide_p_power(a)
+        joining = []
+        for q in at_j:
+            if q is pivot:
+                continue
+            tq = q[j].divide_p_power(a)
+            # a zero entry on either side contributes nothing to its product
+            joining.append([zero] * (j + 1) + [(unit * x if x._terms else x) - (tq * y if y._terms else y)
+                                               for x, y in zip(q[j + 1:], pivot[j + 1:])])
+        if a:
+            joining.append([s.scale_int(p ** (M - a)) for s in pivot])
+        joining.append([zero] + pivot[:w - 1])
+        pool = [q for q in pool if not q[j]._terms]
+        pool += [_drop_common_x1(q) for q in joining if any(s._terms for s in q)]
+    return length
 
 
 # ---------------------------------------------------------------------------

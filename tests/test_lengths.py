@@ -63,6 +63,23 @@ PINNED_WINDOWS = {
     ("unr", 3, 3): (36, (0,) * 7 + (1,) * 14 + (3,) * 4 + (5,) * 2, 324, False),
 }
 
+# the radius at which the peel route (length_by_elimination) confirms its
+# chunk tuple: 2 * chain_default_radius, the least radius the window driver
+# can confirm at, on every cell but (ram, 3, 3), where radius 162 gives no
+# value (the cleared side leaves no unit) and 324 confirms nothing before it
+PINNED_PEEL_RADII = {
+    ("unr", 3, 1): 36,
+    ("ram", 3, 1): 36,
+    ("unr", 5, 1): 100,
+    ("ram", 5, 1): 100,
+    ("unr", 3, 2): 108,
+    ("ram", 3, 2): 108,
+    ("unr", 5, 2): 500,
+    ("ram", 5, 2): 500,
+    ("unr", 3, 3): 324,
+    ("ram", 3, 3): 648,
+}
+
 
 def _mono(e, c=1, ctx=CTX):
     return ChainScalar.monomial(ctx, e, c)
@@ -342,6 +359,40 @@ def _small_presentations(draw):
     return ChainPresentation(ctx, m, columns), queries
 
 
+@st.composite
+def _one_generator_chunks(draw):
+    """(P, w, ctx) for a chunk C[x2]/(P, x2^w): p in {3, 5}, at most 4
+    digits, w <= 6 and an x1 window of radius 80-160.  Each slice of P is
+    zero, a constant, a monomial of exponent in [-3, 3] or a polynomial
+    supported in [0, 3], times a power of p; P_0 is often zero, so some
+    x2-order can have no member.  Only such short entries are drawn: on a
+    window that they fill, both routes measure the truncation instead of
+    the module, and they may then differ."""
+    p = draw(st.sampled_from([3, 5]))
+    radius = draw(st.integers(80, 160))
+    ctx = ChainContext(p, draw(st.integers(1, 4)), -radius, radius)
+    coeff = st.integers(1, ctx.mod - 1)
+    shape = st.sampled_from(["zero", "constant", "monomial", "polynomial"])
+
+    def entry():
+        kind = draw(shape)
+        if kind == "zero":
+            return {}
+        if kind == "constant":
+            terms = {0: draw(coeff)}
+        elif kind == "monomial":
+            terms = {draw(st.integers(-3, 3)): draw(coeff)}
+        else:
+            terms = draw(st.dictionaries(st.integers(0, 3), coeff, min_size=1, max_size=4))
+        v = draw(st.integers(0, ctx.modulus - 1))
+        return {e: c * p**v for e, c in terms.items()}
+
+    P = [ChainScalar(ctx, entry()) for _ in range(draw(st.integers(1, 7)))]
+    if draw(st.booleans()):
+        P[0] = ChainScalar.zero(ctx)
+    return P, draw(st.integers(1, 6)), ctx
+
+
 def _corner_presentation(lab, p, k, radius):
     """The depth-k corner presentation at one x1 window, with the official
     annihilator monomials and the bare x2 as query columns."""
@@ -608,6 +659,24 @@ class TestPresentation:
         assert chain_snf(pres.rows(), ctx) == [1, 1]
 
 
+class TestChunkWalk:
+    def test_small_chunks_by_hand(self):
+        ctx = ChainContext(3, 3, -6, 6)
+        # x2 = -3 and x2^2 = 9 in C[x2]/(3 + x2, x2^2): the quotient is C/9
+        assert lengths._chunk_length([_mono(0, 3, ctx), _mono(0, 1, ctx)], 2, ctx) == 2
+        # a zero carrier relates nothing: every generator counts the modulus
+        assert lengths._chunk_length([ChainScalar.zero(ctx)], 4, ctx) == 12
+
+    # chain_snf is the slow reference: the same chunk as the w shifted
+    # columns of P, eliminated as a matrix
+    @settings(max_examples=300)
+    @given(_one_generator_chunks())
+    def test_walk_matches_the_elimination(self, chunk):
+        P, w, ctx = chunk
+        rows = ChainPresentation(ctx, w, [lengths._shift_column(P, t, w) for t in range(w)]).rows()
+        assert lengths._chunk_length(P, w, ctx) == sum(chain_snf(rows, ctx))
+
+
 class TestQuotientLength:
     def test_default_radius_formula(self):
         assert chain_default_radius(3, 1) == 18
@@ -634,25 +703,43 @@ class TestQuotientLength:
         assert length_by_elimination(case, k) == quotient_length(case, k)
 
     # chunk j of the peel route is the closed form's term 2p^j*(k - j) on
-    # every c0 <= 2 cell of the criterion grid and on (unr, 3, 3); (ram, 3, 3)
-    # is left out because its peel route takes 49 s (it confirms only at
-    # radius 5,184), so this is not full coverage of the grid
-    @pytest.mark.parametrize("lab, p, k", [
-        (lab, p, k) for lab in ("unr", "ram") for p in (3, 5) for k in (1, 2)
-    ] + [("unr", 3, 3)])
+    # every cell of PINNED_PEEL_RADII, confirmed at the pinned radius: a
+    # change that moves a confirming radius fails here, and not only in the
+    # benchmark's timings
+    @pytest.mark.parametrize("lab, p, k", list(PINNED_PEEL_RADII))
     def test_peel_chunks_are_the_closed_form_terms(self, monkeypatch, lab, p, k):
         confirmed = []
         stabilize = lengths._stabilize
 
         def recording(measure, base, p, k):
             radius, value = stabilize(measure, base, p, k)
-            confirmed.append(value)
+            confirmed.append((radius, value))
             return radius, value
 
         monkeypatch.setattr(lengths, "_stabilize", recording)
         total = length_by_elimination(CaseDescriptor.from_label(lab, p), k)
-        assert confirmed == [vertical_multiplicity_terms(p, k)]
+        assert confirmed == [(PINNED_PEEL_RADII[lab, p, k], vertical_multiplicity_terms(p, k))]
         assert total == vertical_multiplicity_closed_form(p, k)
+
+    # the two length routes share no elimination kernel: each still gives
+    # its answer when the other's kernel is broken
+    @pytest.mark.parametrize("lab", ["unr", "ram"])
+    def test_peel_route_runs_without_chain_snf(self, monkeypatch, lab):
+        def broken(*args, **kwargs):
+            raise RuntimeError("chain_snf called")
+
+        monkeypatch.setattr(lengths, "chain_snf", broken)
+        assert length_by_elimination(CaseDescriptor.from_label(lab, 3), 2) == vertical_multiplicity_closed_form(3, 2)
+
+    @pytest.mark.parametrize("lab", ["unr", "ram"])
+    def test_elimination_route_runs_without_the_chunk_walk(self, monkeypatch, lab):
+        def broken(*args, **kwargs):
+            raise RuntimeError("_chunk_length called")
+
+        monkeypatch.setattr(lengths, "_chunk_length", broken)
+        report = quotient_length_details(CaseDescriptor.from_label(lab, 3), 2)
+        got = (report.length, report.exponents, report.chain_radius, report.retried)
+        assert got == PINNED_WINDOWS[lab, 3, 2]
 
     # (length, exponents, chain_radius, retried) as the window driver
     # confirms them: a change of pivot path that moves a confirming radius
