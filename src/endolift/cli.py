@@ -15,7 +15,8 @@ the same reader as the flags; the command line beats the file, which beats
 the default.  The report's `config` block is these resolved settings.
 
 Each command imports its engine module when it runs, so `lattice` and
-`inventory` load neither the series, the tower nor the length engine.
+`inventory` load neither the series, the tower nor the length engine, and
+`main` builds the argument parser of the named command alone.
 
 Exit codes: 0 all selected checks pass; 1 a check failed; 2 usage error;
 3 precision or window exhaustion.
@@ -126,15 +127,6 @@ _FLAGS = {
     "superlattices": (dict(metavar="S"), _count),
     "appendix": (dict(action="store_const", const=True), _switch),
 }
-
-
-def _add_flags(sub, fn, **defaults) -> None:
-    """Declare a command's flags with their defaults; --format is always one."""
-    defaults["format"] = "json"
-    for name in defaults:
-        sub.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **_FLAGS[name][0])
-    sub.add_argument("--config", default=None, help="key = value file mirroring flags")
-    sub.set_defaults(fn=fn, flag_defaults=defaults)
 
 
 def _file_config(ns) -> Dict[str, Tuple[str, str]]:
@@ -655,29 +647,40 @@ def cmd_selfcheck(config: Dict) -> Report:
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each command: its function, its help line and its flags' defaults
+_COMMANDS = {
+    "inventory": (cmd_inventory, "component tables and totals", dict(case="both", p="3", c0="1")),
+    "recursion": (cmd_recursion, "tower solutions and structure checks",
+                  dict(case="both", p="3", k=2, precision_scale=1, dump=False)),
+    "multiplicity": (cmd_multiplicity, "measured vs closed-form lengths",
+                     dict(case="both", p="3", c0="1..2", precision_scale=1)),
+    "lattice": (cmd_lattice, "stable-lattice suites", dict(p="3", sublattices=-1, superlattices=-1, appendix=False)),
+    "selfcheck": (cmd_selfcheck, "fast cross-check battery", {}),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone; the lean one's
+    usage line still names them all, so both refuse its arguments alike."""
     parser = argparse.ArgumentParser(
         prog="endolift",
         description="Exact desk-scale sweeps over deformation-locus invariants.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    _add_flags(subs.add_parser("inventory", help="component tables and totals"),
-               cmd_inventory, case="both", p="3", c0="1")
-    _add_flags(subs.add_parser("recursion", help="tower solutions and structure checks"),
-               cmd_recursion, case="both", p="3", k=2, precision_scale=1, dump=False)
-    _add_flags(subs.add_parser("multiplicity", help="measured vs closed-form lengths"),
-               cmd_multiplicity, case="both", p="3", c0="1..2", precision_scale=1)
-    # no suite selected (all three at their defaults) runs sublattices 2,
-    # superlattices 1 and the appendix
-    _add_flags(subs.add_parser("lattice", help="stable-lattice suites"),
-               cmd_lattice, p="3", sublattices=-1, superlattices=-1, appendix=False)
-    _add_flags(subs.add_parser("selfcheck", help="fast cross-check battery"), cmd_selfcheck)
+    names = None if command is None else "{" + ",".join(_COMMANDS) + "}"  # as argparse writes them
+    subs = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name in _COMMANDS if command is None else (command,):
+        fn, help_text, defaults = _COMMANDS[name]
+        sub, defaults = subs.add_parser(name, help=help_text), dict(defaults, format="json")
+        for flag in defaults:
+            sub.add_argument("--" + flag.replace("_", "-"), dest=flag, default=None, **_FLAGS[flag][0])
+        sub.add_argument("--config", default=None, help="key = value file mirroring flags")
+        sub.set_defaults(fn=fn, flag_defaults=defaults)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         config = _settings(ns)
         rows, footers, verdicts, errata = ns.fn(config)

@@ -21,9 +21,11 @@ rule: when the basis lines have pairwise distinct residue characters (the
 order action alone is (w, w, -w, -w), the two omega actions together give
 four characters), the projection onto each line is a polynomial in the
 actions with integral coefficients, so a stable lattice splits into
-eigenlines and each window checks diagonal lattices only.  Each operator is
-stated once, in its module constructor, and read from there; a constructor
-builds one read-only module per (p, prec) and shares it with every caller.
+eigenlines and each window checks diagonal lattices only.  An untwisted
+diagonal action keeps every diagonal lattice, so the stability check faces
+such a lattice with the other operators alone.  Each operator is stated
+once, in its module constructor, and read from there; a constructor builds
+one read-only module per (p, prec) and shares it with every caller.
 Anything stable outside the classification raises ShapeViolation.
 
 The filtration-lift census counts the lifts of the Hodge filtration to the
@@ -69,7 +71,7 @@ class SemilinearModule:
     p^prec.
     """
 
-    __slots__ = ("p", "prec", "rank", "F", "actions", "label", "_mod", "_r", "_ops")
+    __slots__ = ("p", "prec", "rank", "F", "actions", "label", "_mod", "_r", "_eigenvalues", "_open_ops", "_ops")
 
     def __init__(self, p, prec, rank, F, actions, label):
         p, prec = index(p), index(prec)  # TypeError for 8.0 or "8"
@@ -87,7 +89,15 @@ class SemilinearModule:
             raise ValueError(f"{label}: an action may not be named F")
         # name -> (twist, sparse rows), cheap-to-fail linear actions first
         ops = [(name, mat, 0) for name, mat in sorted(self.actions.items())] + [("F", F, 1)]
-        self._ops = {name: (twist, self._sparse_rows(mat)) for name, mat, twist in ops}
+        ops = {name: (twist, self._sparse_rows(mat)) for name, mat, twist in ops}
+        # name -> diagonal of each untwisted diagonal action, which keeps every diagonal lattice
+        self._eigenvalues = MappingProxyType({
+            name: tuple(dict(row).get(i, (0, 0)) for i, row in enumerate(sparse))
+            for name, (twist, sparse) in ops.items()
+            if not twist and all(j == i for i, row in enumerate(sparse) for j, _x in row)
+        })
+        self._open_ops = tuple(op for name, op in ops.items() if name not in self._eigenvalues)
+        self._ops = ops
 
     def __setattr__(self, name, value):
         if hasattr(self, "_ops"):  # set last: the module is built, so shared
@@ -223,16 +233,6 @@ def operator_sanity(module: SemilinearModule) -> None:
                 raise ConsistencyFailure(f"{module.label}: {name} does not commute with F")
 
 
-def _diagonal_eigenvalues(module: SemilinearModule) -> Dict[str, Vector]:
-    """The diagonal, as raw pairs, of each linear action whose matrix is
-    diagonal, by action name."""
-    return {
-        name: tuple(dict(row).get(i, (0, 0)) for i, row in enumerate(sparse))
-        for name, (twist, sparse) in module._ops.items()
-        if not twist and all(j == i for i, row in enumerate(sparse) for j, _x in row)
-    }
-
-
 # ---------------------------------------------------------------------------
 # Hermite bases
 
@@ -248,23 +248,24 @@ class LatticeHNF:
     rows not in that form are a ValueError (`hermite_form` puts any
     generating set into it), and rows whose span modulo p^prec holds more
     than they state are PrecisionTooLow.  The scale is an integer
-    (TypeError otherwise)."""
+    (TypeError otherwise).  Once built, a lattice refuses assignment and
+    deletion (AttributeError), and copies and pickles, as a `Frozen` value."""
 
-    __slots__ = ("module", "scale", "pair_rows", "_exps", "_steps")
+    __slots__ = ("module", "scale", "pair_rows", "_exps", "_steps", "_diagonal")
 
     def __init__(self, module: SemilinearModule, pair_rows: Sequence[Sequence[Pair]], scale: int = 0):
-        self.module = module
-        self.scale = index(scale)
+        scale = index(scale)
         if len(pair_rows) != module.rank:
             raise ValueError(f"{module.label}: {len(pair_rows)} rows for a rank-{module.rank} module")
-        rows = self.pair_rows = tuple(tuple(module._coords(row)) for row in pair_rows)
+        rows = tuple(tuple(module._coords(row)) for row in pair_rows)
         # per row: its pivot exponent d, and p^d with the row's nonzero entries
         p, prec, mod = module.p, module.prec, module._mod
-        exps, steps = [], []
+        exps, steps, diagonal = [], [], True
         for i, row in enumerate(rows):
-            entries = tuple((j, x) for j, x in enumerate(row) if x != (0, 0))
+            entries = tuple([(j, x) for j, x in enumerate(row) if x != (0, 0)])
             if entries and entries[0][0] < i:
                 raise ValueError(f"{module.label}: row {i} has an entry below the diagonal")
+            diagonal = diagonal and (not entries or entries[-1][0] == i)
             d = pair_val(row[i], p, prec)
             pd = p**d
             if row[i] != (pd % mod, 0):
@@ -273,8 +274,8 @@ class LatticeHNF:
                 raise ValueError(f"{module.label}: an entry above the pivot of row {i} is not reduced")
             exps.append(d)
             steps.append((pd, entries))
-        self._exps = tuple(exps)
-        self._steps = tuple(steps)
+        for setter, value in zip(_LATTICE_SETTERS, (module, scale, rows, tuple(exps), tuple(steps), diagonal)):
+            setter(self, value)
         # row i times p^(prec - d_i) has a zero pivot, so it lies in the
         # truncated span; unless it reduces to zero against the rows below,
         # that span holds more than the rows state, and equal rows would not
@@ -287,6 +288,8 @@ class LatticeHNF:
                         f"{module.label}: precision {prec} is too low for pivot exponents "
                         f"{self._exps}: p^{prec - d} times row {i} leaves the rows' span"
                     )
+
+    __setattr__, __delattr__, __setstate__ = Frozen.__setattr__, Frozen.__delattr__, Frozen.__setstate__
 
     def sort_key(self):
         """(p, prec, scale, the row coordinates): pairs alone do not say
@@ -312,9 +315,7 @@ class LatticeHNF:
         return sum(self._exps) - self.module.rank * self.scale
 
     def is_diagonal(self) -> bool:
-        return all(
-            x == (0, 0) for i, row in enumerate(self.pair_rows) for j, x in enumerate(row) if i != j
-        )
+        return self._diagonal
 
     def _contains_pairs(self, v) -> bool:
         """Membership of a vector of pairs written in this lattice's integral
@@ -336,14 +337,23 @@ class LatticeHNF:
         return not any(a or b for a, b in v)
 
 
+# the slot descriptors' setters, by which a lattice is built once, as `Frozen` builds a value
+_LATTICE_SETTERS = tuple(LatticeHNF.__dict__[name].__set__ for name in LatticeHNF.__slots__)
+
+
 def hermite_form(module: SemilinearModule, rows: Sequence[Sequence[Pair]], scale: int = 0) -> LatticeHNF:
     """Canonical Hermite basis of a full-rank row span over the local
     scalar ring (H. Cohen, GTM 138, section 2.4): unit-normalized p-power
     pivots, then the entries above pivot 0, 1, ... reduced in turn to their
     canonical residues; a reduction above pivot i changes only columns >= i,
     so it keeps every earlier column reduced."""
+    return _hermite_pairs(module, [module._coords(row) for row in rows], scale)
+
+
+def _hermite_pairs(module: SemilinearModule, work: List[List[Pair]], scale: int) -> LatticeHNF:
+    """`hermite_form` of checked rows, lists of pairs reduced modulo p^prec
+    as `SemilinearModule._coords` gives them; it consumes the lists."""
     p, prec, rank, mod, r = module.p, module.prec, module.rank, module._mod, module._r
-    work = [module._coords(row) for row in rows]
     pivots: List[List[Pair]] = []
     for col in range(rank):
         best = None
@@ -386,7 +396,9 @@ def hermite_form(module: SemilinearModule, rows: Sequence[Sequence[Pair]], scale
 
 
 def _stable_under_all(module: SemilinearModule, lat: LatticeHNF) -> bool:
-    for twist, sparse in module._ops.values():
+    """Whether every operator keeps `lat`.  A diagonal lattice faces only the
+    module's open operators: an untwisted diagonal action rescales its rows."""
+    for twist, sparse in module._open_ops if lat._diagonal else module._ops.values():
         for row in lat.pair_rows:
             if not lat._contains_pairs(module._apply_pairs(sparse, row, twist)):
                 return False
@@ -418,7 +430,7 @@ def enumerate_stable_sublattices(module: SemilinearModule, k: int) -> List[Latti
         )
     gaps = [
         pair_val(pair_sub(m1, m0, module._mod), p, module.prec)
-        for m0, m1 in _diagonal_eigenvalues(module).values()
+        for m0, m1 in module._eigenvalues.values()
     ]
     found = []
     for a in range(k + 1):
@@ -457,16 +469,7 @@ def lie_action_parity(lattice: LatticeHNF) -> str:
 
 
 # ---------------------------------------------------------------------------
-# residue-field layer: the residue characters that the superlattice search's
-# eigenline rule reads (module docstring), and the rank routine of the
-# filtration-lift census
-
-
-def _residue_characters(module: SemilinearModule) -> List[tuple]:
-    """Per basis line, its eigenvalues mod p under the diagonal actions."""
-    p = module.p
-    diagonals = _diagonal_eigenvalues(module).values()
-    return [tuple((d[i][0] % p, d[i][1] % p) for d in diagonals) for i in range(module.rank)]
+# residue-field layer: the rank routine of the filtration-lift census
 
 
 def _rank(p: int, r: int, vectors) -> int:
@@ -539,9 +542,10 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
     characters (ValueError otherwise), so that every stable lattice splits
     into eigenlines (module docstring).  The m = 1 window then checks one
     diagonal lattice per coordinate plane of dimension 2s, p on the other
-    lines; deeper windows check the members of the diagonal family.  Every
-    survivor must classify as some (a, b, delta) with a + b + delta = s;
-    anything else raises ShapeViolation.
+    lines; deeper windows check the members of the diagonal family.  Each
+    candidate is diagonal, so the order actions keep it and only F is left
+    to check (`_stable_under_all`).  Every survivor must classify as some
+    (a, b, delta) with a + b + delta = s; anything else raises ShapeViolation.
     """
     s, m = index(s), index(m)
     if module.rank != 4:
@@ -554,13 +558,15 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
         )
     if s == 0:
         return [_family_lattice(module, 0, 0, 0, m)]
-    if len(set(_residue_characters(module))) < 4:
+    # per basis line, its residue character: its eigenvalues mod p under the diagonal actions
+    p = module.p
+    if len({tuple((d[i][0] % p, d[i][1] % p) for d in module._eigenvalues.values()) for i in range(4)}) < 4:
         raise ValueError(
             f"{module.label}: the basis lines share a residue character, so a "
             f"stable lattice need not split into eigenlines"
         )
     if m == 1:
-        one, pp = (1, 0), (module.p, 0)
+        one, pp = (1, 0), (p, 0)
         candidates = (
             LatticeHNF(module, _diag([one if i in plane else pp for i in range(4)]), 1)
             for plane in combinations(range(4), 2 * s)
@@ -584,14 +590,15 @@ def descend_superlattice(a: int, b: int, delta: int, p: int) -> DescentReport:
     """Push a classified superlattice down to a rank-2 frame.
 
     Reads e* = p^-a e1 + p^-b e2 and f* = p^-(b+delta) f1 + p^-(a+delta) f2
-    in scaled integral coordinates off the family lattice's diagonal, checks
-    F e* = p^delta f* and F f* = p^(1-delta) e* (V = F), checks that the
-    order omega acts by omega on e* and by -omega on f*, and checks that the
-    scalar-omega translates of the pair span the family lattice, which is
-    its own Hermite basis (diagonal, unit-normalized p-power pivots).
-    StabilityFailure on any miss.  The module is the shared read-only
-    `tensor_rank4`, looked up by name on each call, two digits above the
-    precision the superlattice search needs at the same (s, m).
+    in scaled integral coordinates off the family lattice's checked rows,
+    which the operator kernels and the Hermite elimination take as they are.
+    It checks F e* = p^delta f* and F f* = p^(1-delta) e* (V = F), that the
+    order omega acts by omega on e* and by -omega on f*, and that the
+    scalar-omega translates of the pair span the family lattice, its own
+    Hermite basis (diagonal, unit-normalized p-power pivots).  StabilityFailure
+    on any miss.  The module is the shared read-only `tensor_rank4`, looked
+    up by name on each call, two digits above the precision the superlattice
+    search needs at the same (s, m).
     """
     if delta not in (0, 1) or a < 0 or b < 0:
         raise ValueError("need a, b >= 0 and delta in {0, 1}")
@@ -601,22 +608,26 @@ def descend_superlattice(a: int, b: int, delta: int, p: int) -> DescentReport:
     expected = _family_lattice(module, a, b, delta, m)
     pe1, pe2, pf1, pf2 = (row[i] for i, row in enumerate(expected.pair_rows))
     zero = (0, 0)
-    e_star, f_star = (pe1, pe2, zero, zero), (zero, zero, pf1, pf2)
+    e_star, f_star = [pe1, pe2, zero, zero], [zero, zero, pf1, pf2]
+
+    def apply(name, v):  # v is made of rows of a checked lattice
+        twist, sparse = module._ops[name]
+        return module._apply_pairs(sparse, v, twist)
 
     def times(c, v):
-        return tuple(pair_mul(c, x, module._r, module._mod) for x in v)
+        return [pair_mul(c, x, module._r, module._mod) for x in v]
 
     for v, image, e in ((e_star, f_star, delta), (f_star, e_star, 1 - delta)):
-        if module.apply("F", v) != times((p**e, 0), image):
+        if apply("F", v) != times((p**e, 0), image):
             raise StabilityFailure(f"descent of ({a}, {b}, {delta}) is not operator-stable")
 
-    if module.apply("omega-order", e_star) != times((0, 1), e_star):
+    if apply("omega-order", e_star) != times((0, 1), e_star):
         raise StabilityFailure("order action does not act by a scalar on e*")
-    if module.apply("omega-order", f_star) != times((0, -1), f_star):
+    if apply("omega-order", f_star) != times((0, -1), f_star):
         raise StabilityFailure("order action does not act by a scalar on f*")
 
-    gens = [e_star, f_star, module.apply("omega-scalar", e_star), module.apply("omega-scalar", f_star)]
-    span = hermite_form(module, gens, scale=m)
+    gens = [e_star, f_star, apply("omega-scalar", e_star), apply("omega-scalar", f_star)]
+    span = _hermite_pairs(module, gens, m)
     if span != expected:
         raise StabilityFailure("scalar extension of the descent misses the superlattice")
     return DescentReport(a, b, delta, m, span)
@@ -648,7 +659,7 @@ def _census_blocks(p: int):
     """(T_E, T_F) of the order and of the uniformizer, in row convention;
     the order's diagonal is read off `tensor_rank4` mod p."""
     zero = (0, 0)
-    diagonal = _diagonal_eigenvalues(tensor_rank4(p, 1))["omega-order"]
+    diagonal = tensor_rank4(p, 1)._eigenvalues["omega-order"]
     e_block, f_block = (
         tuple(tuple(diagonal[i] if i == j else zero for j in plane) for i in plane)
         for plane in ((0, 1), (2, 3))

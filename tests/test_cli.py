@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import endolift
-from endolift import windows as win
+from endolift import cli, windows as win
 from endolift.cli import SCHEMA_VERSION, build_parser, main
 from endolift.errors import ConsistencyFailure, WindowExhausted
 
@@ -356,6 +356,92 @@ class TestArgumentErrors:
         cfg.write_text("c0 = 1\n", encoding="utf-8")
         assert main(["lattice", "--config", str(cfg)]) == 2
         assert not (outdir / "lattice.json").exists()
+
+
+# each command with every one of its flags set away from its default
+EVERY_FLAG = {
+    "inventory": dict(case="unr", p="3,5", c0="0..1", format="tsv"),
+    "recursion": dict(case="ram", p="3", k="1", precision_scale="2", dump=True, format="tsv"),
+    "multiplicity": dict(case="unr", p="3", c0="1", precision_scale="2", format="tsv"),
+    "lattice": dict(p="3", sublattices="1", superlattices="1", appendix=True, format="tsv"),
+    "selfcheck": dict(format="tsv"),
+}
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of one CLI call; argparse exits by
+    SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestLeanParser:
+    """`main` builds the parser of the command it runs alone.  It must read
+    and refuse that command's arguments exactly as the parser of every
+    command does, which is what `main` runs on with `build_parser` patched
+    to build them all."""
+
+    @staticmethod
+    def _lean_and_full(capsys, monkeypatch, argv):
+        lean = _outcome(capsys, argv)
+        full_parser = cli.build_parser
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda command=None: full_parser())
+            full = _outcome(capsys, argv)
+        return lean, full
+
+    @pytest.mark.parametrize("command", sorted(EVERY_FLAG))
+    def test_the_lean_parser_holds_one_command_and_every_flag_is_given(self, command):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        lean = next(a for a in build_parser(command)._actions if a.dest == "command")
+        assert list(lean.choices) == [command] and len(commands.choices) == len(EVERY_FLAG)
+        flags = {a.dest for a in commands.choices[command]._actions if a.option_strings}
+        assert set(EVERY_FLAG[command]) == flags - {"help", "config"}
+
+    @pytest.mark.parametrize("given", ["flags", "defaults", "config"])
+    @pytest.mark.parametrize("command", sorted(EVERY_FLAG))
+    def test_settings_and_report_bytes_match(self, outdir, capsys, monkeypatch, tmp_path, command, given):
+        settings, argv = EVERY_FLAG[command], [command]
+        if given == "flags":
+            for name, value in settings.items():
+                argv += ["--" + name.replace("_", "-")] + ([] if value is True else [value])
+        elif given == "config":
+            cfg = tmp_path / "every.cfg"
+            cfg.write_text("".join(f"{name} = {'yes' if value is True else value}\n"
+                                   for name, value in settings.items()), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        lean_ns, full_ns = (parser.parse_args(argv) for parser in (build_parser(command), build_parser()))
+        assert vars(lean_ns) == vars(full_ns)
+        resolved = cli._settings(lean_ns)
+        assert resolved == cli._settings(full_ns)
+        assert (resolved["format"] == "tsv") == (given != "defaults")
+        lean, full = self._lean_and_full(capsys, monkeypatch, argv)
+        assert lean == full
+        assert lean[0] == 0 and lean[1] and not lean[2]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["lattice", "--bogus"], 2),
+        (["inventory", "--case", "unr", "--bogus", "1"], 2),
+        (["lattice", "lattice"], 2),
+        (["inventory", "--case", "inert"], 2),
+        (["lattice", "--format", "xml"], 2),
+        (["lattice", "--p"], 2),
+        (["lattice", "-h"], 0),
+        (["recursion", "--help"], 0),
+        (["frobnicate"], 2),
+        ([], 2),
+        (["-h"], 0),
+    ], ids=["unknown-flag", "unknown-flag-with-value", "extra-argument", "bad-case", "bad-format",
+            "p-without-value", "lattice-help", "recursion-help", "unknown-command", "no-command", "help"])
+    def test_refusals_and_help_are_byte_identical(self, outdir, capsys, monkeypatch, argv, code):
+        lean, full = self._lean_and_full(capsys, monkeypatch, argv)
+        assert lean == full
+        assert lean[0] == code and (lean[1] if code == 0 else lean[2])
+        assert not list(outdir.iterdir())
 
 
 def _recorded_digests():

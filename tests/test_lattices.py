@@ -1,5 +1,7 @@
 """Tests for semilinear modules, stable lattices, and the lift census."""
 
+import copy
+import pickle
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -141,6 +143,19 @@ class TestSemilinearModules:
         assert list(ramified_rank2(3)._ops) == ["uniformizer", "F"]
         assert list(tensor_rank4(3)._ops) == ["omega-order", "omega-scalar", "F"]
 
+    def test_a_diagonal_lattice_faces_only_the_open_operators(self):
+        # the untwisted diagonal actions are marked once, with their
+        # diagonals; F, which is twisted, and the uniformizer, which is not
+        # diagonal, stay open
+        for build, diagonal, open_ops in [(standard_rank2, ["omega"], ["F"]),
+                                          (ramified_rank2, [], ["uniformizer", "F"]),
+                                          (tensor_rank4, ["omega-order", "omega-scalar"], ["F"])]:
+            module = build(3)
+            assert list(module._eigenvalues) == diagonal
+            assert module._open_ops == tuple(module._ops[name] for name in open_ops)
+        w, minus_w = (0, 1), (0, 3**10 - 1)
+        assert tensor_rank4(3)._eigenvalues["omega-order"] == (w, w, minus_w, minus_w)
+
 
 class TestSharedModules:
     """Each constructor builds one read-only module per (p, prec) and hands
@@ -264,6 +279,37 @@ class TestHermiteForm:
         # the same integral rows viewed at scale 1 (rows are p^-1 times these)
         lat = hermite_form(module, [_vec(3, 0), _vec(0, 3)], scale=1)
         assert lat.index_exponent() == 0
+
+    @pytest.mark.parametrize("change", [
+        lambda lat: setattr(lat, "scale", 7),
+        lambda lat: setattr(lat, "pair_rows", lat.pair_rows[::-1]),
+        lambda lat: setattr(lat, "_diagonal", False),
+        lambda lat: setattr(lat, "extra", 1),
+        lambda lat: delattr(lat, "scale"),
+        lambda lat: delattr(lat, "_steps"),
+    ], ids=["scale", "pair_rows", "diagonal-flag", "new-name", "del-scale", "del-steps"])
+    def test_a_lattice_cannot_change_once_hashed(self, change):
+        # a lattice compares and hashes by its rows and scale, and the
+        # stability check trusts its diagonal flag
+        lat = enumerate_stable_superlattices(tensor_rank4(3), 1, 1)[0]
+        key, digest = lat.sort_key(), hash(lat)
+        with pytest.raises(AttributeError):
+            change(lat)
+        assert (lat.sort_key(), hash(lat), lat.scale, lat.is_diagonal()) == (key, digest, 1, True)
+
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, lambda lat: pickle.loads(pickle.dumps(lat))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copied_lattice_is_an_equal_lattice(self, copy_of):
+        module = tensor_rank4(3)
+        for lat in [*enumerate_stable_superlattices(module, 1, 2),
+                    hermite_form(module, [_vec(3, 1, 0, 2), _vec(0, 9, 1, 0), _vec(0, 0, 3, 0), _vec(0, 0, 0, 1)])]:
+            twin = copy_of(lat)
+            assert twin == lat and hash(twin) == hash(lat)
+            assert (twin.scale, twin.pair_rows, twin.pivot_exponents()) == (lat.scale, lat.pair_rows, lat.pivot_exponents())
+            assert twin.is_diagonal() == lat.is_diagonal()
+            assert lattices._stable_under_all(twin.module, twin) == lattices._stable_under_all(module, lat)
+            with pytest.raises(AttributeError):
+                twin.scale = 0
 
 
 class TestStableSublattices:
@@ -566,6 +612,12 @@ def _vectors(module):
     return st.lists(_coords(module), min_size=module.rank, max_size=module.rank).map(tuple)
 
 
+def _diag_rows(module, exps):
+    """The diagonal rows with pivots p^e, reduced modulo p^prec."""
+    p, mod = module.p, module._mod
+    return [[(p**e % mod, 0) if i == j else (0, 0) for j in range(module.rank)] for i, e in enumerate(exps)]
+
+
 def _full_rank_rows(data, module, top=3):
     """Drawn rows whose span has full rank: p^e multiples of the basis, e at
     most `top`, under drawn rows, so that the elimination meets non-unit
@@ -635,7 +687,41 @@ class TestPairKernels:
         for v in [data.draw(_vectors(module)), member] + images:
             assert _contains(lat, v) == _contains_reference(module, lat.pair_rows, v)
         assert _contains(lat, member)
+        off_diagonal = [x for i, row in enumerate(lat.pair_rows) for j, x in enumerate(row) if i != j]
+        assert lat.is_diagonal() == all(x == (0, 0) for x in off_diagonal)
         assert lattices._stable_under_all(module, lat) == _stable_reference(module, lat)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("label", sorted(PAIR_MODULES))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_stability_of_a_diagonal_lattice_matches_the_reference(self, label, p, data):
+        # the drawn full-rank rows above are almost never diagonal, and a
+        # diagonal lattice faces only the operators its module leaves open.
+        # Pivot exponents of at most 2 make stable lattices common; a pivot
+        # p^prec is the zero pivot
+        module = _pair_module(label, p)
+        exponent = st.one_of(st.integers(0, 2), st.integers(0, module.prec))
+        exps = data.draw(st.lists(exponent, min_size=module.rank, max_size=module.rank))
+        lat = LatticeHNF(module, _diag_rows(module, exps), data.draw(st.integers(-3, 3)))
+        assert lat.is_diagonal() and lat.pivot_exponents() == tuple(exps)
+        assert lattices._stable_under_all(module, lat) == _stable_reference(module, lat)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_a_diagonal_lattice_still_faces_a_non_diagonal_action(self, p):
+        # ramified_rank2's uniformizer e0 -> f0, f0 -> p e0 is untwisted and
+        # not diagonal.  Beside F the bare twist, which keeps every diagonal
+        # lattice, it alone decides: it does not keep (p^2 e0, f0), and keeps
+        # (p e0, f0)
+        identity = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+        uniformizer = ramified_rank2(p).actions["uniformizer"]
+        module = SemilinearModule(p, 8, 2, identity, {"uniformizer": uniformizer}, "rank2-uniformizer")
+        bare = SemilinearModule(p, 8, 2, identity, {}, "rank2-bare")
+        for a, stable in ((2, False), (1, True), (0, True)):
+            lat = LatticeHNF(module, _diag_rows(module, (a, 0)))
+            assert lat.is_diagonal()
+            assert lattices._stable_under_all(module, lat) == _stable_reference(module, lat) == stable
+            assert lattices._stable_under_all(bare, LatticeHNF(bare, lat.pair_rows))
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("label", sorted(PAIR_MODULES))
