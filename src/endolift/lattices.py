@@ -10,10 +10,11 @@ omega except for the ramified uniformizer.
 Every scalar here is a raw (a, b) pair meaning a + b*omega, read in the
 module's own ring: operator matrices, vectors and lattice rows alike, and
 each vector a caller hands in passes one check, `SemilinearModule._coords`.
-Lattices are held in their canonical Hermite basis, which the constructor
-enforces: an upper-triangular row basis with pivots exactly p^d, entries
-above a pivot reduced modulo it, together with a scale m meaning the lattice
-is p^-m times the row span; equal lattices have equal rows.  The rank-2
+Lattices are held in their canonical Hermite basis: an upper-triangular row
+basis with pivots exactly p^d, entries above a pivot reduced modulo it,
+together with a scale m meaning the lattice is p^-m times the row span;
+equal lattices have equal rows.  The constructor checks that form on rows
+from outside, and the package builds its own lattices in it.  The rank-2
 sublattice search is exhaustive on its Hermite grid, visiting only the
 candidates that the linear conditions of the diagonal actions allow, each
 then fully checked.  The rank-4 superlattice search rests on one eigenline
@@ -248,8 +249,10 @@ class LatticeHNF:
     rows not in that form are a ValueError (`hermite_form` puts any
     generating set into it), and rows whose span modulo p^prec holds more
     than they state are PrecisionTooLow.  The scale is an integer
-    (TypeError otherwise).  Once built, a lattice refuses assignment and
-    deletion (AttributeError), and copies and pickles, as a `Frozen` value."""
+    (TypeError otherwise).  The package's own lattices, built in that form,
+    face the PrecisionTooLow check alone.  Once built, a lattice refuses
+    assignment and deletion (AttributeError), and copies and pickles, as a
+    `Frozen` value."""
 
     __slots__ = ("module", "scale", "pair_rows", "_exps", "_steps", "_diagonal")
 
@@ -258,14 +261,11 @@ class LatticeHNF:
         if len(pair_rows) != module.rank:
             raise ValueError(f"{module.label}: {len(pair_rows)} rows for a rank-{module.rank} module")
         rows = tuple(tuple(module._coords(row)) for row in pair_rows)
-        # per row: its pivot exponent d, and p^d with the row's nonzero entries
         p, prec, mod = module.p, module.prec, module._mod
-        exps, steps, diagonal = [], [], True
+        exps = []
         for i, row in enumerate(rows):
-            entries = tuple([(j, x) for j, x in enumerate(row) if x != (0, 0)])
-            if entries and entries[0][0] < i:
+            if any(x != (0, 0) for x in row[:i]):
                 raise ValueError(f"{module.label}: row {i} has an entry below the diagonal")
-            diagonal = diagonal and (not entries or entries[-1][0] == i)
             d = pair_val(row[i], p, prec)
             pd = p**d
             if row[i] != (pd % mod, 0):
@@ -273,21 +273,7 @@ class LatticeHNF:
             if any(max(above[i]) >= pd for above in rows[:i]):
                 raise ValueError(f"{module.label}: an entry above the pivot of row {i} is not reduced")
             exps.append(d)
-            steps.append((pd, entries))
-        for setter, value in zip(_LATTICE_SETTERS, (module, scale, rows, tuple(exps), tuple(steps), diagonal)):
-            setter(self, value)
-        # row i times p^(prec - d_i) has a zero pivot, so it lies in the
-        # truncated span; unless it reduces to zero against the rows below,
-        # that span holds more than the rows state, and equal rows would not
-        # mean equal lattices.  With sum(d) <= prec every such row reduces.
-        if sum(exps) > prec:
-            for i, (row, d) in enumerate(zip(rows, exps)):
-                wrap = p ** (prec - d)
-                if not self._contains_pairs([(wrap * a % mod, wrap * b % mod) for a, b in row]):
-                    raise PrecisionTooLow(
-                        f"{module.label}: precision {prec} is too low for pivot exponents "
-                        f"{self._exps}: p^{prec - d} times row {i} leaves the rows' span"
-                    )
+        _canonical_lattice(module, rows, scale, exps, self)
 
     __setattr__, __delattr__, __setstate__ = Frozen.__setattr__, Frozen.__delattr__, Frozen.__setstate__
 
@@ -341,20 +327,51 @@ class LatticeHNF:
 _LATTICE_SETTERS = tuple(LatticeHNF.__dict__[name].__set__ for name in LatticeHNF.__slots__)
 
 
+def _canonical_lattice(module, rows, scale, exps, lat=None) -> LatticeHNF:
+    """p^-scale times the span of `rows`, tuples of pairs reduced modulo p^prec
+    and in canonical Hermite form with pivot exponents `exps`, set into `lat`
+    (a new lattice by default) with no check of that form; PrecisionTooLow as
+    for `LatticeHNF`, whose constructor checks rows from outside first."""
+    p, prec, mod = module.p, module.prec, module._mod
+    steps, diagonal = [], True
+    for i, (row, d) in enumerate(zip(rows, exps)):
+        entries = tuple([(j, x) for j, x in enumerate(row) if x != (0, 0)])
+        diagonal = diagonal and (not entries or entries[-1][0] == i)
+        steps.append((p**d, entries))
+    if lat is None:
+        lat = object.__new__(LatticeHNF)
+    for setter, value in zip(_LATTICE_SETTERS, (module, scale, rows, tuple(exps), tuple(steps), diagonal)):
+        setter(lat, value)
+    # row i times p^(prec - d_i) has a zero pivot, so it lies in the truncated
+    # span; unless it reduces to zero against the rows below, that span holds
+    # more than the rows state, and equal rows would not mean equal lattices.
+    # With sum(d) <= prec every such row reduces; on a diagonal lattice it is 0.
+    if sum(exps) > prec and not diagonal:
+        for i, (row, d) in enumerate(zip(rows, exps)):
+            wrap = p ** (prec - d)
+            if not lat._contains_pairs([(wrap * a % mod, wrap * b % mod) for a, b in row]):
+                raise PrecisionTooLow(
+                    f"{module.label}: precision {prec} is too low for pivot exponents "
+                    f"{lat._exps}: p^{prec - d} times row {i} leaves the rows' span"
+                )
+    return lat
+
+
 def hermite_form(module: SemilinearModule, rows: Sequence[Sequence[Pair]], scale: int = 0) -> LatticeHNF:
     """Canonical Hermite basis of a full-rank row span over the local
     scalar ring (H. Cohen, GTM 138, section 2.4): unit-normalized p-power
     pivots, then the entries above pivot 0, 1, ... reduced in turn to their
     canonical residues; a reduction above pivot i changes only columns >= i,
     so it keeps every earlier column reduced."""
-    return _hermite_pairs(module, [module._coords(row) for row in rows], scale)
+    return _hermite_pairs(module, [module._coords(row) for row in rows], index(scale))
 
 
 def _hermite_pairs(module: SemilinearModule, work: List[List[Pair]], scale: int) -> LatticeHNF:
     """`hermite_form` of checked rows, lists of pairs reduced modulo p^prec
-    as `SemilinearModule._coords` gives them; it consumes the lists."""
+    as `SemilinearModule._coords` gives them, and an integer scale; it
+    consumes the lists."""
     p, prec, rank, mod, r = module.p, module.prec, module.rank, module._mod, module._r
-    pivots: List[List[Pair]] = []
+    pivots, exps = [], []
     for col in range(rank):
         best = None
         for idx, row in enumerate(work):
@@ -381,6 +398,7 @@ def _hermite_pairs(module: SemilinearModule, work: List[List[Pair]], scale: int)
                 if row[j] != (0, 0):
                     other[j] = pair_sub(other[j], pair_mul(q, row[j], r, mod), mod)
         pivots.append(row)
+        exps.append(d)
         work = [w for w in work if any(x != (0, 0) for x in w)]
     for i in range(rank):
         pd = pivots[i][i][0]
@@ -392,7 +410,7 @@ def _hermite_pairs(module: SemilinearModule, work: List[List[Pair]], scale: int)
             for j in range(rank):
                 if pivots[i][j] != (0, 0):
                     pivots[k][j] = pair_sub(pivots[k][j], pair_mul(q, pivots[i][j], r, mod), mod)
-    return LatticeHNF(module, pivots, scale)
+    return _canonical_lattice(module, tuple(map(tuple, pivots)), scale, exps)
 
 
 def _stable_under_all(module: SemilinearModule, lat: LatticeHNF) -> bool:
@@ -439,7 +457,7 @@ def enumerate_stable_sublattices(module: SemilinearModule, k: int) -> List[Latti
         step = p ** max([0] + [b - v for v in gaps])
         for w0 in range(0, p**b, step):
             for w1 in range(0, p**b, step):
-                lat = LatticeHNF(module, ((pa, (w0, w1)), ((0, 0), pb)), 0)
+                lat = _canonical_lattice(module, ((pa, (w0, w1)), ((0, 0), pb)), 0, (a, b))
                 if _stable_under_all(module, lat):
                     found.append(lat)
     found.sort(key=LatticeHNF.sort_key)
@@ -512,12 +530,10 @@ def superlattice_family(s: int, m: int) -> List[Tuple[int, int, int]]:
 
 
 def _family_lattice(module: SemilinearModule, a: int, b: int, delta: int, m: int) -> LatticeHNF:
-    p = module.p
     exps = (m - a, m - b, m - (b + delta), m - (a + delta))
     if min(exps) < 0:
         raise ValueError("family member escapes the window")
-    rows = [[(p**e, 0) if i == j else (0, 0) for j in range(4)] for i, e in enumerate(exps)]
-    return LatticeHNF(module, rows, m)
+    return _canonical_lattice(module, _diag([(module.p**e, 0) for e in exps]), m, exps)
 
 
 def classify_superlattice(lat: LatticeHNF) -> Tuple[int, int, int]:
@@ -566,11 +582,8 @@ def enumerate_stable_superlattices(module: SemilinearModule, s: int, m: int) -> 
             f"stable lattice need not split into eigenlines"
         )
     if m == 1:
-        one, pp = (1, 0), (p, 0)
-        candidates = (
-            LatticeHNF(module, _diag([one if i in plane else pp for i in range(4)]), 1)
-            for plane in combinations(range(4), 2 * s)
-        )
+        planes = ([int(i not in plane) for i in range(4)] for plane in combinations(range(4), 2 * s))
+        candidates = (_canonical_lattice(module, _diag([(p**e, 0) for e in exps]), 1, exps) for exps in planes)
     else:
         candidates = (_family_lattice(module, *abd, m) for abd in superlattice_family(s, m))
     found = [lat for lat in candidates if _stable_under_all(module, lat)]
@@ -590,7 +603,7 @@ def descend_superlattice(a: int, b: int, delta: int, p: int) -> DescentReport:
     """Push a classified superlattice down to a rank-2 frame.
 
     Reads e* = p^-a e1 + p^-b e2 and f* = p^-(b+delta) f1 + p^-(a+delta) f2
-    in scaled integral coordinates off the family lattice's checked rows,
+    in scaled integral coordinates off the family lattice's canonical rows,
     which the operator kernels and the Hermite elimination take as they are.
     It checks F e* = p^delta f* and F f* = p^(1-delta) e* (V = F), that the
     order omega acts by omega on e* and by -omega on f*, and that the
@@ -610,7 +623,7 @@ def descend_superlattice(a: int, b: int, delta: int, p: int) -> DescentReport:
     zero = (0, 0)
     e_star, f_star = [pe1, pe2, zero, zero], [zero, zero, pf1, pf2]
 
-    def apply(name, v):  # v is made of rows of a checked lattice
+    def apply(name, v):  # v is made of rows of a canonical lattice
         twist, sparse = module._ops[name]
         return module._apply_pairs(sparse, v, twist)
 

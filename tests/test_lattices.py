@@ -252,6 +252,12 @@ class TestHermiteForm:
             assert _fits_reference(module, lat.pair_rows)
             assert hermite_form(module, rows) == lat
 
+    def test_hermite_form_refuses_rows_the_precision_cannot_tell_apart(self):
+        # the same rows through the elimination, which builds its lattice
+        # without the constructor's form checks but keeps the span check
+        with pytest.raises(PrecisionTooLow, match=r"p\^4 times row 0"):
+            hermite_form(standard_rank2(3), [((81, 0), (1, 0)), ((0, 0), (243, 0))])
+
     def test_contains_its_rows_and_multiples(self):
         module = standard_rank2(3)
         lat = hermite_form(module, [_vec(9, 1), _vec(0, 27)])
@@ -580,6 +586,13 @@ def _stable_reference(module, lat):
     )
 
 
+def _assert_same_lattice(lat, twin):
+    """Equal slots, equal as lattices, equal hashes."""
+    slots = ("module", "scale", "pair_rows", "_exps", "_steps", "_diagonal")
+    assert [getattr(twin, name) for name in slots] == [getattr(lat, name) for name in slots]
+    assert twin == lat and hash(twin) == hash(lat)
+
+
 PAIR_MODULES = {
     "normalized": standard_rank2,
     "anti-normalized": _anti_normalized_rank2,
@@ -667,6 +680,18 @@ class TestPairKernels:
         lat = _lattice_or_refused(module, rows, scale)
         if lat is not None:
             assert (lat.pair_rows, lat.scale) == (want, scale)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("label", sorted(PAIR_MODULES))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_hermite_form_builds_what_the_constructor_builds(self, label, p, data):
+        # the elimination sets its lattice's slots from the exponents it
+        # picked, with no check of the form; the constructor derives them
+        module = _pair_module(label, p)
+        lat = _lattice_or_refused(module, _full_rank_rows(data, module), data.draw(st.integers(0, 3)))
+        if lat is not None:
+            _assert_same_lattice(lat, LatticeHNF(module, lat.pair_rows, lat.scale))
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("label", sorted(PAIR_MODULES))
@@ -1045,13 +1070,13 @@ class TestSearchWork:
 
     def test_sublattice_candidates_per_index(self, monkeypatch):
         built = []
-        init = LatticeHNF.__init__
+        build = lattices._canonical_lattice
 
-        def counting_init(self, *args, **kwargs):
+        def counting_build(*args):
             built.append(1)
-            init(self, *args, **kwargs)
+            return build(*args)
 
-        monkeypatch.setattr(LatticeHNF, "__init__", counting_init)
+        monkeypatch.setattr(lattices, "_canonical_lattice", counting_build)
         k = 4
         assert len(enumerate_stable_sublattices(standard_rank2(5), k)) == 1
         assert len(built) <= k + 1
@@ -1078,6 +1103,59 @@ class TestSearchWork:
     def test_deep_window_checks_only_the_family_members(self, monkeypatch):
         # not all 19 diagonal lattices of coindex p^4 in the p^-2 window
         assert self._counted_search(monkeypatch, 2, 2) == len(superlattice_family(2, 2)) == 5
+
+
+def _sublattice_grids():
+    # the benchmark's grids (p = 3 to k = 4, p = 7 to k = 2) and the lattice
+    # command's at --sublattices 3 (p = 3 and 5, prec 8)
+    for p, k_top in ((3, 4), (5, 3), (7, 2)):
+        for k in range(k_top + 1):
+            enumerate_stable_sublattices(standard_rank2(p), k)
+
+
+def _superlattice_windows():
+    # the benchmark's windows at p = 3, and the lattice command's at
+    # --superlattices 2 over p = 3, 5 at the precision it asks for
+    for s, m in ((1, 1), (2, 1), (2, 2)):
+        enumerate_stable_superlattices(tensor_rank4(3), s, m)
+    for p in (3, 5):
+        for s, m in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            enumerate_stable_superlattices(tensor_rank4(p, 2 * (s + m) + 2), s, m)
+
+
+def _descents():
+    frames = [(a, b, d) for d in (0, 1) for a in range(4) for b in range(4) if a + b + d <= 3]
+    reports = [descend_superlattice(a, b, d, p) for p in (3, 5) for a, b, d in frames]
+    assert len(reports) == 32
+
+
+class TestPackageBuiltLattices:
+    """The searches, the descents and the Hermite elimination build their
+    lattices with `_canonical_lattice`, past the constructor's form checks;
+    each lattice must be the one the checked constructor builds from its
+    rows."""
+
+    @pytest.mark.parametrize("run", [_sublattice_grids, _superlattice_windows, _descents],
+                             ids=["sublattice-grid", "superlattice-windows", "descents"])
+    def test_every_lattice_built_is_what_the_constructor_builds(self, run, monkeypatch):
+        built, checked = [], []
+        build, init = lattices._canonical_lattice, LatticeHNF.__init__
+
+        def recording_build(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def counting_init(self, *args, **kwargs):
+            checked.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(lattices, "_canonical_lattice", recording_build)
+        monkeypatch.setattr(LatticeHNF, "__init__", counting_init)
+        run()
+        monkeypatch.undo()
+        assert built and not checked
+        for lat in built:
+            _assert_same_lattice(lat, LatticeHNF(lat.module, lat.pair_rows, lat.scale))
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,14 @@ def test_only_the_case_parameters_name_wittscalar():
     assert named == ["windows.py", "witt.py"]
 
 
+def test_only_lattices_names_the_lattice_slot_builder():
+    # `_canonical_lattice` sets a lattice's slots from rows it takes to be in
+    # canonical Hermite form without checking them; only the module that
+    # builds such rows may hand it any
+    named = [path.name for path in sorted(SRC.glob("*.py")) if "_canonical_lattice" in path.read_text(encoding="utf-8")]
+    assert named == ["lattices.py"]
+
+
 def _value_class_members():
     """(class, member, statement) for each method and each assigned name in
     the body of a class in the package that names Frozen as a base."""
