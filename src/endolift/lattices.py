@@ -246,13 +246,14 @@ class LatticeHNF:
     and `==`, `hash` and `sort_key` compare lattices.
 
     The rows are given and stored as (a, b) pairs, reduced modulo p^prec;
-    rows not in that form are a ValueError (`hermite_form` puts any
-    generating set into it), and rows whose span modulo p^prec holds more
-    than they state are PrecisionTooLow.  The scale is an integer
-    (TypeError otherwise).  The package's own lattices, built in that form,
-    face the PrecisionTooLow check alone.  Once built, a lattice refuses
-    assignment and deletion (AttributeError), and copies and pickles, as a
-    `Frozen` value."""
+    rows not in that form are a ValueError (`hermite_form`, the tests' slow
+    reference, puts any generating set into it), and rows whose span modulo
+    p^prec holds more than they state are PrecisionTooLow.  The scale is an
+    integer (TypeError otherwise).  The package's own lattices, built in
+    that form, face the PrecisionTooLow check alone; the descent proves its
+    span without an elimination.  Once built, a lattice refuses assignment
+    and deletion (AttributeError), and copies and pickles, as a `Frozen`
+    value."""
 
     __slots__ = ("module", "scale", "pair_rows", "_exps", "_steps", "_diagonal")
 
@@ -362,15 +363,10 @@ def hermite_form(module: SemilinearModule, rows: Sequence[Sequence[Pair]], scale
     scalar ring (H. Cohen, GTM 138, section 2.4): unit-normalized p-power
     pivots, then the entries above pivot 0, 1, ... reduced in turn to their
     canonical residues; a reduction above pivot i changes only columns >= i,
-    so it keeps every earlier column reduced."""
-    return _hermite_pairs(module, [module._coords(row) for row in rows], index(scale))
-
-
-def _hermite_pairs(module: SemilinearModule, work: List[List[Pair]], scale: int) -> LatticeHNF:
-    """`hermite_form` of checked rows, lists of pairs reduced modulo p^prec
-    as `SemilinearModule._coords` gives them, and an integer scale; it
-    consumes the lists."""
+    so it keeps every earlier column reduced.  No engine pass runs it; the
+    tests keep it as the slow reference."""
     p, prec, rank, mod, r = module.p, module.prec, module.rank, module._mod, module._r
+    work, scale = [module._coords(row) for row in rows], index(scale)
     pivots, exps = [], []
     for col in range(rank):
         best = None
@@ -487,14 +483,15 @@ def lie_action_parity(lattice: LatticeHNF) -> str:
 
 
 # ---------------------------------------------------------------------------
-# residue-field layer: the rank routine of the filtration-lift census
+# residue-field layer: the rank routine of the census and the descent
 
 
 def _rank(p: int, r: int, vectors) -> int:
     """Rank over the residue field (the pairs mod p, w^2 = r) of equal-length
-    coordinate vectors, for the census: each is reduced against the echelon
-    rows kept so far (1 at their own pivot column, 0 at earlier ones), and a
-    nonzero remainder becomes a new row."""
+    coordinate vectors, each pair already reduced mod p, for the census and
+    the descent's span proof: each is reduced against the echelon rows kept
+    so far (1 at their own pivot column, 0 at earlier ones), and a nonzero
+    remainder becomes a new row."""
     echelon: Dict[int, list] = {}
     for vec in vectors:
         v = list(vec)
@@ -599,19 +596,39 @@ class DescentReport(Frozen):
     __slots__ = ("a", "b", "delta", "scale", "span")
 
 
+def _spans_diagonal(lat: LatticeHNF, gens) -> bool:
+    """Whether vectors of pairs reduced modulo p^prec span the diagonal
+    lattice `lat` (in its integral frame), as their Hermite form would say:
+    each coordinate is a multiple of its row's pivot p^d, and the quotients
+    mod p have full rank over the residue field (Nakayama)."""
+    if not lat._diagonal:
+        raise ValueError("the span proof needs a diagonal lattice")
+    module = lat.module
+    p, residues = module.p, []
+    for v in gens:
+        row = []
+        for (a, b), (pd, _entries) in zip(v, lat._steps):
+            if a % pd or b % pd:
+                return False
+            row.append((a // pd % p, b // pd % p))
+        residues.append(row)
+    return _rank(p, module._r, residues) == module.rank
+
+
 def descend_superlattice(a: int, b: int, delta: int, p: int) -> DescentReport:
     """Push a classified superlattice down to a rank-2 frame.
 
     Reads e* = p^-a e1 + p^-b e2 and f* = p^-(b+delta) f1 + p^-(a+delta) f2
     in scaled integral coordinates off the family lattice's canonical rows,
-    which the operator kernels and the Hermite elimination take as they are.
-    It checks F e* = p^delta f* and F f* = p^(1-delta) e* (V = F), that the
-    order omega acts by omega on e* and by -omega on f*, and that the
-    scalar-omega translates of the pair span the family lattice, its own
-    Hermite basis (diagonal, unit-normalized p-power pivots).  StabilityFailure
-    on any miss.  The module is the shared read-only `tensor_rank4`, looked
-    up by name on each call, two digits above the precision the superlattice
-    search needs at the same (s, m).
+    which the operator kernels take as they are.  It checks
+    F e* = p^delta f* and F f* = p^(1-delta) e* (V = F), that the order omega
+    acts by omega on e* and by -omega on f*, and that the scalar-omega
+    translates of the pair span the family lattice, proved against its
+    diagonal basis with no elimination (`_spans_diagonal`); the family
+    lattice is then the span.  StabilityFailure on any miss.  The module is
+    the shared read-only `tensor_rank4`, looked up by name on each call, two
+    digits above the precision the superlattice search needs at the same
+    (s, m).
     """
     if delta not in (0, 1) or a < 0 or b < 0:
         raise ValueError("need a, b >= 0 and delta in {0, 1}")
@@ -640,10 +657,9 @@ def descend_superlattice(a: int, b: int, delta: int, p: int) -> DescentReport:
         raise StabilityFailure("order action does not act by a scalar on f*")
 
     gens = [e_star, f_star, apply("omega-scalar", e_star), apply("omega-scalar", f_star)]
-    span = _hermite_pairs(module, gens, m)
-    if span != expected:
+    if not _spans_diagonal(expected, gens):
         raise StabilityFailure("scalar extension of the descent misses the superlattice")
-    return DescentReport(a, b, delta, m, span)
+    return DescentReport(a, b, delta, m, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,7 @@ class TestDescent:
         ("F", "not operator-stable"),
         ("omega-order", "order action"),
         ("omega-scalar", "misses the superlattice"),
+        ("omega-scalar-off-diagonal", "misses the superlattice"),
     ])
     def test_corrupted_module_fails_the_descent(self, corrupt, message, monkeypatch):
         real = tensor_rank4
@@ -449,18 +450,92 @@ class TestDescent:
         def corrupted(p, prec):
             module = real(p, prec)
             F, actions = module.F, dict(module.actions)
+            eta = [list(row) for row in actions["omega-scalar"]]
             if corrupt == "F":
                 F = tuple(tuple((2 * a, 2 * b) for a, b in row) for row in F)
             elif corrupt == "omega-order":
                 actions[corrupt] = actions["omega-scalar"]
+            elif corrupt == "omega-scalar":
+                # inside the lattice, but p times too small on the translates:
+                # their residue rank is 2
+                actions[corrupt] = tuple(tuple((p * a, p * b) for a, b in row) for row in eta)
             else:
-                # full rank, but p times too small on the translates
-                actions[corrupt] = tuple(tuple((p * a, p * b) for a, b in row) for row in actions[corrupt])
+                # e1 -> ... + e2: the translate of e* = e1 + p e2 gets a unit
+                # e2-coordinate, off the family lattice's pivot p
+                eta[1][0] = (1, 0)
+                actions["omega-scalar"] = tuple(map(tuple, eta))
             return SemilinearModule(p, prec, 4, F, actions, module.label)
 
         monkeypatch.setattr(lattices, "tensor_rank4", corrupted)
         with pytest.raises(StabilityFailure, match=message):
             descend_superlattice(1, 0, 0, 3)
+
+    def test_span_is_the_hermite_form_of_the_translates(self):
+        # every benchmark frame, the selfcheck's nine among them (p = 3, a + b + delta <= 2)
+        for report in _descents():
+            span = report.span
+            module = span.module
+            e_star = tuple(row[i] if i < 2 else (0, 0) for i, row in enumerate(span.pair_rows))
+            f_star = tuple(row[i] if i >= 2 else (0, 0) for i, row in enumerate(span.pair_rows))
+            gens = [e_star, f_star, module.apply("omega-scalar", e_star), module.apply("omega-scalar", f_star)]
+            assert hermite_form(module, gens, report.scale) == span
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @given(data=st.data())
+    def test_span_proof_matches_the_hermite_reference(self, p, data):
+        """The proof accepts four vectors exactly when their Hermite form is
+        the family lattice: drawn coefficients over its basis, some with a
+        singular residue, some with a coordinate off its pivot."""
+        a, b, delta = data.draw(st.sampled_from(DESCENT_FRAMES))
+        m = max(a, b, b + delta, a + delta)
+        module = tensor_rank4(p, 2 * (a + b + delta + max(m, 1)) + 4)
+        lat = lattices._family_lattice(module, a, b, delta, m)
+        ring, exps = _module_ring(module), lat.pivot_exponents()
+        coeffs = [[data.draw(_units(module)) for _ in range(4)] for _ in range(4)]
+        fault = data.draw(st.sampled_from(["none", "singular", "outside"]))
+        if fault == "singular":
+            k = data.draw(st.integers(0, 3))
+            mix = [data.draw(_coords(module)) for _ in range(4)]
+            coeffs[k] = [
+                ring.total([ring.mul((p, 0), mix[k])] + [ring.mul(mix[i], coeffs[i][j]) for i in range(4) if i != k])
+                for j in range(4)
+            ]
+        gens = [[ring.mul(c, (p**e, 0)) for c, e in zip(row, exps)] for row in coeffs]
+        if fault == "outside" and max(exps) > 0:
+            i, j = data.draw(st.integers(0, 3)), exps.index(max(exps))
+            e = data.draw(st.integers(0, exps[j] - 1))
+            gens[i][j] = ring.add(gens[i][j], ring.mul((p**e, 0), data.draw(_units(module))))
+        try:
+            want = hermite_form(module, gens, m) == lat
+        except (ValueError, PrecisionTooLow):  # not full rank, or not the lattice
+            want = False
+        assert lattices._spans_diagonal(lat, [tuple(g) for g in gens]) == want
+
+    def test_span_proof_refuses_a_lattice_that_is_not_diagonal(self):
+        module = tensor_rank4(3)
+        lat = hermite_form(module, [_vec(3, 1, 0, 0), _vec(0, 3, 0, 0), _vec(0, 0, 1, 0), _vec(0, 0, 0, 1)])
+        with pytest.raises(ValueError, match="diagonal"):
+            lattices._spans_diagonal(lat, lat.pair_rows)
+
+    def test_no_lattice_enum_pass_runs_an_elimination(self, monkeypatch):
+        """The benchmark's lattice cells and the whole selfcheck battery, its
+        nine descents among them, call no Hermite routine of the module."""
+        from endolift import cli
+
+        calls = []
+        for name in [name for name in vars(lattices) if "hermite" in name.lower()]:
+            routine = getattr(lattices, name)
+            if callable(routine):
+                def counted(*args, _routine=routine, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _routine(*args, **kwargs)
+
+                monkeypatch.setattr(lattices, name, counted)
+        for run in (_sublattice_grids, _superlattice_windows, _descents):
+            run()
+        hodge_lift_census(3)
+        assert all(ok for _name, ok, _detail in cli._selfcheck_battery())
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1123,10 +1198,14 @@ def _superlattice_windows():
             enumerate_stable_superlattices(tensor_rank4(p, 2 * (s + m) + 2), s, m)
 
 
+# the benchmark's descent frames, at p = 3 and 5
+DESCENT_FRAMES = [(a, b, d) for d in (0, 1) for a in range(4) for b in range(4) if a + b + d <= 3]
+
+
 def _descents():
-    frames = [(a, b, d) for d in (0, 1) for a in range(4) for b in range(4) if a + b + d <= 3]
-    reports = [descend_superlattice(a, b, d, p) for p in (3, 5) for a, b, d in frames]
+    reports = [descend_superlattice(a, b, d, p) for p in (3, 5) for a, b, d in DESCENT_FRAMES]
     assert len(reports) == 32
+    return reports
 
 
 class TestPackageBuiltLattices:
