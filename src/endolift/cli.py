@@ -71,9 +71,14 @@ def _int(value) -> int:
     return int(text)
 
 
+# the most integers one range may name; a longer one is refused unexpanded
+RANGE_LIMIT = 1000
+
+
 def _parse_int_list(text: str) -> List[int]:
     """Accepts "3", "3,5,7", and "0..4" (inclusive range); an empty chunk,
-    as in "3,,5" or ",3", is an error."""
+    as in "3,,5" or ",3", or a range of more than RANGE_LIMIT integers is an
+    error."""
     out: List[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -84,6 +89,8 @@ def _parse_int_list(text: str) -> List[int]:
             lo, hi = _int(lo_s), _int(hi_s)
             if hi < lo:
                 raise ValueError(f"empty range {chunk!r}")
+            if hi - lo >= RANGE_LIMIT:
+                raise ValueError(f"range {chunk!r} holds more than {RANGE_LIMIT} integers")
             out.extend(range(lo, hi + 1))
         else:
             out.append(_int(chunk))

@@ -246,14 +246,13 @@ class LatticeHNF:
     and `==`, `hash` and `sort_key` compare lattices.
 
     The rows are given and stored as (a, b) pairs, reduced modulo p^prec;
-    rows not in that form are a ValueError (`hermite_form`, the tests' slow
-    reference, puts any generating set into it), and rows whose span modulo
+    rows not in that form are a ValueError, and rows whose span modulo
     p^prec holds more than they state are PrecisionTooLow.  The scale is an
-    integer (TypeError otherwise).  The package's own lattices, built in
-    that form, face the PrecisionTooLow check alone; the descent proves its
-    span without an elimination.  Once built, a lattice refuses assignment
-    and deletion (AttributeError), and copies and pickles, as a `Frozen`
-    value."""
+    integer (TypeError otherwise).  No elimination runs in the package: its
+    own lattices, built in that form, face the PrecisionTooLow check alone,
+    and the descent proves its span by membership.  Once built, a lattice
+    refuses assignment and deletion (AttributeError), and copies and
+    pickles, as a `Frozen` value."""
 
     __slots__ = ("module", "scale", "pair_rows", "_exps", "_steps", "_diagonal")
 
@@ -356,57 +355,6 @@ def _canonical_lattice(module, rows, scale, exps, lat=None) -> LatticeHNF:
                     f"{lat._exps}: p^{prec - d} times row {i} leaves the rows' span"
                 )
     return lat
-
-
-def hermite_form(module: SemilinearModule, rows: Sequence[Sequence[Pair]], scale: int = 0) -> LatticeHNF:
-    """Canonical Hermite basis of a full-rank row span over the local
-    scalar ring (H. Cohen, GTM 138, section 2.4): unit-normalized p-power
-    pivots, then the entries above pivot 0, 1, ... reduced in turn to their
-    canonical residues; a reduction above pivot i changes only columns >= i,
-    so it keeps every earlier column reduced.  No engine pass runs it; the
-    tests keep it as the slow reference."""
-    p, prec, rank, mod, r = module.p, module.prec, module.rank, module._mod, module._r
-    work, scale = [module._coords(row) for row in rows], index(scale)
-    pivots, exps = [], []
-    for col in range(rank):
-        best = None
-        for idx, row in enumerate(work):
-            entry = row[col]
-            if entry == (0, 0):
-                continue
-            val = pair_val(entry, p, prec)
-            if best is None or val < best[0]:
-                best = (val, idx)
-        if best is None:
-            raise ValueError("row span is not full rank")
-        d, idx = best
-        pd = p**d
-        row = work.pop(idx)
-        a, b = row[col]
-        inv = pair_inv((a // pd, b // pd), p, r, mod)
-        row = [pair_mul(inv, c, r, mod) for c in row]
-        for other in work:
-            a, b = other[col]
-            if not a and not b:
-                continue
-            q = (a // pd, b // pd)
-            for j in range(rank):
-                if row[j] != (0, 0):
-                    other[j] = pair_sub(other[j], pair_mul(q, row[j], r, mod), mod)
-        pivots.append(row)
-        exps.append(d)
-        work = [w for w in work if any(x != (0, 0) for x in w)]
-    for i in range(rank):
-        pd = pivots[i][i][0]
-        for k in range(i):
-            a, b = pivots[k][i]
-            q = (a // pd, b // pd)
-            if q == (0, 0):
-                continue
-            for j in range(rank):
-                if pivots[i][j] != (0, 0):
-                    pivots[k][j] = pair_sub(pivots[k][j], pair_mul(q, pivots[i][j], r, mod), mod)
-    return _canonical_lattice(module, tuple(map(tuple, pivots)), scale, exps)
 
 
 def _stable_under_all(module: SemilinearModule, lat: LatticeHNF) -> bool:

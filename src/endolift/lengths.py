@@ -211,15 +211,12 @@ class ChainScalar:
 
     __slots__ = ("ctx", "_terms", "_off", "_pivot_key", "_min")
 
-    def __init__(self, ctx: ChainContext, coeffs: Optional[Terms] = None, *,
-                 _clean: bool = False, _off: int = 0):
+    def __init__(self, ctx: ChainContext, coeffs: Terms, *, _clean: bool = False, _off: int = 0):
         self.ctx = ctx
         self._off = _off
         self._pivot_key: Optional[Tuple[int, Optional[int]]] = None
         self._min: Optional[int] = None
-        if coeffs is None:
-            self._terms = {}
-        elif _clean:
+        if _clean:
             self._terms = coeffs
         else:
             mod, lo, hi = ctx.mod, ctx.lo, ctx.hi
@@ -590,22 +587,25 @@ def _stabilize(measure: Callable[[int], T], base: int, p: int, k: int) -> Tuple[
     returned with the value.  WindowExhausted and StructureViolation mean no
     answer at that radius, which never agrees with anything.  Once a radius
     beyond max(p^(2k+2), 8*base) has been tried without agreement, raises
-    WindowExhausted chained from the last failure caught.
+    WindowExhausted chained from the last failure caught, naming each radius
+    tried and what it gave: a value, or the class of its error.
     """
     ceiling = max(p ** (2 * k + 2), 8 * base)
     prev: Optional[T] = None
     last_error: Optional[Exception] = None
-    radius = base
+    radius, tried = base, []
     while True:
         try:
             cur: Optional[T] = measure(radius)
+            outcome = repr(cur)
         except (WindowExhausted, StructureViolation) as exc:
-            cur, last_error = None, exc
+            cur, last_error, outcome = None, exc, type(exc).__name__
+        tried.append(f"{radius}: {outcome}")
         if cur is not None and cur == prev:
             return radius, cur
         if radius > ceiling:
             raise WindowExhausted(
-                f"chain-ring measurement failed to stabilize below radius {radius}"
+                f"chain-ring measurement failed to stabilize below radius {radius}; tried {'; '.join(tried)}"
             ) from last_error
         prev = cur
         radius *= 2

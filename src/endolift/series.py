@@ -10,17 +10,16 @@ The Frobenius lift acts by the coefficient twist together with m -> p*m on
 exponents on both variables.
 
 Coefficients are raw (a, b) pairs meaning a + b*w, and nothing else enters:
-a constant is a pair or an int, a sum, difference or product takes another
-series, and an int scales through `scale_int` (`s * 3` is a TypeError).
-The termwise arithmetic (add, sub, neg, integer scale, exact integer
-division) lives in the `TruncSeries` methods, on its {(m1, m2) -> (a, b)}
-dict.  The chain ring of `lengths` divides the corner series by w and works
-on integer coefficients, so it shares neither that arithmetic nor the
-products: replaying the 9,376 series products of one sweep-small benchmark
-pass, the two-variable loop here took 78 ms and one chain-ring kernel call
-per pair of x2-slices 117 ms; folding m2 into an integer key m1 + B*m2
-makes the packed span about B*cap2 slots wide (MemoryError on the largest
-products).
+a constant is a pair, a sum, difference or product takes another series,
+and an int scales through `scale_int` (`s * 3` is a TypeError).  The
+termwise arithmetic (add, sub, integer scale, exact integer division) lives
+in the `TruncSeries` methods, on its {(m1, m2) -> (a, b)} dict.  The chain
+ring of `lengths` divides the corner series by w and works on integer
+coefficients, so it shares neither that arithmetic nor the products:
+replaying the 9,376 series products of one sweep-small benchmark pass, the
+two-variable loop here took 78 ms and one chain-ring kernel call per pair of
+x2-slices 117 ms; folding m2 into an integer key m1 + B*m2 makes the packed
+span about B*cap2 slots wide (MemoryError on the largest products).
 """
 
 from __future__ import annotations
@@ -83,11 +82,9 @@ class TruncSeries:
 
     __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: SeriesContext, coeffs: Optional[Dict[Key, Pair]] = None, *, _clean: bool = False):
+    def __init__(self, ctx: SeriesContext, coeffs: Dict[Key, Pair], *, _clean: bool = False):
         self.ctx = ctx
-        if coeffs is None:
-            self.coeffs = {}
-        elif _clean:
+        if _clean:
             self.coeffs = coeffs
         else:
             mod = ctx.mod
@@ -108,18 +105,16 @@ class TruncSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx: SeriesContext) -> "TruncSeries":
-        return cls(ctx, {}, _clean=True)
-
-    @classmethod
     def one(cls, ctx: SeriesContext) -> "TruncSeries":
         return cls(ctx, {(0, 0): (1, 0)})
 
     @classmethod
-    def constant(cls, ctx: SeriesContext, value) -> "TruncSeries":
-        """Constant series from an (a, b) pair or an int; TypeError for any
-        other coefficient."""
-        return cls(ctx, {(0, 0): value if isinstance(value, tuple) else (value, 0)})
+    def constant(cls, ctx: SeriesContext, value: Pair) -> "TruncSeries":
+        """Constant series from an (a, b) pair; TypeError for any other
+        coefficient."""
+        if not isinstance(value, tuple):
+            raise TypeError(f"a constant is an (a, b) pair, not {value!r}")
+        return cls(ctx, {(0, 0): value})
 
     @classmethod
     def monomial(cls, ctx: SeriesContext, m1: int, m2: int, pair: Pair = (1, 0)) -> "TruncSeries":
@@ -188,11 +183,6 @@ class TruncSeries:
 
     def __add__(self, other):
         return self._add(other, 1)
-
-    def __neg__(self):
-        mod = self.ctx.mod
-        out = {key: (-a % mod, -b % mod) for key, (a, b) in self.coeffs.items()}
-        return TruncSeries(self.ctx, out, _clean=True)
 
     def __sub__(self, other):
         return self._add(other, -1)

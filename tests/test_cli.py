@@ -235,6 +235,17 @@ class TestArgumentErrors:
         rc = main(["multiplicity", "--p", "three"])
         assert rc == 2
 
+    def test_a_long_range_is_refused_before_it_is_expanded(self, outdir, capsys):
+        # expanded, this range would be a list of 10^9 integers
+        with pytest.raises(ValueError, match=rf"range '0\.\.1000000000' holds more than {cli.RANGE_LIMIT} integers"):
+            cli._parse_int_list("0..1000000000")
+        assert len(cli._parse_int_list(f"1..{cli.RANGE_LIMIT}")) == cli.RANGE_LIMIT
+        with pytest.raises(ValueError):
+            cli._parse_int_list(f"0..{cli.RANGE_LIMIT}")
+        assert main(["multiplicity", "--c0", "0..1000000000"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: --c0: range '0..1000000000' holds more than")
+        assert not list(outdir.glob("multiplicity.*"))
+
     # values the inventory or the tower cannot take, and a run that would
     # check nothing
     @pytest.mark.parametrize("argv", [

@@ -23,7 +23,6 @@ from endolift.lattices import (
     descend_superlattice,
     enumerate_stable_sublattices,
     enumerate_stable_superlattices,
-    hermite_form,
     hodge_lift_census,
     lie_action_parity,
     operator_sanity,
@@ -33,6 +32,7 @@ from endolift.lattices import (
     tensor_rank4,
 )
 from endolift.witt import WittScalar
+from lattice_reference import hermite_form
 from witt_reference import QuadraticRing
 
 

@@ -813,12 +813,19 @@ class TestStabilize:
 
         def measure(radius):
             tried.append(radius)
-            raise StructureViolation(f"radius {radius}")
+            if radius in (72, 288):
+                raise StructureViolation(f"radius {radius}")
+            return len(tried) % 2
 
         with pytest.raises(WindowExhausted) as info:
             _stabilize(measure, 18, 3, 1)
         assert tried == [18, 36, 72, 144, 288]
         assert str(info.value.__cause__) == "radius 288"
+        # the message names every radius tried and what it gave
+        assert str(info.value) == (
+            "chain-ring measurement failed to stabilize below radius 288; tried "
+            "18: 1; 36: 0; 72: StructureViolation; 144: 0; 288: StructureViolation"
+        )
 
     def test_elimination_raises_when_radii_keep_disagreeing(self, monkeypatch):
         monkeypatch.setattr(

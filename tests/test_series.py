@@ -63,9 +63,8 @@ def test_constructor_filters_window_and_reduces():
 
 def test_constant_takes_integers_only():
     ctx = SeriesContext(3, 2, 0, 4, 2)
-    assert TruncSeries.constant(ctx, 10).coeffs == {(0, 0): (1, 0)}
     assert TruncSeries.constant(ctx, (3, -1)).coeffs == {(0, 0): (3, 8)}
-    for value in (2.5, (1, 0.5), "2"):
+    for value in (10, 2.5, (1, 0.5), "2"):
         with pytest.raises(TypeError):
             TruncSeries.constant(ctx, value)
     # a sum takes another series: an int is a constant series first
@@ -169,7 +168,7 @@ def test_substitutions_are_ring_maps(stu):
 def test_x2_slices_reassemble(sts):
     s, _ = sts
     ctx = s.ctx
-    acc = TruncSeries.zero(ctx)
+    acc = TruncSeries(ctx, {})
     for j in range(ctx.cap2):
         acc = acc + s.x2_slice(j).mul_monomial(0, j)
     assert acc.coeffs == s.coeffs
@@ -179,13 +178,13 @@ def test_x2_slices_reassemble(sts):
 def test_divisibility_roundtrip(sts, e):
     s, _ = sts
     q = s.ctx.p**e
-    scaled = s * TruncSeries.constant(s.ctx, q)
+    scaled = s * TruncSeries.constant(s.ctx, (q, 0))
     if e >= s.ctx.prec:
         assert scaled.is_zero()
         return
     assert scaled.divisible_by(q)
     back = scaled.divide_exact(q)
-    assert (back * TruncSeries.constant(s.ctx, q)).coeffs == scaled.coeffs
+    assert (back * TruncSeries.constant(s.ctx, (q, 0))).coeffs == scaled.coeffs
 
 
 @given(any_pairs())
@@ -236,7 +235,7 @@ def test_min_x2_degree():
     ctx = SeriesContext(3, 4, 0, 10, 3)
     s = TruncSeries(ctx, {(2, 1): (9, 0), (4, 2): (3, 27)})
     assert s.min_x2_degree() == 1
-    assert TruncSeries.zero(ctx).min_x2_degree() is None
+    assert TruncSeries(ctx, {}).min_x2_degree() is None
 
 
 # -- the termwise layer of TruncSeries ---------------------------------------
@@ -282,7 +281,6 @@ def test_terms_layer_matches_the_pairwise_reference(data, n):
     assert sx.coeffs == x and sy.coeffs == y
     assert (sx + sy).coeffs == _pairwise(x, y, mod, pair_add)
     assert (sx - sy).coeffs == _pairwise(x, y, mod, pair_sub)
-    assert (-sx).coeffs == _pairwise({}, x, mod, pair_sub)
     multiple = {}
     for _ in range(abs(n)):
         multiple = _pairwise(multiple, x, mod, pair_add if n > 0 else pair_sub)

@@ -93,7 +93,7 @@ def _closed_form_reference(case, ctx):
     sig = lambda q: (q[0], -q[1])
     d_minus_a = (d[0] - a[0], d[1] - a[1])
     k = lambda q: TruncSeries.constant(ctx, q)
-    zero = TruncSeries.zero(ctx)
+    zero = TruncSeries(ctx, {})
     base = _gamma_reference(case, ctx)
     corr_y_f = mat_from_rows([[k((p * c[0], p * c[1])), k((p * d_minus_a[0], p * d_minus_a[1]))],
                               [zero, k((-p * c[0], -p * c[1]))]])
@@ -127,19 +127,19 @@ def mat_mul(A, B):
 
 def _x(ctx, var):
     # the variable `var` as a series, 0 for None
-    return TruncSeries.monomial(ctx, *{"x1": (1, 0), "x2": (0, 1)}[var]) if var else TruncSeries.zero(ctx)
+    return TruncSeries.monomial(ctx, *{"x1": (1, 0), "x2": (0, 1)}[var]) if var else TruncSeries(ctx, {})
 
 
 def _m_matrix(ctx, var):
     # M(x) = [[x, p], [1, 0]]
-    p = TruncSeries.constant(ctx, ctx.p)
-    return mat_from_rows([[_x(ctx, var), p], [TruncSeries.one(ctx), TruncSeries.zero(ctx)]])
+    p = TruncSeries.constant(ctx, (ctx.p, 0))
+    return mat_from_rows([[_x(ctx, var), p], [TruncSeries.one(ctx), TruncSeries(ctx, {})]])
 
 
 def _m_adjoint(ctx, var):
     # the complementary factor: M(x) * M_adj(x) = p * identity
-    p = TruncSeries.constant(ctx, ctx.p)
-    return mat_from_rows([[TruncSeries.zero(ctx), p], [TruncSeries.one(ctx), -_x(ctx, var)]])
+    p = TruncSeries.constant(ctx, (ctx.p, 0))
+    return mat_from_rows([[TruncSeries(ctx, {}), p], [TruncSeries.one(ctx), _x(ctx, var).scale_int(-1)]])
 
 
 def _commutes_reference(pair, two_variable):
@@ -208,8 +208,8 @@ def _edge_pairs(draw):
     ctx = _edge_context(draw)
     if draw(st.integers(0, 3)) == 0:
         c = draw(st.integers(0, ctx.mod - 1))
-        I = mat_from_rows([[TruncSeries.constant(ctx, c), TruncSeries.zero(ctx)],
-                           [TruncSeries.zero(ctx), TruncSeries.constant(ctx, c)]])
+        I = mat_from_rows([[TruncSeries.constant(ctx, (c, 0)), TruncSeries(ctx, {})],
+                           [TruncSeries(ctx, {}), TruncSeries.constant(ctx, (c, 0))]])
         return QuasiEndoPair(I, I, 0)
     return QuasiEndoPair(_draw_edge_matrix(draw, ctx), _draw_edge_matrix(draw, ctx), draw(st.integers(0, 2)))
 
@@ -295,7 +295,7 @@ class TestCaseDescriptor:
 
 def _identity_pair(denom_exp):
     ctx = SeriesContext(3, 2, -1, 1, 1)
-    one, zero = TruncSeries.one(ctx), TruncSeries.zero(ctx)
+    one, zero = TruncSeries.one(ctx), TruncSeries(ctx, {})
     return QuasiEndoPair(((one, zero), (zero, one)), ((one, zero), (zero, one)), denom_exp)
 
 
